@@ -6,16 +6,14 @@ error (JSON error body on stderr), 2 failed verification (for example an
 inner-bound/constraint-system mismatch or a failed regime check).
 
 Identical (input, seed) pairs produce byte-identical artifacts: every
-computation is seeded and runs in one deterministic pass. The CIFC_THREADS
-environment variable caps the worker count; the current implementation
-computes sequentially (a one-worker schedule), so the cap only validates.
+computation is seeded and runs in one deterministic pass.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -99,23 +97,22 @@ class CliValidationError(ValueError):
     pass
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("CIFC_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliValidationError(f"CIFC_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise CliValidationError(f"CIFC_THREADS must be >= 1, got {cap}")
-    return cap
+def _finite(token: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals such as 1e400
+    are rejected rather than read as non-finite floats."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def _load_json(path: str, schema: dict) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_float=_finite,
+                         parse_constant=_finite)
     except OSError as exc:
         raise CliValidationError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or a non-finite number
         raise CliValidationError(f"{path} is not valid JSON: {exc}")
     try:
         jsonschema.validate(doc, schema)
@@ -142,6 +139,17 @@ def _parse_partition(raw: str | None, names: tuple[str, ...]):
     return (tuple(names[i - 1] for i in strong), tuple(names[i - 1] for i in weak))
 
 
+def _gaussian_partition(chan, raw: str | None):
+    """--partition of a multi-primary Gaussian channel as 0-based indices."""
+    if raw is None:
+        return None
+    if not isinstance(chan, gaussian.GaussianMultiPrimary):
+        raise CliValidationError("--partition applies to multi_primary channels")
+    names = tuple(str(j + 1) for j in range(chan.n_primary))
+    strong, weak = _parse_partition(raw, names)
+    return (tuple(int(s) - 1 for s in strong), tuple(int(w) - 1 for w in weak))
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
@@ -153,14 +161,7 @@ def _write_frontier(frontier: Frontier2D, path: str) -> None:
 def _cmd_classify(args) -> int:
     doc = _load_json(args.infile, GAUSSIAN_SCHEMA)
     chan = gaussian.channel_from_json_dict(doc)
-    partition = None
-    if args.partition is not None:
-        if not isinstance(chan, gaussian.GaussianMultiPrimary):
-            raise CliValidationError("--partition applies to multi_primary channels")
-        names = tuple(str(j + 1) for j in range(chan.n_primary))
-        strong, weak = _parse_partition(args.partition, names)
-        partition = (tuple(int(s) - 1 for s in strong), tuple(int(w) - 1 for w in weak))
-    regime = gaussian.classify_gaussian(chan, partition)
+    regime = gaussian.classify_gaussian(chan, _gaussian_partition(chan, args.partition))
     _emit({"regime": regime})
     return 0
 
@@ -168,42 +169,29 @@ def _cmd_classify(args) -> int:
 def _cmd_region(args) -> int:
     doc = _load_json(args.infile, GAUSSIAN_SCHEMA)
     chan = gaussian.channel_from_json_dict(doc)
-    grid = args.grid or 201
-    if isinstance(chan, gaussian.GaussianMultiPrimary):
-        partition = None
-        if args.partition is not None:
-            names = tuple(str(j + 1) for j in range(chan.n_primary))
-            strong, weak = _parse_partition(args.partition, names)
-            partition = (tuple(int(s) - 1 for s in strong),
-                         tuple(int(w) - 1 for w in weak))
-        regime = gaussian.classify_gaussian(chan, partition)
-        wanted = args.regime or regime
-        if wanted != regime:
-            raise CliValidationError(
-                f"channel classifies as {regime!r}, not {wanted!r}"
-            )
-        if regime == "VSI":
-            frontier = gaussian.region_mp_vsi(chan, rho_grid=grid)
-        elif regime == "WI":
-            frontier = gaussian.region_mp_wi(chan, eta_grid=grid, rho_grid=grid)
-        elif regime == "mixed":
-            frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid,
-                                                rho_grid=grid)
-        else:
-            raise CliValidationError("channel is outside every covered regime")
-    else:
-        regime = gaussian.classify_gaussian(chan)
-        wanted = args.regime or regime
-        if wanted != regime:
-            raise CliValidationError(
-                f"channel classifies as {regime!r}, not {wanted!r}"
-            )
+    partition = _gaussian_partition(chan, args.partition)
+    regime = gaussian.classify_gaussian(chan, partition)
+    if args.regime not in (None, regime):
+        raise CliValidationError(
+            f"channel classifies as {regime!r}, not {args.regime!r}"
+        )
+    grid = args.grid
+    if not isinstance(chan, gaussian.GaussianMultiPrimary):
         if regime != "VSI":
             raise CliValidationError(
                 "only the very-strong regime region is available for "
                 "multi_secondary channels"
             )
         frontier = gaussian.region_ms_vsi(chan, eta_grid=grid)
+    elif regime == "VSI":
+        frontier = gaussian.region_mp_vsi(chan, rho_grid=grid)
+    elif regime == "WI":
+        frontier = gaussian.region_mp_wi(chan, eta_grid=grid, rho_grid=grid)
+    elif regime == "mixed":
+        frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid,
+                                            rho_grid=grid)
+    else:
+        raise CliValidationError("channel is outside every covered regime")
     _write_frontier(frontier, args.out)
     _emit({"regime": regime, "points": len(frontier.points), "out": args.out})
     return 0
@@ -212,7 +200,7 @@ def _cmd_region(args) -> int:
 def _cmd_dpc_compare(args) -> int:
     doc = _load_json(args.infile, DPC_SCHEMA)
     cfg = dpc.DpcConfig.from_json_dict(doc)
-    rows = dpc.comparison_sweep(cfg, eta_grid=args.grid or 101, out_path=args.out)
+    rows = dpc.comparison_sweep(cfg, eta_grid=args.grid, out_path=args.out)
     strict = max(r["R2_md"] - r["R2_cd"] for r in rows)
     _emit({
         "rows": len(rows),
@@ -227,12 +215,9 @@ def _cmd_dpc_compare(args) -> int:
 
 
 def _cmd_verify_fme(args) -> int:
-    samples = args.samples if args.samples is not None else 100
-    if samples < 1:
-        raise CliValidationError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
     failures = []
-    for idx in range(samples):
+    for idx in range(args.samples):
         aux = dmc_regions.AuxAssignment(sample_input_dist(
             [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
         ))
@@ -241,8 +226,8 @@ def _cmd_verify_fme(args) -> int:
         if not dmc_regions.verify_fme_inner_bound(aux, chan):
             failures.append(idx)
     report = {
-        "instances": samples,
-        "passes": samples - len(failures),
+        "instances": args.samples,
+        "passes": args.samples - len(failures),
         "failures": failures,
         "seed": args.seed,
     }
@@ -264,20 +249,17 @@ def _cmd_dmc_capacity(args) -> int:
             "channel must have exactly one Z (multi-primary) or one Y "
             "(multi-secondary) output"
         )
-    if args.regime is None:
-        raise CliValidationError("--regime is required (VSI, VWI or mixed)")
     names = chan.y_names if klass == dmc_regions.MULTI_PRIMARY else chan.z_names
     partition = _parse_partition(args.partition, names)
-    samples = args.samples or 200
     report = dmc_regions.check_regime(
-        chan, klass, args.regime, samples=samples, seed=args.seed,
+        chan, klass, args.regime, samples=args.samples, seed=args.seed,
         partition=partition,
     )
     if not report.passed:
         _emit({"report": report.to_json_dict()})
         return 2
     search = dmc_regions.SearchConfig(
-        samples=args.budget if args.budget is not None else samples,
+        samples=args.budget if args.budget is not None else args.samples,
         seed=args.seed,
     )
     frontier = dmc_regions.dmc_capacity_region(
@@ -294,8 +276,7 @@ def _cmd_dmc_capacity(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    budget = args.budget if args.budget is not None else 1000
-    cfg = dmc_regions.CxSearchConfig(budget=budget, seed=args.seed)
+    cfg = dmc_regions.CxSearchConfig(budget=args.budget, seed=args.seed)
     witness = dmc_regions.vsi_vwi_counterexample_search(cfg)
     if witness is None:
         _emit({"found": False, "config": cfg.to_json_dict()})
@@ -321,32 +302,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_in=False, needs_out=False):
-        if needs_in:
-            p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-        if needs_out:
-            p.add_argument("--out", required=True, metavar="PATH")
-        else:
-            p.add_argument("--out", metavar="PATH")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--regime", choices=["VSI", "WI", "VWI", "mixed"])
-        p.add_argument("--partition", metavar="'1,2|3'")
+    p = sub.add_parser("classify", help="classify a Gaussian channel")
+    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--partition", metavar="'1,2|3'")
 
-    common(sub.add_parser("classify", help="classify a Gaussian channel"),
-           needs_in=True)
-    common(sub.add_parser("region", help="Gaussian capacity-region frontier CSV"),
-           needs_in=True, needs_out=True)
-    common(sub.add_parser("dpc-compare", help="DPC bound-comparison sweep CSV"),
-           needs_in=True, needs_out=True)
-    common(sub.add_parser("verify-fme", help="cross-verify the inner bound "
-                          "against its constraint system"))
-    common(sub.add_parser("dmc-capacity", help="discrete channel capacity "
-                          "region CSV"), needs_in=True, needs_out=True)
-    common(sub.add_parser("counterexample", help="search for a very-strong "
-                          "channel violating the weak condition"))
+    p = sub.add_parser("region", help="Gaussian capacity-region frontier CSV")
+    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
+    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--regime", choices=["VSI", "WI", "mixed"])
+    p.add_argument("--partition", metavar="'1,2|3'")
+
+    p = sub.add_parser("dpc-compare", help="DPC bound-comparison sweep CSV")
+    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
+    p.add_argument("--grid", type=int, default=101)
+
+    p = sub.add_parser("verify-fme", help="cross-verify the inner bound "
+                       "against its constraint system")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", metavar="PATH")
+
+    p = sub.add_parser("dmc-capacity", help="discrete channel capacity region CSV")
+    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
+    p.add_argument("--regime", required=True, choices=["VSI", "VWI", "mixed"])
+    p.add_argument("--partition", metavar="'1,2|3'")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--budget", type=int, help="search samples (default: --samples)")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("counterexample", help="search for a very-strong "
+                       "channel violating the weak condition")
+    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", metavar="PATH")
     return parser
 
 
@@ -370,7 +361,9 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _worker_cap()
+        for flag in ("samples", "grid"):
+            if getattr(args, flag, 1) < 1:
+                raise CliValidationError(f"--{flag} must be >= 1")
         return _HANDLERS[args.command](args)
     except CliValidationError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

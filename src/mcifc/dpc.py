@@ -19,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import CovMatrix, gaussian_mi, half_log2
-from .polytope import Frontier2D
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .gaussian import CovMatrix, binding_eta, gaussian_mi, golden_section, half_log2
+from .polytope import Frontier2D, monotone_frontier
 
 MD_VARIANTS = ("sqrt", "linear")
 
@@ -54,6 +52,9 @@ class DpcConfig:
         for p in (self.P1, self.P2):
             if not np.isfinite(p) or p < 0:
                 raise DpcConfigError(f"powers must be finite and >= 0, got {p}")
+        for g in (self.a1, self.a2, self.b):
+            if not np.isfinite(g):
+                raise DpcConfigError(f"gains must be finite, got {g}")
         if not 0.0 <= self.eta <= 1.0:
             raise DpcConfigError(f"eta must lie in [0,1], got {self.eta}")
         if not -1.0 <= self.rho <= 1.0:
@@ -89,19 +90,6 @@ class DpcConfig:
             x=float(doc.get("x", 0.0)),
             md_variant=str(doc.get("md_variant", "sqrt")),
         )
-
-
-@dataclass(frozen=True)
-class DpcBoundPoint:
-    """One evaluated (R1, R2) bound point."""
-
-    r1: float
-    r2: float
-    kind: str  # cd | md | outer | block_expansion
-
-    def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise DpcConfigError("bound points are nonnegative rate pairs")
 
 
 def r1_weak(cfg: DpcConfig) -> float:
@@ -178,19 +166,7 @@ def optimize_md_x(cfg: DpcConfig, scan_points: int = 64) -> tuple[float, float]:
     i = int(np.argmax(vals))
     lo = xs[max(0, i - 1)]
     hi = xs[min(len(xs) - 1, i + 1)]
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = md_dpc_rate(cfg, c), md_dpc_rate(cfg, d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = md_dpc_rate(cfg, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = md_dpc_rate(cfg, d)
+    a, b = golden_section(lambda x: md_dpc_rate(cfg, x), float(lo), float(hi), 60)
     cands = [(float(xs[i]), vals[i]), (0.5 * (a + b), md_dpc_rate(cfg, 0.5 * (a + b)))]
     cands.sort(key=lambda t: t[1])
     return cands[-1]
@@ -214,17 +190,9 @@ def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
         np.array([half_log2(1 + e * P2) for e in np.linspace(0, 1, eta_grid)]),
         np.linspace(0.0, r2_top, eta_grid),
     ]))
-    pts = []
-    for r2 in qs:
-        eta0 = min(1.0, max(0.0, (4.0**float(r2) - 1.0) / P2)) if P2 > 0 else 0.0
-        pts.append((float(r2), max(0.0, r1_cap(eta0))))
-    out = []
-    best = np.inf
-    for q, v in sorted(pts):
-        v = min(v, best)
-        best = v
-        out.append((q, v))
-    return Frontier2D(tuple(out))
+    return monotone_frontier(
+        (float(r2), max(0.0, r1_cap(binding_eta(float(r2), P2)))) for r2 in qs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +302,8 @@ def numeric_dpc_oracle(cfg: DpcConfig, gamma_points: int = 201,
             return min(
                 gaussian_mi(cov, {"V"}, {z}) for z in ("Z1", "Z2")
             ) - gaussian_mi(cov, {"V"}, {"Xu", "X1"})
-        lo = max(-amax, alpha_star - alpha_step)
-        hi = min(amax, alpha_star + alpha_step)
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(50):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = f(d)
+        a, b = golden_section(f, max(-amax, alpha_star - alpha_step),
+                              min(amax, alpha_star + alpha_step), 50)
         mid = 0.5 * (a + b)
         fm = f(mid)
         if fm > value:
@@ -468,13 +423,3 @@ def comparison_sweep(
         sidecar = out_path.with_suffix(out_path.suffix + ".json")
         sidecar.write_text(json.dumps(cfg.to_json_dict(), indent=1) + "\n")
     return rows
-
-
-def sweep_bound_points(rows: list[dict]) -> list[DpcBoundPoint]:
-    """Flatten sweep rows into typed bound points."""
-    out = []
-    for row in rows:
-        for kind, col in (("cd", "R2_cd"), ("md", "R2_md"),
-                          ("block_expansion", "R2_block"), ("outer", "R2_outer")):
-            out.append(DpcBoundPoint(row["R1"], row[col], kind))
-    return out

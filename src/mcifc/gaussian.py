@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .polytope import Frontier2D, frontier_intersect
+from .polytope import Frontier2D, frontier_intersect, monotone_frontier
 
 # Ridge added to covariance diagonals before any determinant.
 COV_RIDGE = 1e-12
@@ -58,13 +58,17 @@ class GaussianMultiPrimary:
 
     def __post_init__(self):
         b = tuple(float(x) for x in self.b)
+        a = float(self.a)
         if not b:
             raise GaussianModelError("need at least one primary gain b_j")
+        for g in b + (a,):
+            if not np.isfinite(g):
+                raise GaussianModelError(f"gains must be finite, got {g}")
         for p in (self.P1, self.P2):
             if not np.isfinite(p) or p < 0:
                 raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "P1", float(self.P1))
         object.__setattr__(self, "P2", float(self.P2))
 
@@ -91,13 +95,17 @@ class GaussianMultiSecondary:
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
+        b = float(self.b)
         if not a:
             raise GaussianModelError("need at least one secondary gain a_k")
+        for g in a + (b,):
+            if not np.isfinite(g):
+                raise GaussianModelError(f"gains must be finite, got {g}")
         for p in (self.P1, self.P2):
             if not np.isfinite(p) or p < 0:
                 raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "P1", float(self.P1))
         object.__setattr__(self, "P2", float(self.P2))
 
@@ -315,10 +323,10 @@ def classify_gaussian(chan, partition=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 44):
-    """Maximum of a concave function on [lo, hi]; also probes the endpoints,
-    so monotone objectives resolve to the exact boundary value."""
-    a, b = lo, hi
+def golden_section(f, a: float, b: float, iters: int, tol: float = 0.0):
+    """Golden-section bracket of a maximum of a unimodal f on [a, b]: the
+    bracket after `iters` shrink steps, or earlier once it is narrower than
+    tol."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -331,8 +339,20 @@ def _golden_max(f, lo: float, hi: float, iters: int = 44):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-        if b - a < 1e-13 * max(1.0, abs(hi - lo)):
+        if b - a < tol:
             break
+    return a, b
+
+
+def binding_eta(r2: float, P2: float) -> float:
+    """Power split eta0 in [0, 1] at which 1/2 log2(1 + eta P2) equals r2."""
+    return min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
+
+
+def _golden_max(f, lo: float, hi: float, iters: int = 44):
+    """Maximum of a concave function on [lo, hi]; also probes the endpoints,
+    so monotone objectives resolve to the exact boundary value."""
+    a, b = golden_section(f, lo, hi, iters, 1e-13 * max(1.0, abs(hi - lo)))
     xs = [lo, hi, 0.5 * (a + b)]
     vals = [f(x) for x in xs]
     k = int(np.argmax(vals))
@@ -361,17 +381,6 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
         np.linspace(0.0, r2_cap, len(eta_like)),
     ])
     return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
-
-
-def _monotone_points(pairs) -> Frontier2D:
-    pts = sorted(pairs)
-    out = []
-    best = np.inf
-    for x, y in pts:
-        y = min(y, best)
-        best = y
-        out.append((x, max(y, 0.0)))
-    return Frontier2D(tuple(out))
 
 
 def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
@@ -404,11 +413,10 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
     qs = _r2_samples(chan, etas, r2_values, r2_top)
     pts = []
     for r2 in qs:
-        lim = (4.0**r2 - 1.0) / P2 if P2 > 0 else 0.0
-        rho0 = np.sqrt(max(0.0, 1.0 - lim))
+        rho0 = np.sqrt(1.0 - binding_eta(r2, P2))
         _, best = _golden_max(sum_cap, -rho0, rho0)
         pts.append((float(r2), best - r2))
-    return _monotone_points(pts)
+    return monotone_frontier(pts)
 
 
 def _wi_r1(chan: GaussianMultiPrimary, subset, eta: float, rho: float) -> float:
@@ -450,14 +458,14 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, rho_grid=201,
     qs = _r2_samples(chan, etas, r2_values, r2_top)
     pts = []
     for r2 in qs:
-        eta0 = min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
+        eta0 = binding_eta(r2, P2)
         r1 = g(eta0)
         if not coherent:
             k = int(np.searchsorted(etas, eta0))
             if k < len(etas):
                 r1 = max(r1, float(suffix_max[k]))
         pts.append((float(r2), r1))
-    return _monotone_points(pts)
+    return monotone_frontier(pts)
 
 
 def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
@@ -494,14 +502,14 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
     qs = _r2_samples(chan, etas, r2_values, r2_top)
     pts = []
     for r2 in qs:
-        eta0 = min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
+        eta0 = binding_eta(r2, P2)
         r1 = h(eta0, r2)
         if not coherent:
             for e in coarse:
                 if e > eta0:
                     r1 = max(r1, h(float(e), r2))
         pts.append((float(r2), max(r1, 0.0)))
-    return _monotone_points(pts)
+    return monotone_frontier(pts)
 
 
 def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
@@ -527,9 +535,9 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
     qs = _r2_samples(chan, etas, r2_values, r2_top)
     pts = []
     for r2 in qs:
-        eta0 = min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
+        eta0 = binding_eta(r2, P2)
         pts.append((float(r2), sum_cap(eta0) - r2))
-    return _monotone_points(pts)
+    return monotone_frontier(pts)
 
 
 def coherent_intersection_check(

@@ -79,10 +79,11 @@ class JointDist:
             raise DistributionError(
                 f"probs shape {probs.shape} does not match axes shape {shape}"
             )
-        if probs.size and probs.min() < 0:
-            raise DistributionError(f"negative probability {probs.min():g}")
+        # written so that NaN fails each comparison
+        if probs.size and not probs.min() >= 0:
+            raise DistributionError(f"negative or NaN probability {probs.min():g}")
         total = probs.sum()
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "probs", _frozen(probs))
@@ -149,11 +150,13 @@ class DmcChannel:
             raise DistributionError(
                 f"probs shape {probs.shape} does not match {shape}"
             )
-        if probs.min() < 0:
-            raise DistributionError(f"negative transition probability {probs.min():g}")
+        # written so that NaN fails each comparison
+        if not probs.min() >= 0:
+            raise DistributionError(
+                f"negative or NaN transition probability {probs.min():g}")
         slice_sums = probs.reshape(self.x1, self.x2, -1).sum(axis=2)
         worst = np.abs(slice_sums - 1.0).max()
-        if worst > SUM_TOL:
+        if not worst <= SUM_TOL:
             raise DistributionError(
                 f"conditional slices must sum to 1 (worst deviation {worst:g})"
             )

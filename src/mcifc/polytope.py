@@ -590,6 +590,22 @@ def region_equal(a: Frontier2D, b: Frontier2D, tol: float = 1e-9) -> bool:
     return frontier_contains(a, b, tol) and frontier_contains(b, a, tol)
 
 
+def _upper_hull(pts: list[tuple[float, float]], tol: float) -> list[tuple[float, float]]:
+    """Upper convex chain of points sorted by x; a middle point is dropped
+    when it lies on or below its neighbours' chord within tol."""
+    hull: list[tuple[float, float]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
+            if cross >= -tol:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
 def concave_envelope(f: Frontier2D) -> Frontier2D:
     """Upper concave envelope of the frontier (time-sharing convexification)."""
     if f.is_empty or len(f.points) <= 2:
@@ -598,18 +614,19 @@ def concave_envelope(f: Frontier2D) -> Frontier2D:
     for x, y in f.points:
         if x not in top or y > top[x]:
             top[x] = y
-    pts = sorted(top.items())
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-            if cross >= -1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return Frontier2D(tuple(hull))
+    return Frontier2D(tuple(_upper_hull(sorted(top.items()), 1e-15)))
+
+
+def monotone_frontier(pairs) -> Frontier2D:
+    """Frontier of sampled (r2, r1) pairs: sorted by r2, each r1 capped by the
+    running minimum of the ones before it and clamped at zero."""
+    out = []
+    best = np.inf
+    for x, y in sorted(pairs):
+        y = min(y, best)
+        best = y
+        out.append((x, max(y, 0.0)))
+    return Frontier2D(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +696,7 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
     for x, y in vertices:
         if x not in by_x or y > by_x[x]:
             by_x[x] = y
-    pts = sorted((float(x), float(y)) for x, y in by_x.items())
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-            if cross >= -1e-18:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    hull = _upper_hull(sorted((float(x), float(y)) for x, y in by_x.items()), 1e-18)
     # enforce the downward-closed reading: drop any rising prefix
     while len(hull) >= 2 and hull[0][1] < hull[1][1] - 1e-15:
         hull.pop(0)

@@ -58,6 +58,9 @@ def test_region_multi_secondary(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["regime"] == "VSI"
     assert out.exists()
+    assert run(["region", "--in", path, "--out", str(tmp_path / "p.csv"),
+                "--partition", "1|"]) == 1
+    assert "multi_primary" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_dpc_compare(tmp_path, capsys):
@@ -141,16 +144,6 @@ def test_missing_subcommand_usage(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_cifc_threads_validated(wi_chan, monkeypatch, capsys):
-    monkeypatch.setenv("CIFC_THREADS", "zero")
-    assert run(["classify", "--in", wi_chan]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert "CIFC_THREADS" in err["error"]
-    monkeypatch.setenv("CIFC_THREADS", "4")
-    assert run(["classify", "--in", wi_chan]) == 0
-    capsys.readouterr()
-
-
 def test_partition_flag_parsing(tmp_path, capsys):
     mixed = write(tmp_path / "mx.json",
                   {"class": "multi_primary", "b": [0.5, 2.0], "a": 2.0,
@@ -175,3 +168,43 @@ def test_region_mixed_with_partition(tmp_path, capsys):
 def test_verify_fme_rejects_zero_samples(capsys):
     assert run(["verify-fme", "--samples", "0"]) == 1
     assert "samples" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_zero_counts_are_rejected_not_defaulted(wi_chan, tmp_path, capsys):
+    dmc = write(tmp_path / "dmc.json", {
+        "axes": [["X1", 2], ["X2", 2], ["Y1", 2], ["Z1", 2]],
+        "probs": [0.25] * 16,
+    })
+    dpc = write(tmp_path / "dpc.json",
+                {"P1": 3.0, "P2": 1.0, "a1": 0.75, "a2": -0.5, "b": 0.1})
+    out = str(tmp_path / "out.csv")
+    for argv, flag in (
+        (["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI",
+          "--samples", "0"], "--samples"),
+        (["region", "--in", wi_chan, "--out", out, "--grid", "0"], "--grid"),
+        (["dpc-compare", "--in", dpc, "--out", out, "--grid", "0"], "--grid"),
+    ):
+        assert run(argv) == 1
+        assert flag in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_flags_of_other_subcommands_are_rejected(wi_chan, capsys):
+    assert run(["classify", "--in", wi_chan, "--grid", "5"]) == 1
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"class": "multi_primary", "b": [0.5], "a": Infinity, "P1": 1, "P2": 1}',
+    '{"class": "multi_primary", "b": [0.5], "a": 1e400, "P1": 1, "P2": 1}',
+    '{"class": "multi_primary", "b": [NaN, 0.5], "a": 0.3, "P1": 1, "P2": 1}',
+])
+@pytest.mark.parametrize("command", ["classify", "region"])
+def test_non_finite_numbers_rejected(text, command, tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    argv = [command, "--in", str(path)] + (["--out", str(out)] if command == "region" else [])
+    assert run(argv) == 1
+    assert "non-finite" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mcifc.dpc import (
-    DpcBoundPoint,
     DpcConfig,
     DpcConfigError,
     alpha_opt_pair,
@@ -20,7 +19,6 @@ from mcifc.dpc import (
     r1_weak,
     receiver_variances,
     slot_rate,
-    sweep_bound_points,
     weak_outer_bound,
 )
 from mcifc.gaussian import GaussianMultiPrimary, gaussian_mi, half_log2, wi_input_covariance
@@ -290,13 +288,6 @@ def test_sweep_deterministic_artifacts(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bound_points_flatten():
-    rows = comparison_sweep(FIG_CFG, eta_grid=5)
-    pts = sweep_bound_points(rows)
-    assert len(pts) == 4 * len(rows)
-    assert all(isinstance(p, DpcBoundPoint) and p.r1 >= 0 for p in pts)
-
-
 def test_config_validation():
     with pytest.raises(DpcConfigError):
         DpcConfig(P1=1, P2=1, a1=0, a2=0, b=0, eta=1.2)
@@ -304,5 +295,8 @@ def test_config_validation():
         DpcConfig(P1=1, P2=1, a1=0, a2=0, b=0, rho=-1.5)
     with pytest.raises(DpcConfigError):
         DpcConfig(P1=1, P2=1, a1=0, a2=0, b=0, eta=0.5, x=0.7)
+    for gains in ({"a1": np.inf}, {"a2": np.nan}, {"b": -np.inf}):
+        with pytest.raises(DpcConfigError):
+            DpcConfig(**{"P1": 1, "P2": 1, "a1": 0, "a2": 0, "b": 0, **gains})
     cfg = DpcConfig.from_json_dict(FIG_CFG.to_json_dict())
     assert cfg == FIG_CFG

@@ -94,6 +94,16 @@ def test_channel_json_round_trip():
     assert channel_from_json_dict(ms.to_json_dict()) == ms
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_channels_reject_non_finite_gains(bad):
+    for make in (lambda: GaussianMultiPrimary((bad, 0.5), 0.3, 1, 1),
+                 lambda: GaussianMultiPrimary((0.5,), bad, 1, 1),
+                 lambda: GaussianMultiSecondary(bad, (0.5,), 1, 1),
+                 lambda: GaussianMultiSecondary(0.5, (0.5, bad), 1, 1)):
+        with pytest.raises(GaussianModelError):
+            make()
+
+
 # -- gaussian_mi ---------------------------------------------------------------
 
 

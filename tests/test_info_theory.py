@@ -89,6 +89,10 @@ def test_distribution_invariants():
         JointDist((("X", 2),), np.array([0.7, 0.4]))
     with pytest.raises(DistributionError):
         JointDist((("X", 2),), np.array([1.1, -0.1]))
+    with pytest.raises(DistributionError):
+        JointDist((("X", 2),), np.array([np.nan, 1.0]))
+    with pytest.raises(DistributionError):
+        JointDist((("X", 2),), np.array([np.nan, np.nan]))
     with pytest.raises(AlphabetError):
         JointDist((("X", 2), ("X", 2)), np.full((2, 2), 0.25))
 
@@ -97,6 +101,10 @@ def test_channel_slice_normalization_checked():
     bad = np.full((2, 2, 2, 2), 0.3)
     with pytest.raises(DistributionError):
         DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), bad)
+    nan = np.full((2, 2, 2, 2), 0.25)
+    nan[0, 0, 0, 0] = np.nan
+    with pytest.raises(DistributionError):
+        DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), nan)
 
 
 def test_channel_needs_both_receiver_kinds():
