@@ -361,9 +361,12 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        for flag in ("samples", "grid"):
-            if getattr(args, flag, 1) < 1:
-                raise CliValidationError(f"--{flag} must be >= 1")
+        # a one-point region grid would only sample R2 = 0
+        least = {"samples": 1, "grid": 2 if args.command == "region" else 1, "budget": 0}
+        for flag, low in least.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise CliValidationError(f"--{flag} must be >= {low}")
         return _HANDLERS[args.command](args)
     except CliValidationError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

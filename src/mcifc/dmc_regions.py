@@ -12,7 +12,9 @@ therefore means "no violation found", never a proof of membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -125,6 +127,10 @@ class SearchConfig:
     aux_card: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise RegimeError("samples must be >= 0")
+
     def to_json_dict(self) -> dict:
         return {"samples": self.samples, "aux_card": self.aux_card,
                 "seed": self.seed}
@@ -136,53 +142,199 @@ class SearchConfig:
 
 
 # ---------------------------------------------------------------------------
+# Information expressions as data, and their one evaluator
+# ---------------------------------------------------------------------------
+#
+# A term (sign, left, right, given) is sign * I(left; right | given), with
+# `left` and `given` space-separated variable names. `right` is either
+# variable names or a key of _receiver_sets, and then the term is the min
+# over those receivers of I(left; receiver | given). A bound row
+# (coeffs, terms) reads coeffs . rates <= the signed sum of its terms.
+
+
+def _receiver_sets(chan: DmcChannel, strong=(), weak=()) -> dict:
+    """The receiver sets a term may name. "Y"/"Z" hold the first Y/Z output
+    (the single one of its class); "r" is set to the receiver a regime
+    condition is being checked at."""
+    return {
+        "Y": chan.y_names[:1], "Z": chan.z_names[:1],
+        "Y*": chan.y_names, "Z*": chan.z_names,
+        "strong": strong, "weak": weak,
+        "strong or Z*": strong or chan.z_names,
+    }
+
+
+def _mi(joint: JointDist, memo: dict, left: str, right: tuple, given: str) -> float:
+    """I(left; right | given) of `joint`, computed once per `memo`."""
+    key = (left, right, given)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = mutual_information(joint, left.split(), right, given.split())
+    return value
+
+
+def _value(joint: JointDist, memo: dict, sets: dict, terms) -> float:
+    """Signed sum of `terms` on `joint`, taken left to right; +inf when a term
+    ranges over an empty receiver set. `memo` holds this joint's MI values,
+    so a term repeated across rows is computed once."""
+    total = None
+    for sign, left, right, given in terms:
+        if right in sets:
+            if not sets[right]:
+                return np.inf
+            value = min([_mi(joint, memo, left, (r,), given) for r in sets[right]])
+        else:
+            value = _mi(joint, memo, left, tuple(right.split()), given)
+        total = sign * value if total is None else total + sign * value
+    return total
+
+
+def _rows(joint: JointDist, sets: dict, table) -> list:
+    """(coeffs, bound) rows of a table on one joint. A row over an empty
+    receiver set has bound +inf, constrains nothing and is left out."""
+    memo: dict = {}
+    rows = [(coeffs, _value(joint, memo, sets, terms)) for coeffs, terms in table]
+    return [(coeffs, bound) for coeffs, bound in rows if bound < np.inf]
+
+
+def _frontier(rows) -> Frontier2D:
+    return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+
+
+_COST_V = (-1, "V", "X1 U", "Q1 Q")
+_COST_Q = (-1, "Q", "X1", "Q1")
+
+#: the eleven rows of the inner-bound region
+_INNER_BOUND = (
+    ({"R1": 1}, ((+1, "Q1 X1 Q U", "Y*", ""),)),
+    ({"R2": 1}, ((+1, "Q V", "Z*", "Q1"), (-1, "Q V", "X1", "Q1"))),
+    ({"R2": 1}, ((+1, "X1 U", "Y*", "Q1 Q"), (+1, "Q V", "Z*", "Q1"), _COST_V)),
+    ({"R2": 1}, ((+1, "X1 Q U", "Y*", "Q1"), (+1, "V", "Z*", "Q1 Q"), _COST_V)),
+    ({"R2": 1}, ((+1, "X1 Q U", "Y*", "Q1"), (+1, "Q V", "Z*", "Q1"), _COST_V, _COST_Q)),
+    ({"R1": 1, "R2": 1}, ((+1, "X1 U", "Y*", "Q1 Q"), (+1, "Q1 Q V", "Z*", ""), _COST_V)),
+    ({"R1": 1, "R2": 1}, ((+1, "Q1 X1 Q U", "Y*", ""), (+1, "V", "Z*", "Q1 Q"), _COST_V)),
+    ({"R1": 1, "R2": 1}, ((+1, "Q1 X1 Q U", "Y*", ""), (+1, "Q V", "Z*", "Q1"),
+                          _COST_V, _COST_Q)),
+    ({"R1": 1, "R2": 1}, ((+1, "X1 Q U", "Y*", "Q1"), (+1, "Q1 Q V", "Z*", ""),
+                          _COST_V, _COST_Q)),
+    ({"R1": 1, "R2": 2}, ((+1, "X1 Q U", "Y*", "Q1"), (+1, "Q1 Q V", "Z*", ""),
+                          (+1, "V", "Z*", "Q1 Q"), _COST_V, _COST_Q)),
+    ({"R1": 1, "R2": 2}, ((+1, "Q1 X1 Q U", "Y*", ""), (+1, "Q V", "Z*", "Q1"),
+                          (+1, "V", "Z*", "Q1 Q"), _COST_V, _COST_Q)),
+)
+
+_COMMON = (+1, "Q U", "X1", "Q1")
+
+#: encoding and decoding rows of the constraint system, for one Y and one Z
+_CODING_SYSTEM = (
+    # encoding: covering each bin must beat the correlation cost
+    ({"T02": -1, "R02": 1}, ((-1, "X1", "Q", "Q1"),)),
+    ({"T11": -1, "R11": 1}, ((-1, "U", "X1", "Q1 Q"),)),
+    ({"T22": -1, "R22": 1}, ((-1, "V", "X1", "Q1 Q"),)),
+    ({"T11": -1, "R11": 1, "T22": -1, "R22": 1},
+     ((-1, "U", "V", "Q1 Q"), (-1, "U V", "X1", "Q1 Q"))),
+    # decoding at Z: (common, bin-of-Q, bin-of-V) jointly
+    ({"T22": 1}, ((+1, "V", "Z", "Q1 Q"),)),
+    ({"T02": 1, "T22": 1}, ((+1, "Q V", "Z", "Q1"),)),
+    ({"R01": 1, "T02": 1, "T22": 1}, ((+1, "Q1 Q V", "Z", ""),)),
+    # decoding at Y: (common, bin-of-Q, private, bin-of-U) jointly
+    ({"T11": 1}, ((+1, "X1 U", "Y", "Q1 Q"), _COMMON)),
+    ({"T02": 1, "T11": 1}, ((+1, "X1 Q U", "Y", "Q1"), _COMMON)),
+    ({"R01": 1, "T02": 1, "T11": 1}, ((+1, "Q1 X1 Q U", "Y", ""), _COMMON)),
+)
+
+
+def _gap(left: str, more: str, less: str, given: str = "") -> tuple:
+    """Terms of I(left; more | given) - I(left; less | given)."""
+    return ((+1, left, more, given), (-1, left, less, given))
+
+
+# Margins of the regime conditions: positive when the condition is violated.
+_MP_STRONG = _gap("X2", "Z", "r", "X1")
+_MP_WEAK = _gap("U", "r", "Z", "X1")
+_MS_STRONG = _gap("X2", "r", "Y", "X1")
+_MS_VERY_STRONG = _gap("X1 X2", "Y", "r")
+_MS_WEAK = _gap("U", "Y", "r", "X1")
+_MS_VERY_WEAK = _gap("U X1", "Y", "r")
+
+# (label, receivers, *alternatives); the margin is the min over the
+# alternatives. A condition whose `receivers` is a set key is checked at each
+# receiver of that set, and consecutive conditions over one set are checked
+# receiver by receiver. Any other value is the reported receiver, and None
+# reports the receiver attaining the condition's first min.
+_CONDITIONS = {
+    (MULTI_PRIMARY, "VSI"): (
+        ("strong", "Y*", _MP_STRONG),
+        ("very_strong", None, _gap("X1 X2", "Y*", "Z")),
+    ),
+    (MULTI_PRIMARY, "VWI"): (
+        ("weak", "Y*", _MP_WEAK),
+        ("very_weak", "Y*", _gap("U X1", "r", "Z")),
+    ),
+    (MULTI_PRIMARY, "mixed"): (
+        ("mixed_weak", "weak", _MP_WEAK),
+        ("mixed_strong", "strong", _MP_STRONG),
+        ("mixed_or", "*", _gap("X1 X2", "strong", "Z"), _gap("U X1", "weak", "Z")),
+    ),
+    (MULTI_SECONDARY, "VSI"): (
+        ("strong", "Z*", _MS_STRONG),
+        ("very_strong", "Z*", _MS_VERY_STRONG),
+    ),
+    (MULTI_SECONDARY, "VWI"): (
+        ("weak", "Z*", _MS_WEAK),
+        ("very_weak", "Z*", _MS_VERY_WEAK),
+    ),
+    (MULTI_SECONDARY, "mixed"): (
+        ("mixed_weak", "weak", _MS_WEAK),
+        ("mixed_very_weak", "weak", _MS_VERY_WEAK),
+        ("mixed_strong", "strong", _MS_STRONG),
+        ("mixed_very_strong", "strong", _MS_VERY_STRONG),
+    ),
+}
+
+#: all-receivers-decode-everything bounds, over (X1, X2)
+_FULL_DECODE = {
+    "r1_y": ({"R1": 1}, ((+1, "X1 X2", "Y*", ""),)),
+    "r2_z": ({"R2": 1}, ((+1, "X2", "Z", "X1"),)),
+    "r2_y": ({"R2": 1}, ((+1, "X2", "Y*", "X1"),)),
+    "sum_z": ({"R1": 1, "R2": 1}, ((+1, "X1 X2", "Z", ""),)),
+    "sum_y": ({"R1": 1, "R2": 1}, ((+1, "X1 X2", "Y*", ""),)),
+}
+
+#: multi-primary mixed-regime bounds, over (U, X1, X2)
+_MP_MIXED = {
+    "r2": ({"R2": 1}, ((+1, "X2", "Z", "X1 U"),)),
+    "sum_z": _FULL_DECODE["sum_z"],
+    "r1": ({"R1": 1}, ((+1, "U X1", "weak", ""),)),
+    "sum_y": ({"R1": 1, "R2": 1}, ((+1, "X1 X2", "strong", ""),)),
+}
+
+# Outside the mixed regime no receiver is strong, so this row bounds R2 at
+# every Z there.
+_MS_R2 = ({"R2": 1}, ((+1, "X2", "strong or Z*", "X1"),))
+_MS_SUM = ({"R1": 1, "R2": 1}, ((+1, "X1 X2", "Y", ""),))
+
+#: the per-regime region of one input distribution
+_REGIONS = {
+    (MULTI_PRIMARY, "VSI"): (_FULL_DECODE["r2_z"], _FULL_DECODE["sum_y"]),
+    (MULTI_PRIMARY, "VWI"): (({"R1": 1}, ((+1, "X1 U", "Y*", ""),)), _MP_MIXED["r2"]),
+    (MULTI_PRIMARY, "mixed"): (_MP_MIXED["r1"], _MP_MIXED["r2"], _MP_MIXED["sum_y"]),
+    (MULTI_SECONDARY, "VSI"): (_MS_R2, _MS_SUM),
+    (MULTI_SECONDARY, "VWI"): (({"R1": 1}, ((+1, "U X1", "Y", ""),)),
+                               ({"R2": 1}, ((+1, "X2", "Z*", "X1 U"),))),
+    (MULTI_SECONDARY, "mixed"): (_MS_R2, _MS_SUM),
+}
+
+
+# ---------------------------------------------------------------------------
 # Inner bound (11-inequality region) and its constraint-system verification
 # ---------------------------------------------------------------------------
-
-
-def _mi_bounds(joint: JointDist, chan: DmcChannel):
-    """The eleven (coeffs, bound) rows of the inner-bound region."""
-    ys = [[y] for y in chan.y_names]
-    zs = [[z] for z in chan.z_names]
-
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    def min_y(l, g=()):
-        return min(mi(l, y, g) for y in ys)
-
-    def min_z(l, g=()):
-        return min(mi(l, z, g) for z in zs)
-
-    cost_v = mi(["V"], ["X1", "U"], ["Q1", "Q"])
-    cost_q = mi(["Q"], ["X1"], ["Q1"])
-    rows = [
-        ({"R1": 1}, min_y(["Q1", "X1", "Q", "U"])),
-        ({"R2": 1}, min_z(["Q", "V"], ["Q1"]) - mi(["Q", "V"], ["X1"], ["Q1"])),
-        ({"R2": 1}, min_y(["X1", "U"], ["Q1", "Q"]) + min_z(["Q", "V"], ["Q1"]) - cost_v),
-        ({"R2": 1}, min_y(["X1", "Q", "U"], ["Q1"]) + min_z(["V"], ["Q1", "Q"]) - cost_v),
-        ({"R2": 1}, min_y(["X1", "Q", "U"], ["Q1"]) + min_z(["Q", "V"], ["Q1"])
-         - cost_v - cost_q),
-        ({"R1": 1, "R2": 1}, min_y(["X1", "U"], ["Q1", "Q"]) + min_z(["Q1", "Q", "V"])
-         - cost_v),
-        ({"R1": 1, "R2": 1}, min_y(["Q1", "X1", "Q", "U"]) + min_z(["V"], ["Q1", "Q"])
-         - cost_v),
-        ({"R1": 1, "R2": 1}, min_y(["Q1", "X1", "Q", "U"]) + min_z(["Q", "V"], ["Q1"])
-         - cost_v - cost_q),
-        ({"R1": 1, "R2": 1}, min_y(["X1", "Q", "U"], ["Q1"]) + min_z(["Q1", "Q", "V"])
-         - cost_v - cost_q),
-        ({"R1": 1, "R2": 2}, min_y(["X1", "Q", "U"], ["Q1"]) + min_z(["Q1", "Q", "V"])
-         + min_z(["V"], ["Q1", "Q"]) - cost_v - cost_q),
-        ({"R1": 1, "R2": 2}, min_y(["Q1", "X1", "Q", "U"]) + min_z(["Q", "V"], ["Q1"])
-         + min_z(["V"], ["Q1", "Q"]) - cost_v - cost_q),
-    ]
-    return rows
 
 
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
     joint = compose_with_channel(aux.joint, chan)
-    return IneqSystem.build(("R1", "R2"), _mi_bounds(joint, chan))
+    return IneqSystem.build(("R1", "R2"), _rows(joint, _receiver_sets(chan), _INNER_BOUND))
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
@@ -204,28 +356,7 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     if chan.n_primary != 1 or chan.n_secondary != 1:
         raise RegimeError("constraint system is stated for exactly one Y and one Z")
     joint = compose_with_channel(aux.joint, chan)
-    y = [chan.y_names[0]]
-    z = [chan.z_names[0]]
-
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    common = mi(["Q", "U"], ["X1"], ["Q1"])
-    rows: list[tuple[Mapping[str, object], object]] = [
-        # encoding: covering each bin must beat the correlation cost
-        ({"T02": -1, "R02": 1}, -mi(["X1"], ["Q"], ["Q1"])),
-        ({"T11": -1, "R11": 1}, -mi(["U"], ["X1"], ["Q1", "Q"])),
-        ({"T22": -1, "R22": 1}, -mi(["V"], ["X1"], ["Q1", "Q"])),
-        ({"T11": -1, "R11": 1, "T22": -1, "R22": 1},
-         -(mi(["U"], ["V"], ["Q1", "Q"]) + mi(["U", "V"], ["X1"], ["Q1", "Q"]))),
-        # decoding at Z: (common, bin-of-Q, bin-of-V) jointly
-        ({"T22": 1}, mi(["V"], z, ["Q", "Q1"])),
-        ({"T02": 1, "T22": 1}, mi(["Q", "V"], z, ["Q1"])),
-        ({"R01": 1, "T02": 1, "T22": 1}, mi(["Q1", "Q", "V"], z)),
-        # decoding at Y: (common, bin-of-Q, private, bin-of-U) jointly
-        ({"T11": 1}, mi(["X1", "U"], y, ["Q1", "Q"]) + common),
-        ({"T02": 1, "T11": 1}, mi(["X1", "Q", "U"], y, ["Q1"]) + common),
-        ({"R01": 1, "T02": 1, "T11": 1}, mi(["Q1", "X1", "Q", "U"], y) + common),
+    rows = _rows(joint, _receiver_sets(chan), _CODING_SYSTEM) + [
         # rate splits
         ({"R1": 1, "R01": -1, "R11": -1}, 0),
         ({"R1": -1, "R01": 1, "R11": 1}, 0),
@@ -289,92 +420,22 @@ def _needs_aux(regime: str) -> bool:
     return regime in ("VWI", "mixed")
 
 
-def _violations(joint, chan, klass, regime, strong=(), weak=()):
-    """Yield (receiver, condition, margin) for every violated inequality."""
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    if klass == MULTI_PRIMARY:
-        z = [chan.z_names[0]]
-        ys = chan.y_names
-        if regime == "VSI":
-            base = mi(["X2"], z, ["X1"])
-            for y in ys:
-                m = base - mi(["X2"], [y], ["X1"])
-                if m > VIOLATION_TOL:
-                    yield (y, "strong", m)
-            m = min(mi(["X1", "X2"], [y]) for y in ys) - mi(["X1", "X2"], z)
-            if m > VIOLATION_TOL:
-                yield (min(ys, key=lambda y: mi(["X1", "X2"], [y])), "very_strong", m)
-        elif regime == "VWI":
-            rhs_w = mi(["U"], z, ["X1"])
-            rhs_vw = mi(["U", "X1"], z)
-            for y in ys:
-                m = mi(["U"], [y], ["X1"]) - rhs_w
-                if m > VIOLATION_TOL:
-                    yield (y, "weak", m)
-                m = mi(["U", "X1"], [y]) - rhs_vw
-                if m > VIOLATION_TOL:
-                    yield (y, "very_weak", m)
-        else:  # mixed
-            for y in weak:
-                m = mi(["U"], [y], ["X1"]) - mi(["U"], z, ["X1"])
-                if m > VIOLATION_TOL:
-                    yield (y, "mixed_weak", m)
-            strong_base = mi(["X2"], z, ["X1"])
-            for y in strong:
-                m = strong_base - mi(["X2"], [y], ["X1"])
-                if m > VIOLATION_TOL:
-                    yield (y, "mixed_strong", m)
-            alt1 = (min(mi(["X1", "X2"], [y]) for y in strong) - mi(["X1", "X2"], z)
-                    if strong else np.inf)
-            alt2 = (min(mi(["U", "X1"], [y]) for y in weak) - mi(["U", "X1"], z)
-                    if weak else np.inf)
-            m = min(alt1, alt2)
-            if m > VIOLATION_TOL:
-                yield ("*", "mixed_or", m)
-    else:
-        y = [chan.y_names[0]]
-        zs = chan.z_names
-        if regime == "VSI":
-            rhs = mi(["X2"], y, ["X1"])
-            lhs_sum = mi(["X1", "X2"], y)
-            for zk in zs:
-                m = mi(["X2"], [zk], ["X1"]) - rhs
-                if m > VIOLATION_TOL:
-                    yield (zk, "strong", m)
-                m = lhs_sum - mi(["X1", "X2"], [zk])
-                if m > VIOLATION_TOL:
-                    yield (zk, "very_strong", m)
-        elif regime == "VWI":
-            lhs_w = mi(["U"], y, ["X1"])
-            lhs_vw = mi(["U", "X1"], y)
-            for zk in zs:
-                m = lhs_w - mi(["U"], [zk], ["X1"])
-                if m > VIOLATION_TOL:
-                    yield (zk, "weak", m)
-                m = lhs_vw - mi(["U", "X1"], [zk])
-                if m > VIOLATION_TOL:
-                    yield (zk, "very_weak", m)
-        else:  # mixed
-            lhs_w = mi(["U"], y, ["X1"])
-            lhs_vw = mi(["U", "X1"], y)
-            rhs_s = mi(["X2"], y, ["X1"])
-            lhs_sum = mi(["X1", "X2"], y)
-            for zk in weak:
-                m = lhs_w - mi(["U"], [zk], ["X1"])
-                if m > VIOLATION_TOL:
-                    yield (zk, "mixed_weak", m)
-                m = lhs_vw - mi(["U", "X1"], [zk])
-                if m > VIOLATION_TOL:
-                    yield (zk, "mixed_very_weak", m)
-            for zk in strong:
-                m = mi(["X2"], [zk], ["X1"]) - rhs_s
-                if m > VIOLATION_TOL:
-                    yield (zk, "mixed_strong", m)
-                m = lhs_sum - mi(["X1", "X2"], [zk])
-                if m > VIOLATION_TOL:
-                    yield (zk, "mixed_very_strong", m)
+def _violations(joint, sets, conditions):
+    """Yield (receiver, condition, margin) for every violated condition of a
+    _CONDITIONS table, in table order."""
+    memo: dict = {}
+    for over, group in groupby(conditions, key=itemgetter(1)):
+        group = tuple(group)
+        for receiver in sets.get(over, (over,)):
+            sets["r"] = (receiver,)
+            for label, _, *alternatives in group:
+                margin = min([_value(joint, memo, sets, terms) for terms in alternatives])
+                if margin > VIOLATION_TOL:
+                    at = receiver
+                    if at is None:
+                        _, left, right, given = alternatives[0][0]
+                        at = min(sets[right], key=lambda r: _mi(joint, memo, left, (r,), given))
+                    yield (at, label, margin)
 
 
 def default_aux_card(chan: DmcChannel) -> int:
@@ -427,12 +488,13 @@ def check_regime(
         strong, weak = _partition_sets(chan, klass, partition)
     if aux_card is None:
         aux_card = default_aux_card(chan)
+    sets = _receiver_sets(chan, strong, weak)
     checked = 0
     for dist in _check_dists(chan, regime, aux_card, samples, seed):
         joint = compose_with_channel(dist, chan)
         checked += 1
         for receiver, condition, margin in _violations(
-            joint, chan, klass, regime, strong, weak
+            joint, sets, _CONDITIONS[klass, regime]
         ):
             witness = RegimeWitness(dist, receiver, condition, float(margin))
             return RegimeReport(klass, regime, False, checked, witness)
@@ -444,33 +506,18 @@ def check_regime(
 # ---------------------------------------------------------------------------
 
 
+def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
+    joint = compose_with_channel(dist, chan)
+    sets, memo = _receiver_sets(chan, strong, weak), {}
+    bounds = {name: _value(joint, memo, sets, terms) for name, (_, terms) in table.items()}
+    return {name: bound for name, bound in bounds.items() if bound < np.inf}
+
+
 def full_decode_bounds(dist: JointDist, chan: DmcChannel) -> dict[str, float]:
     """Named bounds of the all-receivers-decode-everything evaluation of the
     inner bound (the substitution that collapses all auxiliaries onto the
     inputs), for a distribution over (X1, X2)."""
-    joint = compose_with_channel(dist, chan)
-
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    ys = chan.y_names
-    z = [chan.z_names[0]]
-    return {
-        "r1_y": min(mi(["X1", "X2"], [y]) for y in ys),
-        "r2_z": mi(["X2"], z, ["X1"]),
-        "r2_y": min(mi(["X2"], [y], ["X1"]) for y in ys),
-        "sum_z": mi(["X1", "X2"], z),
-        "sum_y": min(mi(["X1", "X2"], [y]) for y in ys),
-    }
-
-
-_FULL_DECODE_COEFFS = {
-    "r1_y": {"R1": 1},
-    "r2_z": {"R2": 1},
-    "r2_y": {"R2": 1},
-    "sum_z": {"R1": 1, "R2": 1},
-    "sum_y": {"R1": 1, "R2": 1},
-}
+    return _named_bounds(dist, chan, _FULL_DECODE)
 
 
 def full_decode_region(
@@ -480,8 +527,7 @@ def full_decode_region(
 ) -> Frontier2D:
     """Frontier of the named subset of the all-decode inequalities."""
     bounds = full_decode_bounds(dist, chan)
-    rows = [(_FULL_DECODE_COEFFS[k], bounds[k]) for k in include]
-    return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+    return _frontier([(_FULL_DECODE[k][0], bounds[k]) for k in include])
 
 
 def mixed_achievable_bounds(
@@ -493,29 +539,7 @@ def mixed_achievable_bounds(
     """Named bounds of the differentiated-decoding achievable set for the
     multi-primary mixed regime, before redundancy removal (the extra sum-rate
     at Z is the row the regime conditions make redundant)."""
-    joint = compose_with_channel(dist, chan)
-
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    z = [chan.z_names[0]]
-    bounds = {
-        "r2": mi(["X2"], z, ["X1", "U"]),
-        "sum_z": mi(["X1", "X2"], z),
-    }
-    if weak:
-        bounds["r1"] = min(mi(["U", "X1"], [y]) for y in weak)
-    if strong:
-        bounds["sum_y"] = min(mi(["X1", "X2"], [y]) for y in strong)
-    return bounds
-
-
-_MIXED_COEFFS = {
-    "r1": {"R1": 1},
-    "r2": {"R2": 1},
-    "sum_z": {"R1": 1, "R2": 1},
-    "sum_y": {"R1": 1, "R2": 1},
-}
+    return _named_bounds(dist, chan, _MP_MIXED, strong, weak)
 
 
 def mixed_achievable_region(
@@ -528,47 +552,7 @@ def mixed_achievable_region(
     bounds = mixed_achievable_bounds(dist, chan, strong, weak)
     if not include_sum_z:
         bounds.pop("sum_z")
-    rows = [(_MIXED_COEFFS[k], v) for k, v in bounds.items()]
-    return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
-
-
-def _single_dist_region(dist, chan, klass, regime, strong, weak) -> Frontier2D:
-    joint = compose_with_channel(dist, chan)
-
-    def mi(l, r, g=()):
-        return mutual_information(joint, l, r, g)
-
-    rows = []
-    if klass == MULTI_PRIMARY:
-        z = [chan.z_names[0]]
-        if regime == "VSI":
-            rows.append(({"R2": 1}, mi(["X2"], z, ["X1"])))
-            rows.append(({"R1": 1, "R2": 1},
-                         min(mi(["X1", "X2"], [y]) for y in chan.y_names)))
-        elif regime == "VWI":
-            rows.append(({"R1": 1}, min(mi(["X1", "U"], [y]) for y in chan.y_names)))
-            rows.append(({"R2": 1}, mi(["X2"], z, ["X1", "U"])))
-        else:
-            if weak:
-                rows.append(({"R1": 1}, min(mi(["U", "X1"], [y]) for y in weak)))
-            rows.append(({"R2": 1}, mi(["X2"], z, ["X1", "U"])))
-            if strong:
-                rows.append(({"R1": 1, "R2": 1},
-                             min(mi(["X1", "X2"], [y]) for y in strong)))
-    else:
-        y = [chan.y_names[0]]
-        if regime == "VSI":
-            rows.append(({"R2": 1}, min(mi(["X2"], [z], ["X1"]) for z in chan.z_names)))
-            rows.append(({"R1": 1, "R2": 1}, mi(["X1", "X2"], y)))
-        elif regime == "VWI":
-            rows.append(({"R1": 1}, mi(["U", "X1"], y)))
-            rows.append(({"R2": 1},
-                         min(mi(["X2"], [z], ["X1", "U"]) for z in chan.z_names)))
-        else:
-            zk = strong if strong else chan.z_names
-            rows.append(({"R2": 1}, min(mi(["X2"], [z], ["X1"]) for z in zk)))
-            rows.append(({"R1": 1, "R2": 1}, mi(["X1", "X2"], y)))
-    return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+    return _frontier([(_MP_MIXED[k][0], v) for k, v in bounds.items()])
 
 
 def union_all(frontiers: Sequence[Frontier2D]) -> Frontier2D:
@@ -616,8 +600,9 @@ def dmc_capacity_region(
     if regime == "mixed":
         strong, weak = _partition_sets(chan, klass, partition)
     aux_card = search.aux_card or default_aux_card(chan)
+    sets = _receiver_sets(chan, strong, weak)
     pieces = [
-        _single_dist_region(dist, chan, klass, regime, strong, weak)
+        _frontier(_rows(compose_with_channel(dist, chan), sets, _REGIONS[klass, regime]))
         for dist in _check_dists(chan, regime, aux_card, search.samples, search.seed)
     ]
     return concave_envelope(union_all(pieces))
@@ -677,6 +662,10 @@ class CxSearchConfig:
     final_vsi_samples: int = 1500
     min_margin: float = 1e-6
 
+    def __post_init__(self):
+        if self.budget < 0:
+            raise RegimeError("budget must be >= 0")
+
     def to_json_dict(self) -> dict:
         return {
             "budget": self.budget, "seed": self.seed, "y_card": self.y_card,
@@ -693,11 +682,11 @@ class CxSearchConfig:
 def weak_violation_margin(chan: DmcChannel, dist: JointDist) -> tuple[str, float]:
     """Worst receiver and margin of I(U;Yj|X1) - I(U;Z|X1) for one joint."""
     joint = compose_with_channel(dist, chan)
-    z = [chan.z_names[0]]
-    rhs = mutual_information(joint, ["U"], z, ["X1"])
+    sets, memo = _receiver_sets(chan), {}
     best = ("", -np.inf)
     for y in chan.y_names:
-        m = mutual_information(joint, ["U"], [y], ["X1"]) - rhs
+        sets["r"] = (y,)
+        m = _value(joint, memo, sets, _MP_WEAK)
         if m > best[1]:
             best = (y, m)
     return best

@@ -183,6 +183,10 @@ def test_zero_counts_are_rejected_not_defaulted(wi_chan, tmp_path, capsys):
           "--samples", "0"], "--samples"),
         (["region", "--in", wi_chan, "--out", out, "--grid", "0"], "--grid"),
         (["dpc-compare", "--in", dpc, "--out", out, "--grid", "0"], "--grid"),
+        (["region", "--in", wi_chan, "--out", out, "--grid", "1"], "--grid"),
+        (["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI",
+          "--budget", "-1"], "--budget"),
+        (["counterexample", "--budget", "-1"], "--budget"),
     ):
         assert run(argv) == 1
         assert flag in json.loads(capsys.readouterr().err)["error"]

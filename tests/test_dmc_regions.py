@@ -296,6 +296,84 @@ def test_vsi_noise_y_fails_strong_condition():
     assert rep.witness.margin > 1e-6
 
 
+def _law(kind):
+    """p(out | x1, x2) of one output on binary inputs: a copy of X1, of X2 or
+    of the pair, the pair with X1 through a BSC(0.25), or uniform noise."""
+    law = np.zeros((2, 2, 4 if kind in ("both", "x2_bsc") else 2))
+    for a in range(2):
+        for b in range(2):
+            if kind == "noise":
+                law[a, b] = 0.5
+            elif kind == "x2_bsc":
+                law[a, b, 2 * b + a], law[a, b, 2 * b + 1 - a] = 0.75, 0.25
+            else:
+                law[a, b, {"x1": a, "x2": b, "both": 2 * a + b}[kind]] = 1.0
+    return law
+
+
+def law_channel(**outputs):
+    """Outputs independent given (X1, X2), each with the named _law."""
+    laws = [_law(kind) for kind in outputs.values()]
+    probs = laws[0]
+    for law in laws[1:]:
+        probs = np.einsum("ab...,abk->ab...k", probs, law)
+    return DmcChannel(2, 2, tuple((n, law.shape[2]) for n, law in zip(outputs, laws)),
+                      probs)
+
+
+_MP_SPLIT = (("Y1",), ("Y2",))
+_MS_SPLIT = (("Z2",), ("Z1",))
+
+
+# One channel per condition label, each failing first at that condition:
+# (class, regime, partition, outputs, witness). The witnesses were recorded
+# before the conditions became tables; each check is seeded with its index.
+WITNESS_CASES = [
+    (dr.MULTI_PRIMARY, "VSI", None, dict(Y1="noise", Z1="x2"),
+     ("Y1", "strong", 2, 0.543564443199596)),
+    (dr.MULTI_PRIMARY, "VSI", None, dict(Y1="both", Y2="x2_bsc", Z1="x2"),
+     ("Y2", "very_strong", 10, 0.08476010807542456)),
+    (dr.MULTI_PRIMARY, "VWI", None, dict(Y1="noise", Y2="x2", Z1="noise"),
+     ("Y2", "weak", 1, 0.12314068931309086)),
+    (dr.MULTI_PRIMARY, "VWI", None, dict(Y1="noise", Y2="x1", Z1="noise"),
+     ("Y2", "very_weak", 1, 0.9411648918236133)),
+    (dr.MULTI_PRIMARY, "mixed", _MP_SPLIT, dict(Y1="both", Y2="x2", Z1="noise"),
+     ("Y2", "mixed_weak", 1, 0.3498427301026916)),
+    (dr.MULTI_PRIMARY, "mixed", _MP_SPLIT, dict(Y1="noise", Y2="noise", Z1="x2"),
+     ("Y1", "mixed_strong", 1, 0.982752960264978)),
+    (dr.MULTI_PRIMARY, "mixed", _MP_SPLIT, dict(Y1="x2", Y2="x1", Z1="noise"),
+     ("*", "mixed_or", 1, 0.8703563242956149)),
+    (dr.MULTI_SECONDARY, "VSI", None, dict(Y1="noise", Z1="noise", Z2="x2"),
+     ("Z2", "strong", 2, 0.543564443199596)),
+    (dr.MULTI_SECONDARY, "VSI", None, dict(Y1="both", Z1="both", Z2="x2"),
+     ("Z2", "very_strong", 10, 0.5435644431995964)),
+    (dr.MULTI_SECONDARY, "VWI", None, dict(Y1="x2", Z1="both", Z2="noise"),
+     ("Z2", "weak", 1, 0.4549981522618103)),
+    (dr.MULTI_SECONDARY, "VWI", None, dict(Y1="x1", Z1="both", Z2="noise"),
+     ("Z2", "very_weak", 1, 0.9999977170714129)),
+    (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT, dict(Y1="x2", Z1="noise", Z2="both"),
+     ("Z1", "mixed_weak", 1, 0.1977073997924519)),
+    (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT, dict(Y1="x1", Z1="noise", Z2="both"),
+     ("Z1", "mixed_very_weak", 1, 0.8965072520403958)),
+    (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT, dict(Y1="noise", Z1="both", Z2="x2"),
+     ("Z2", "mixed_strong", 1, 0.9215572992544903)),
+    (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT, dict(Y1="both", Z1="both", Z2="x2"),
+     ("Z2", "mixed_very_strong", 1, 0.9830894942464887)),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(WITNESS_CASES)),
+                         ids=[f"{c[0]}-{c[4][1]}" for c in WITNESS_CASES])
+def test_regime_witness_of_every_condition(seed):
+    klass, regime, partition, outputs, witness = WITNESS_CASES[seed]
+    rep = dr.check_regime(law_channel(**outputs), klass, regime, samples=50,
+                          seed=seed, partition=partition)
+    receiver, condition, checked, margin = witness
+    assert (rep.witness.receiver, rep.witness.condition) == (receiver, condition)
+    assert rep.samples_checked == checked
+    assert rep.witness.margin == pytest.approx(margin, abs=1e-12)
+
+
 def test_vwi_pass_on_degraded_family(rng):
     chan = weak_family_channel(rng)
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=150, seed=2)
@@ -506,6 +584,14 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
 
 def test_search_budget_zero_returns_none():
     assert dr.vsi_vwi_counterexample_search(dr.CxSearchConfig(budget=0)) is None
+
+
+def test_negative_counts_rejected():
+    with pytest.raises(dr.RegimeError):
+        dr.CxSearchConfig(budget=-1)
+    with pytest.raises(dr.RegimeError):
+        dr.SearchConfig(samples=-1)
+    assert dr.SearchConfig(samples=0).samples == 0
 
 
 def test_search_finds_and_verifies_witness():
