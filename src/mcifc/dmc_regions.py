@@ -12,19 +12,27 @@ therefore means "no violation found", never a proof of membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .info_theory import (
+    MAX_CELLS,
+    MI_CLAMP_TOL,
+    SUM_TOL,
     AlphabetError,
+    DistributionError,
     DmcChannel,
+    InternalConsistencyError,
     JointDist,
     compose_with_channel,
-    mutual_information,
+    mutual_information,  # noqa: F401  (perfbench/harness.py traces it here)
     sample_input_dist,
+    stack_entropy,
 )
 from .polytope import (
     Frontier2D,
@@ -130,6 +138,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise RegimeError("samples must be >= 0")
+        if self.aux_card is not None and self.aux_card < 1:
+            raise RegimeError("aux_card must be >= 1")
 
     def to_json_dict(self) -> dict:
         return {"samples": self.samples, "aux_card": self.aux_card,
@@ -164,37 +174,102 @@ def _receiver_sets(chan: DmcChannel, strong=(), weak=()) -> dict:
     }
 
 
-def _mi(joint: JointDist, memo: dict, left: str, right: tuple, given: str) -> float:
-    """I(left; right | given) of `joint`, computed once per `memo`."""
-    key = (left, right, given)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = mutual_information(joint, left.split(), right, given.split())
-    return value
+class _Batch:
+    """A stack of joints (K, *shape) over the axes `names`, and the one
+    evaluator of the MI tables on it. Each subset entropy and each MI term is
+    computed once per batch, for all K joints at a time."""
+
+    def __init__(self, names: Sequence[str], joints: np.ndarray):
+        self.index = {n: i for i, n in enumerate(names)}
+        self.joints = joints
+        self.entropies: dict = {}
+        self.mis: dict = {}
+
+    @classmethod
+    def of(cls, joint: JointDist) -> "_Batch":
+        return cls(joint.names, joint.probs[None])
+
+    def head(self, n: int) -> None:
+        """Keep the first n joints, with their memoized values."""
+        self.joints = self.joints[:n]
+        self.entropies = {key: h[:n] for key, h in self.entropies.items()}
+        self.mis = {key: v[:n] for key, v in self.mis.items()}
+
+    def entropy(self, names: frozenset) -> np.ndarray:
+        h = self.entropies.get(names)
+        if h is None:
+            try:
+                idx = [self.index[n] for n in names]
+            except KeyError as exc:
+                raise AlphabetError(f"unknown variable {exc}; have {tuple(self.index)}") from None
+            h = self.entropies[names] = stack_entropy(self.joints, idx)
+        return h
+
+    def mi(self, left: str, right: tuple, given: str) -> np.ndarray:
+        """I(left; right | given) of each joint, as mutual_information computes
+        it for one: H(LG) + H(RG) - H(LRG) - H(G), with rounding noise in
+        [-MI_CLAMP_TOL, 0) clamped to 0."""
+        key = (left, right, given)
+        value = self.mis.get(key)
+        if value is not None:
+            return value
+        left, right, given = frozenset(left.split()), frozenset(right), frozenset(given.split())
+        value = self.entropy(left | given) + self.entropy(right | given) \
+            - self.entropy(left | right | given)
+        if given:
+            value = value - self.entropy(given)
+        if (value < 0.0).any():
+            if value.min() < -MI_CLAMP_TOL:
+                raise InternalConsistencyError(
+                    f"mutual information came out {value.min():g} < -{MI_CLAMP_TOL:g}")
+            value = np.where(value < 0.0, 0.0, value)
+        self.mis[key] = value
+        return value
+
+    def value(self, sets: dict, terms) -> np.ndarray:
+        """Signed sum of `terms` for each joint, taken left to right; +inf when
+        a term ranges over an empty receiver set."""
+        total = None
+        for sign, left, right, given in terms:
+            if right in sets:
+                if not sets[right]:
+                    return np.full(len(self.joints), np.inf)
+                value = None
+                for r in sets[right]:
+                    # np.minimum returns its second argument on a tie, as min()
+                    # keeps the first, so the sign of a zero is min()'s
+                    mi = self.mi(left, (r,), given)
+                    value = mi if value is None else np.minimum(mi, value)
+            else:
+                value = self.mi(left, tuple(right.split()), given)
+            total = sign * value if total is None else total + sign * value
+        return total
 
 
-def _value(joint: JointDist, memo: dict, sets: dict, terms) -> float:
-    """Signed sum of `terms` on `joint`, taken left to right; +inf when a term
-    ranges over an empty receiver set. `memo` holds this joint's MI values,
-    so a term repeated across rows is computed once."""
-    total = None
-    for sign, left, right, given in terms:
-        if right in sets:
-            if not sets[right]:
-                return np.inf
-            value = min([_mi(joint, memo, left, (r,), given) for r in sets[right]])
-        else:
-            value = _mi(joint, memo, left, tuple(right.split()), given)
-        total = sign * value if total is None else total + sign * value
-    return total
+def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray, chan: DmcChannel) -> _Batch:
+    """Batch of the joints of a stack of input distributions over `axes`
+    (which end with X1, X2) with the channel, each checked as JointDist
+    checks one joint: the same product as compose_with_channel."""
+    cells = inputs[0].size * int(np.prod([k for _, k in chan.outputs]))
+    if cells > MAX_CELLS:
+        raise AlphabetError(
+            f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
+    joints = inputs.reshape(inputs.shape + (1,) * len(chan.outputs)) * chan.probs
+    # written so that NaN fails each comparison
+    if not joints.min() >= 0:
+        raise DistributionError(f"negative or NaN probability {joints.min():g}")
+    worst = np.abs(joints.reshape(len(joints), -1).sum(axis=1) - 1.0).max()
+    if not worst <= SUM_TOL:
+        raise DistributionError(f"probabilities sum to 1 only within {worst:g}")
+    return _Batch([n for n, _ in tuple(axes) + chan.outputs], joints)
 
 
-def _rows(joint: JointDist, sets: dict, table) -> list:
-    """(coeffs, bound) rows of a table on one joint. A row over an empty
-    receiver set has bound +inf, constrains nothing and is left out."""
-    memo: dict = {}
-    rows = [(coeffs, _value(joint, memo, sets, terms)) for coeffs, terms in table]
-    return [(coeffs, bound) for coeffs, bound in rows if bound < np.inf]
+def _rows(batch: _Batch, sets: dict, table) -> list:
+    """(coeffs, bound) rows of a table for each joint of `batch`. A row over an
+    empty receiver set has bound +inf, constrains nothing and is left out."""
+    bounds = [(coeffs, batch.value(sets, terms).tolist()) for coeffs, terms in table]
+    return [[(coeffs, b[k]) for coeffs, b in bounds if b[k] < np.inf]
+            for k in range(len(batch.joints))]
 
 
 def _frontier(rows) -> Frontier2D:
@@ -333,8 +408,8 @@ _REGIONS = {
 
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
-    joint = compose_with_channel(aux.joint, chan)
-    return IneqSystem.build(("R1", "R2"), _rows(joint, _receiver_sets(chan), _INNER_BOUND))
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
+    return IneqSystem.build(("R1", "R2"), _rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
@@ -355,8 +430,8 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     """
     if chan.n_primary != 1 or chan.n_secondary != 1:
         raise RegimeError("constraint system is stated for exactly one Y and one Z")
-    joint = compose_with_channel(aux.joint, chan)
-    rows = _rows(joint, _receiver_sets(chan), _CODING_SYSTEM) + [
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
+    rows = _rows(batch, _receiver_sets(chan), _CODING_SYSTEM)[0] + [
         # rate splits
         ({"R1": 1, "R01": -1, "R11": -1}, 0),
         ({"R1": -1, "R01": 1, "R11": 1}, 0),
@@ -381,26 +456,42 @@ def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-def _simplex_grid(cells: int, step: int = 8, cap: int = 2000):
-    """Compositions of `step` into `cells` parts, as probability vectors.
+# Regime checks and capacity regions take their input distributions in
+# chunks of 1, 2, 4, ... rows up to this many: a witness at depth 1 costs one
+# row, and a chunk's joints hold at most _CHUNK_CAP * MAX_CELLS cells.
+_CHUNK_CAP = 64
 
-    Returns an empty list when the grid would exceed `cap` points.
+
+@lru_cache(maxsize=None)  # keyed by (cells, step, cap); at most 2000 rows each
+def _simplex_grid(cells: int, step: int = 8, cap: int = 2000) -> np.ndarray:
+    """Compositions of `step` into `cells` parts, as the rows of a read-only
+    (n, cells) array of probability vectors.
+
+    Has no rows when the grid would exceed `cap` points.
     """
-    from math import comb
-
-    if comb(step + cells - 1, cells - 1) > cap:
-        return []
     out = []
+    if comb(step + cells - 1, cells - 1) <= cap:
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
+        def rec(prefix, remaining, slots):
+            if slots == 1:
+                out.append(prefix + [remaining])
+                return
+            for k in range(remaining + 1):
+                rec(prefix + [k], remaining - k, slots - 1)
 
-    rec([], step, cells)
-    return [np.asarray(v, dtype=float) / step for v in out]
+        rec([], step, cells)
+    grid = np.array(out, dtype=float).reshape(len(out), cells) / step
+    grid.flags.writeable = False
+    return grid
+
+
+def _check_class(chan: DmcChannel, klass: str) -> None:
+    if klass not in (MULTI_PRIMARY, MULTI_SECONDARY):
+        raise RegimeError(f"unknown class {klass!r}")
+    if klass == MULTI_PRIMARY and chan.n_secondary != 1:
+        raise RegimeError("multi-primary channels have exactly one Z output")
+    if klass == MULTI_SECONDARY and chan.n_primary != 1:
+        raise RegimeError("multi-secondary channels have exactly one Y output")
 
 
 def _partition_sets(chan: DmcChannel, klass: str, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -416,26 +507,33 @@ def _partition_sets(chan: DmcChannel, klass: str, partition) -> tuple[tuple[str,
     return strong, weak
 
 
-def _needs_aux(regime: str) -> bool:
-    return regime in ("VWI", "mixed")
-
-
-def _violations(joint, sets, conditions):
-    """Yield (receiver, condition, margin) for every violated condition of a
-    _CONDITIONS table, in table order."""
-    memo: dict = {}
+def _first_violation(batch: _Batch, sets: dict, conditions):
+    """(row, receiver, condition, margin) of the first violated condition of a
+    _CONDITIONS table, in table order, at the first joint of `batch` violating
+    any; None when no joint does. A condition is evaluated only on the joints
+    before the earliest violation found so far."""
+    found = None
     for over, group in groupby(conditions, key=itemgetter(1)):
         group = tuple(group)
         for receiver in sets.get(over, (over,)):
             sets["r"] = (receiver,)
             for label, _, *alternatives in group:
-                margin = min([_value(joint, memo, sets, terms) for terms in alternatives])
-                if margin > VIOLATION_TOL:
-                    at = receiver
-                    if at is None:
-                        _, left, right, given = alternatives[0][0]
-                        at = min(sets[right], key=lambda r: _mi(joint, memo, left, (r,), given))
-                    yield (at, label, margin)
+                margin = batch.value(sets, alternatives[0])
+                for terms in alternatives[1:]:
+                    margin = np.minimum(batch.value(sets, terms), margin)
+                hits = np.flatnonzero(margin > VIOLATION_TOL)
+                if not hits.size:
+                    continue
+                k = int(hits[0])
+                at = receiver
+                if at is None:
+                    _, left, right, given = alternatives[0][0]
+                    at = min(sets[right], key=lambda r: batch.mi(left, (r,), given)[k])
+                found = (k, at, label, float(margin[k]))
+                if k == 0:
+                    return found
+                batch.head(k)
+    return found
 
 
 def default_aux_card(chan: DmcChannel) -> int:
@@ -443,19 +541,42 @@ def default_aux_card(chan: DmcChannel) -> int:
     return chan.x1 * chan.x2 + 1
 
 
-def _check_dists(chan: DmcChannel, regime: str, aux_card: int, samples: int, seed):
-    """Deterministic grid points first, then Dirichlet samples."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if _needs_aux(regime):
-        axes = [("U", aux_card), ("X1", chan.x1), ("X2", chan.x2)]
-    else:
-        axes = [("X1", chan.x1), ("X2", chan.x2)]
+def _input_axes(chan: DmcChannel, regime: str, aux_card: int) -> tuple:
+    """Axes of the input distributions a regime ranges over."""
+    inputs = (("X1", chan.x1), ("X2", chan.x2))
+    return (("U", aux_card),) + inputs if regime in ("VWI", "mixed") else inputs
+
+
+def _draw(rng: np.random.Generator, axes, n: int) -> np.ndarray:
+    """n Dirichlet(1) input distributions over `axes`: the stream of n
+    sample_input_dist calls."""
+    shape = tuple(k for _, k in axes)
+    return rng.dirichlet(np.ones(int(np.prod(shape))), size=n).reshape((n,) + shape)
+
+
+def _check_dists(axes, samples: int, rng: np.random.Generator):
+    """Input distributions over `axes` in chunks of 1, 2, 4, ... rows up to
+    _CHUNK_CAP: the simplex grid, then `samples` Dirichlet draws from `rng`.
+    Yields (rows, state): `state` is rng's state before a sampled chunk was
+    drawn, and None for a chunk of grid points."""
     shape = tuple(k for _, k in axes)
     cells = int(np.prod(shape))
-    for vec in _simplex_grid(cells):
-        yield JointDist(tuple(axes), vec.reshape(shape))
-    for _ in range(samples):
-        yield sample_input_dist(axes, rng)
+    if cells > MAX_CELLS:
+        raise AlphabetError(
+            f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
+    grid = _simplex_grid(cells)
+    grid = grid.reshape((len(grid),) + shape)
+    size, done, total = 1, 0, len(grid) + samples
+    while done < total:
+        if done < len(grid):
+            n = min(size, len(grid) - done)
+            yield grid[done:done + n], None
+        else:
+            n = min(size, total - done)
+            state = rng.bit_generator.state
+            yield _draw(rng, axes, n), state
+        done += n
+        size = min(2 * size, _CHUNK_CAP)
 
 
 def check_regime(
@@ -470,18 +591,17 @@ def check_regime(
     """Sampled falsification check of an interference-regime condition.
 
     Returns a passing report with the number of distributions checked, or a
-    failing report carrying the first witness and its violation margin.
+    failing report carrying the first witness and its violation margin. A
+    Generator passed as `seed` ends advanced by exactly the Dirichlet draws
+    checked, as drawing one distribution at a time would leave it.
     """
-    if klass not in (MULTI_PRIMARY, MULTI_SECONDARY):
-        raise RegimeError(f"unknown class {klass!r}")
+    _check_class(chan, klass)
     if regime not in REGIMES:
         raise RegimeError(f"unknown regime {regime!r}")
-    if klass == MULTI_PRIMARY and chan.n_secondary != 1:
-        raise RegimeError("multi-primary channels have exactly one Z output")
-    if klass == MULTI_SECONDARY and chan.n_primary != 1:
-        raise RegimeError("multi-secondary channels have exactly one Y output")
     if samples < 1:
         raise RegimeError("samples must be >= 1")
+    if aux_card is not None and aux_card < 1:
+        raise RegimeError("aux_card must be >= 1")
     strong: tuple[str, ...] = ()
     weak: tuple[str, ...] = ()
     if regime == "mixed":
@@ -489,15 +609,22 @@ def check_regime(
     if aux_card is None:
         aux_card = default_aux_card(chan)
     sets = _receiver_sets(chan, strong, weak)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    axes = _input_axes(chan, regime, aux_card)
     checked = 0
-    for dist in _check_dists(chan, regime, aux_card, samples, seed):
-        joint = compose_with_channel(dist, chan)
-        checked += 1
-        for receiver, condition, margin in _violations(
-            joint, sets, _CONDITIONS[klass, regime]
-        ):
-            witness = RegimeWitness(dist, receiver, condition, float(margin))
-            return RegimeReport(klass, regime, False, checked, witness)
+    for rows, state in _check_dists(axes, samples, rng):
+        found = _first_violation(_compose(axes, rows, chan), sets, _CONDITIONS[klass, regime])
+        if found is None:
+            checked += len(rows)
+            continue
+        k, receiver, condition, margin = found
+        if state is not None:
+            # redraw the chunk up to the witness, so rng stops where it
+            # would had the draws been made one at a time
+            rng.bit_generator.state = state
+            _draw(rng, axes, k + 1)
+        witness = RegimeWitness(JointDist(axes, rows[k]), receiver, condition, margin)
+        return RegimeReport(klass, regime, False, checked + k + 1, witness)
     return RegimeReport(klass, regime, True, checked, None)
 
 
@@ -507,9 +634,11 @@ def check_regime(
 
 
 def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
-    joint = compose_with_channel(dist, chan)
-    sets, memo = _receiver_sets(chan, strong, weak), {}
-    bounds = {name: _value(joint, memo, sets, terms) for name, (_, terms) in table.items()}
+    """Named bounds of a multi-primary table (its "Z" is the one Z output)."""
+    _check_class(chan, MULTI_PRIMARY)
+    batch = _Batch.of(compose_with_channel(dist, chan))
+    sets = _receiver_sets(chan, strong, weak)
+    bounds = {name: float(batch.value(sets, terms)[0]) for name, (_, terms) in table.items()}
     return {name: bound for name, bound in bounds.items() if bound < np.inf}
 
 
@@ -583,6 +712,7 @@ def dmc_capacity_region(
     `report` as None to run a 200-sample check here. The sample stream is
     prefix-stable in the budget, so a larger budget yields a superset.
     """
+    _check_class(chan, klass)
     if report is None:
         report = check_regime(
             chan, klass, regime, samples=200, aux_card=search.aux_card,
@@ -599,12 +729,13 @@ def dmc_capacity_region(
     weak: tuple[str, ...] = ()
     if regime == "mixed":
         strong, weak = _partition_sets(chan, klass, partition)
-    aux_card = search.aux_card or default_aux_card(chan)
+    aux_card = default_aux_card(chan) if search.aux_card is None else search.aux_card
     sets = _receiver_sets(chan, strong, weak)
-    pieces = [
-        _frontier(_rows(compose_with_channel(dist, chan), sets, _REGIONS[klass, regime]))
-        for dist in _check_dists(chan, regime, aux_card, search.samples, search.seed)
-    ]
+    axes = _input_axes(chan, regime, aux_card)
+    pieces = []
+    for rows, _ in _check_dists(axes, search.samples, np.random.default_rng(search.seed)):
+        batch = _compose(axes, rows, chan)
+        pieces += [_frontier(r) for r in _rows(batch, sets, _REGIONS[klass, regime])]
     return concave_envelope(union_all(pieces))
 
 
@@ -681,12 +812,13 @@ class CxSearchConfig:
 
 def weak_violation_margin(chan: DmcChannel, dist: JointDist) -> tuple[str, float]:
     """Worst receiver and margin of I(U;Yj|X1) - I(U;Z|X1) for one joint."""
-    joint = compose_with_channel(dist, chan)
-    sets, memo = _receiver_sets(chan), {}
+    _check_class(chan, MULTI_PRIMARY)
+    batch = _Batch.of(compose_with_channel(dist, chan))
+    sets = _receiver_sets(chan)
     best = ("", -np.inf)
     for y in chan.y_names:
         sets["r"] = (y,)
-        m = _value(joint, memo, sets, _MP_WEAK)
+        m = float(batch.value(sets, _MP_WEAK)[0])
         if m > best[1]:
             best = (y, m)
     return best

@@ -215,6 +215,33 @@ def _subset_entropy(probs: np.ndarray, keep_idx: Iterable[int]) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
+    """H(variables at keep_idx) of each joint of a stack (K, *shape), in bits.
+
+    Row k equals _subset_entropy(stack[k], keep_idx) bit for bit: each row
+    sums -p*log2(p) over its nonzero cells in their original order and over
+    exactly that many of them, since a padding zero changes numpy's pairwise
+    grouping of a sum of 8 or more terms.
+    """
+    keep = sorted(keep_idx)
+    drop = tuple(i + 1 for i in range(stack.ndim - 1) if i not in keep)
+    marg = stack.sum(axis=drop) if drop else stack
+    flat = marg.reshape(len(stack), -1)
+    positive = flat > 0.0
+    counts = positive.sum(axis=1)
+    if counts.min() == flat.shape[1]:
+        return -(flat * np.log2(flat)).sum(axis=1)
+    # stable-compact each row's nonzero cells to its front, then sum the rows
+    # of each nonzero count over exactly that many columns
+    packed = np.take_along_axis(flat, np.argsort(~positive, axis=1, kind="stable"), axis=1)
+    out = np.empty(len(flat))
+    for n in set(counts.tolist()):
+        rows = counts == n
+        nz = packed[rows, :n]
+        out[rows] = -(nz * np.log2(nz)).sum(axis=1)
+    return out
+
+
 def marginalize(dist: JointDist, keep: Iterable[str]) -> JointDist:
     """Sum out every axis not in `keep`, preserving the original axis order."""
     keep = set(keep)

@@ -445,6 +445,135 @@ def test_check_regime_matches_independent_reimplementation(rng):
         assert rep.witness.margin <= witness_margin + 1e-12
 
 
+AUX_AXES = (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2))
+U_AXES = (("U", 3), ("X1", 2), ("X2", 2))
+
+
+def _terms(rows):
+    return {term for _, terms in rows for term in terms}
+
+
+# every term of each MI table, with the input axes the table is evaluated on
+TABLE_TERMS = {
+    "inner_bound": (AUX_AXES, _terms(dr._INNER_BOUND)),
+    "coding_system": (AUX_AXES, _terms(dr._CODING_SYSTEM)),
+    "conditions": (U_AXES, {term for conditions in dr._CONDITIONS.values()
+                            for _, _, *alternatives in conditions
+                            for terms in alternatives for term in terms}),
+    "regions": (U_AXES, {term for rows in dr._REGIONS.values() for term in _terms(rows)}),
+}
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros"])
+@pytest.mark.parametrize("table", sorted(TABLE_TERMS))
+def test_batched_terms_equal_mutual_information_bitwise(table, zeros, rng):
+    axes, terms = TABLE_TERMS[table]
+    shape = tuple(k for _, k in axes)
+    cells = int(np.prod(shape))
+    stack = rng.dirichlet(np.ones(cells), size=6)
+    if zeros:
+        # grid vertices: one, two and three cells of k/8; the channel's zero
+        # transitions leave zeros in output marginals of 8 and 16 cells
+        chan = law_channel(Y1="both", Y2="x2_bsc", Z1="x2", Z2="noise")
+        for row, weights in zip(stack[:4], [(8,), (5, 3), (4, 3, 1), (6, 1, 1)]):
+            row[:] = 0.0
+            row[rng.choice(cells, size=len(weights), replace=False)] = np.divide(weights, 8)
+    else:
+        chan = random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2), ("Z2", 2)))
+    stack = stack.reshape((len(stack),) + shape)
+    batch = dr._compose(axes, stack, chan)
+    receiver_keys = set(dr._receiver_sets(chan)) | {"r"}
+    joints = [compose_with_channel(JointDist(axes, row), chan) for row in stack]
+    for _, left, right, given in sorted(terms):
+        rights = ([(name,) for name, _ in chan.outputs] if right in receiver_keys
+                  else [tuple(right.split())])
+        for r in rights:
+            got = batch.mi(left, r, given)
+            for k, joint in enumerate(joints):
+                want = mutual_information(joint, left.split(), r, given.split())
+                assert got[k] == want, (left, r, given, k)
+                assert dr._compose(axes, stack[k:k + 1], chan).mi(left, r, given)[0] == want
+
+
+def _deep_witness_channel():
+    """A weak-family channel mixed with a random one at weight 10**-0.25."""
+    rng = np.random.default_rng(3)
+    good = weak_family_channel(rng)
+    bad = random_channel(rng, outputs=good.outputs)
+    w = 10 ** -0.25
+    return DmcChannel(2, 2, good.outputs, (1 - w) * good.probs + w * bad.probs)
+
+
+# The VWI check of _deep_witness_channel with seed 3 first fails at this depth,
+# inside the seventh chunk of draws (rows 63-126); its 20-cell inputs have no
+# simplex grid.
+DEEP_DEPTH = 119
+
+
+def test_regime_check_is_prefix_stable_across_chunks():
+    chan = _deep_witness_channel()
+    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    grid = len(dr._simplex_grid(int(np.prod([k for _, k in axes]))))
+    failing = set()
+    for samples in range(1, DEEP_DEPTH + 3):
+        rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=samples, seed=3)
+        if grid + samples < DEEP_DEPTH:
+            assert rep.passed and rep.samples_checked == grid + samples
+        else:
+            w = rep.witness
+            failing.add((rep.samples_checked, w.receiver, w.condition, w.margin,
+                         tuple(w.dist.probs.reshape(-1))))
+    assert len(failing) == 1 and failing.pop()[0] == DEEP_DEPTH
+
+
+@pytest.mark.parametrize("case", ["witness_mid_chunk", "pass_after_grid"])
+def test_regime_check_leaves_generator_as_sequential_draws(case, rng):
+    if case == "witness_mid_chunk":
+        chan, regime, samples = _deep_witness_channel(), "VWI", 400
+    else:
+        chan, regime, samples = shared_law_channel(rng), "VSI", 30
+    mine = np.random.default_rng(3)
+    rep = dr.check_regime(chan, dr.MULTI_PRIMARY, regime, samples=samples, seed=mine)
+    axes = dr._input_axes(chan, regime, dr.default_aux_card(chan))
+    grid = len(dr._simplex_grid(int(np.prod([k for _, k in axes]))))
+    assert rep.samples_checked == (DEEP_DEPTH if rep.witness else grid + samples)
+    assert rep.passed == (case == "pass_after_grid")
+    fresh = np.random.default_rng(3)
+    for _ in range(rep.samples_checked - grid):
+        sample_input_dist(axes, fresh)
+    assert mine.bit_generator.state == fresh.bit_generator.state
+
+
+_MP_REPORT = dr.RegimeReport(dr.MULTI_PRIMARY, "VSI", True, 1, None)
+_MS_REPORT = dr.RegimeReport(dr.MULTI_SECONDARY, "VSI", True, 1, None)
+
+# entry points bound to one channel class, and a channel of the other
+CLASS_BOUND_CALLS = {
+    "full_decode_bounds": lambda c, d2, d3: dr.full_decode_bounds(d2, c),
+    "full_decode_region": lambda c, d2, d3: dr.full_decode_region(d2, c),
+    "mixed_achievable_bounds": lambda c, d2, d3: dr.mixed_achievable_bounds(
+        d3, c, ("Y1",), ()),
+    "mixed_achievable_region": lambda c, d2, d3: dr.mixed_achievable_region(
+        d3, c, ("Y1",), ()),
+    "weak_violation_margin": lambda c, d2, d3: dr.weak_violation_margin(c, d3),
+    "dmc_capacity_region-multi_primary": lambda c, d2, d3: dr.dmc_capacity_region(
+        c, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=5), report=_MP_REPORT),
+    "dmc_capacity_region-multi_secondary": lambda c, d2, d3: dr.dmc_capacity_region(
+        c, dr.MULTI_SECONDARY, "VSI", dr.SearchConfig(samples=5), report=_MS_REPORT),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CLASS_BOUND_CALLS))
+def test_class_bound_entry_points_reject_other_class(call, rng):
+    outputs = ((("Y1", 2), ("Y2", 2), ("Z1", 2)) if call.endswith("multi_secondary")
+               else (("Y1", 2), ("Z1", 2), ("Z2", 2)))
+    chan = random_channel(rng, outputs=outputs)
+    d2 = sample_input_dist([("X1", 2), ("X2", 2)], rng)
+    d3 = sample_input_dist([("U", 2), ("X1", 2), ("X2", 2)], rng)
+    with pytest.raises(dr.RegimeError, match="exactly one"):
+        CLASS_BOUND_CALLS[call](chan, d2, d3)
+
+
 def test_vsi_redundancy_of_extra_inequalities(rng):
     # on channels passing the very-strong checks, dropping the three
     # redundant rows leaves the frontier unchanged
@@ -568,7 +697,10 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
     pieces = []
     from mcifc.polytope import Frontier2D
 
-    for dist in dr._check_dists(chan, "VWI", dr.default_aux_card(chan), 50, 6):
+    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    dists = [JointDist(axes, row) for rows, _ in
+             dr._check_dists(axes, 50, np.random.default_rng(6)) for row in rows]
+    for dist in dists:
         joint = compose_with_channel(dist, chan)
         r1 = mutual_information(joint, ["U", "X1"], ["Y1"])
         r2 = mutual_information(joint, ["X2"], ["Z1"], ["X1", "U"])
@@ -586,12 +718,18 @@ def test_search_budget_zero_returns_none():
     assert dr.vsi_vwi_counterexample_search(dr.CxSearchConfig(budget=0)) is None
 
 
-def test_negative_counts_rejected():
+def test_negative_counts_rejected(rng):
     with pytest.raises(dr.RegimeError):
         dr.CxSearchConfig(budget=-1)
     with pytest.raises(dr.RegimeError):
         dr.SearchConfig(samples=-1)
     assert dr.SearchConfig(samples=0).samples == 0
+    chan = random_channel(rng)
+    for aux_card in (0, -2):
+        with pytest.raises(dr.RegimeError, match="aux_card"):
+            dr.SearchConfig(aux_card=aux_card)
+        with pytest.raises(dr.RegimeError, match="aux_card"):
+            dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=5, aux_card=aux_card)
 
 
 def test_search_finds_and_verifies_witness():
@@ -664,7 +802,10 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
     from mcifc.polytope import Frontier2D, concave_envelope
 
     pieces = []
-    for dist in dr._check_dists(chan, "VWI", dr.default_aux_card(chan), 40, 13):
+    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    dists = [JointDist(axes, row) for rows, _ in
+             dr._check_dists(axes, 40, np.random.default_rng(13)) for row in rows]
+    for dist in dists:
         joint = compose_with_channel(dist, chan)
         r1 = mutual_information(joint, ["X1", "U"], ["Y1"])
         r2 = mutual_information(joint, ["X2"], ["Z1"], ["X1", "U"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,10 @@ from mcifc.info_theory import (
     JointDist,
     compose_with_channel,
     marginalize,
+    _subset_entropy,
     mutual_information,
     sample_input_dist,
+    stack_entropy,
 )
 
 
@@ -161,6 +165,20 @@ def test_compose_rejects_alphabet_mismatch(rng):
     )
     with pytest.raises(AlphabetError):
         compose_with_channel(sample_input_dist([("X1", 2), ("X2", 2)], rng), chan)
+
+
+def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
+    # zeros among 8 or more cells: padding them into a sum would regroup it
+    stack = rng.dirichlet(np.ones(48), size=12)
+    stack[::2] *= rng.random((6, 48)) < 0.5
+    stack[1] = 0.0
+    stack[1, 7] = 1.0
+    stack = stack.reshape(12, 2, 3, 2, 4)
+    for k in range(5):
+        for keep in itertools.combinations(range(4), k):
+            want = [_subset_entropy(row, keep) for row in stack]
+            assert stack_entropy(stack, keep).tolist() == want
+            assert [stack_entropy(row[None], keep)[0] for row in stack] == want
 
 
 def test_sample_dist_normalized_and_deterministic():
