@@ -106,6 +106,22 @@ def _finite(token: str) -> float:
     return value
 
 
+# validators by schema id, each built on first use; a cached validator holds
+# its schema, so the id stays that schema's
+_validators: dict[int, jsonschema.protocols.Validator] = {}
+
+
+def _validator(schema: dict) -> jsonschema.protocols.Validator:
+    """The validator `jsonschema.validate` would build for `schema`, with the
+    schema checked against its metaschema once, on first use."""
+    validator = _validators.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _validators[id(schema)] = cls(schema)
+    return validator
+
+
 def _load_json(path: str, schema: dict) -> dict:
     try:
         doc = json.loads(Path(path).read_text(), parse_float=_finite,
@@ -114,10 +130,10 @@ def _load_json(path: str, schema: dict) -> dict:
         raise CliValidationError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # malformed JSON or a non-finite number
         raise CliValidationError(f"{path} is not valid JSON: {exc}")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise CliValidationError(f"{path} failed schema validation: {exc.message}")
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(doc))
+    if error is not None:
+        raise CliValidationError(f"{path} failed schema validation: {error.message}")
     return doc
 
 

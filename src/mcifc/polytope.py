@@ -8,11 +8,16 @@ inside Fourier-Motzkin is the classic failure mode this avoids.
 
 Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
-encoded by two consecutive points sharing one r2 value.
+encoded by two consecutive points sharing one r2 value. A two-variable system
+reaches its frontier through an exact vertex enumeration in integer
+homogeneous coordinates: each row is scaled to Python ints, and a vertex
+becomes a `Fraction` only once it is known to be feasible.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -393,7 +398,7 @@ class Frontier2D:
         xs = [p[0] for p in self.points]
         if q < 0 or q > xs[-1]:
             return None
-        i = int(np.searchsorted(xs, q, side="left"))
+        i = bisect.bisect_left(xs, q)
         if i < len(xs) and xs[i] == q:
             return self.points[i][1]
         if i == 0:
@@ -411,7 +416,7 @@ class Frontier2D:
         t = 0.5 * (u + v)
         if t < 0 or t > xs[-1]:
             return None
-        i = int(np.searchsorted(xs, t, side="left"))
+        i = bisect.bisect_left(xs, t)
         if i == 0:
             return (0.0, self.points[0][1])
         x0, y0 = self.points[i - 1]
@@ -638,26 +643,35 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
     """Pareto (upper-right) frontier of a 2-variable system intersected with
     the nonnegative quadrant.
 
-    Vertices are enumerated exactly; an unbounded region raises
-    UnboundedRegionError (every rate region here is bounded by finite
-    mutual-information terms). An infeasible system yields the empty frontier.
+    Vertices are enumerated exactly, in integer homogeneous coordinates: each
+    row a*r2 + b*r1 <= c is scaled by the lcm of its denominators, a vertex is
+    (x, y) / det with det > 0, and it is feasible when a*x + b*y <= c*det for
+    every row. An unbounded region raises UnboundedRegionError naming a
+    recession direction divided by its gcd (every rate region here is bounded
+    by finite mutual-information terms). An infeasible system yields the empty
+    frontier.
     """
     if set(sys.variables) != {r1, r2}:
         raise ValueError(
             f"system must be over exactly ({r1!r}, {r2!r}); has {sys.variables}"
         )
-    # rows as (a, b, c): a*r2 + b*r1 <= c, plus the quadrant
-    rows: list[tuple[Fraction, Fraction, Fraction]] = []
+    # rows as integer (a, b, c): a*r2 + b*r1 <= c, each scaled by the lcm of
+    # its denominators (a positive scaling keeps the half-plane), plus the
+    # quadrant
+    system_rows: list[tuple[int, int, int]] = []
     for iq in sys.inequalities:
         if iq.is_infeasible():
             return Frontier2D(())
         if iq.is_trivially_true():
             continue
-        rows.append((iq.coeff(r2), iq.coeff(r1), iq.bound))
-    rows.append((Fraction(-1), Fraction(0), Fraction(0)))
-    rows.append((Fraction(0), Fraction(-1), Fraction(0)))
+        row = (iq.coeff(r2), iq.coeff(r1), iq.bound)
+        k = math.lcm(*(v.denominator for v in row))
+        system_rows.append(tuple(v.numerator * (k // v.denominator) for v in row))
+    rows = system_rows + [(-1, 0, 0), (0, -1, 0)]
 
-    # the quadrant rows make the region pointed, so nonempty implies a vertex
+    # the quadrant rows make the region pointed, so nonempty implies a vertex;
+    # a vertex is (x, y) / det in homogeneous coordinates with det > 0, and
+    # x, y >= 0 already satisfy the quadrant rows
     vertices: set[tuple[Fraction, Fraction]] = set()
     m = len(rows)
     for i in range(m):
@@ -667,25 +681,30 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
+            x = c1 * b2 - c2 * b1
+            y = a1 * c2 - a2 * c1
+            if det < 0:
+                det, x, y = -det, -x, -y
             if x < 0 or y < 0:
                 continue
-            if all(a * x + b * y <= c for a, b, c in rows):
-                vertices.add((x, y))
+            for a, b, c in system_rows:
+                if a * x + b * y > c * det:
+                    break
+            else:
+                vertices.add((Fraction(x, det), Fraction(y, det)))
     if not vertices:
         return Frontier2D(())
 
     # unboundedness (only meaningful for a nonempty region): a direction
-    # d >= 0, d != 0 with a*d2 + b*d1 <= 0 for every row
-    candidates = {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
+    # d >= 0, d != 0 with a*d2 + b*d1 <= 0 for every row; every row has
+    # (a, b) != (0, 0), so each candidate is nonzero and reduced by its gcd
+    candidates = {(1, 0), (0, 1)}
     for a, b, _ in rows:
-        for d in ((-b, a), (b, -a)):
-            if d != (0, 0) and d[0] >= 0 and d[1] >= 0:
-                candidates.add(d)
-    for d2, d1 in candidates:
-        if (d2, d1) == (0, 0):
-            continue
+        for d2, d1 in ((-b, a), (b, -a)):
+            if d2 >= 0 and d1 >= 0:
+                g = math.gcd(d2, d1)
+                candidates.add((d2 // g, d1 // g))
+    for d2, d1 in sorted(candidates):
         if all(a * d2 + b * d1 <= 0 for a, b, _ in rows):
             raise UnboundedRegionError(
                 f"region is unbounded along direction (r2,r1)=({d2},{d1})"

@@ -212,3 +212,71 @@ def test_non_finite_numbers_rejected(text, command, tmp_path, capsys):
     assert run(argv) == 1
     assert "non-finite" in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+
+
+# Each input breaks its schema in two or more places, so the reported error
+# is the one jsonschema.exceptions.best_match picks.
+_SCHEMA_BREAKS = [
+    ("GAUSSIAN_SCHEMA", ["classify"],
+     {"class": "multi_primary", "b": [], "a": "high", "P1": -1.0}),
+    ("GAUSSIAN_SCHEMA", ["region", "--out", "{out}"],
+     {"class": "multi_secondary", "b": [1.0], "a": [], "P1": 1.0, "extra": 0}),
+    ("DMC_SCHEMA", ["dmc-capacity", "--regime", "VSI", "--out", "{out}"],
+     {"axes": [["X1", 0], ["X2"], ["Y1", 2]], "probs": []}),
+    ("DMC_SCHEMA", ["dmc-capacity", "--regime", "VWI", "--out", "{out}"],
+     {"axes": [[1, 2], ["X2", 2], ["Y1", 2], ["Z1", 2.5]], "probs": ["p"], "note": 1}),
+    ("DPC_SCHEMA", ["dpc-compare", "--out", "{out}"],
+     {"P1": -3.0, "a1": 0.75, "a2": "x", "b": 0.1, "eta": 2.0}),
+    ("DPC_SCHEMA", ["dpc-compare", "--out", "{out}"],
+     {"P1": 3.0, "P2": 1.0, "a1": 0.75, "a2": -0.5, "b": 0.1, "rho": -2,
+      "md_variant": "cubic"}),
+]
+
+
+@pytest.mark.parametrize("schema_name, argv, doc", _SCHEMA_BREAKS)
+def test_schema_errors_match_jsonschema_validate(schema_name, argv, doc, tmp_path, capsys):
+    import jsonschema
+
+    from mcifc import cli
+
+    schema = getattr(cli, schema_name)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, schema)
+    path = write(tmp_path / "in.json", doc)
+    out = str(tmp_path / "out.csv")
+    argv = [argv[0], "--in", path] + [out if a == "{out}" else a for a in argv[1:]]
+    for _ in range(2):  # the first run builds the validator, the second reuses it
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == json.dumps(
+            {"error": f"{path} failed schema validation: {want.value.message}"}) + "\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_each_schema_is_checked_once(wi_chan, tmp_path, capsys, monkeypatch):
+    import jsonschema
+
+    from mcifc import cli
+
+    names = ("GAUSSIAN_SCHEMA", "DMC_SCHEMA", "DPC_SCHEMA")
+    checked = []
+    for cls in {jsonschema.validators.validator_for(getattr(cli, n)) for n in names}:
+        check = cls.check_schema
+
+        def counting(schema, *args, _check=check, **kwargs):
+            checked.append(schema)
+            return _check(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", counting)
+    monkeypatch.setattr(cli, "_validators", {})
+    dmc = write(tmp_path / "dmc.json", {"axes": [["X1", 2]], "probs": [1.0]})
+    dpc = write(tmp_path / "dpc.json",
+                {"P1": 3.0, "P2": 1.0, "a1": 0.75, "a2": -0.5, "b": 0.1})
+    out = str(tmp_path / "out.csv")
+    for _ in range(3):
+        assert run(["classify", "--in", wi_chan]) == 0
+        assert run(["region", "--in", wi_chan, "--out", out, "--grid", "5"]) == 0
+        assert run(["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI"]) == 1
+        assert run(["dpc-compare", "--in", dpc, "--out", out, "--grid", "3"]) == 0
+    capsys.readouterr()
+    assert sorted(map(id, checked)) == sorted(id(getattr(cli, n)) for n in names)

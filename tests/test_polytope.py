@@ -9,6 +9,7 @@ from mcifc.polytope import (
     IneqSystem,
     LinIneq,
     UnboundedRegionError,
+    _upper_hull,
     concave_envelope,
     fme_eliminate,
     fme_project,
@@ -144,8 +145,14 @@ def test_project_matches_grid_membership_oracle():
 
 def test_project_unbounded_raises():
     sys = IneqSystem.build(["r1", "r2"], [({"r2": 1}, 1)])
-    with pytest.raises(UnboundedRegionError):
+    with pytest.raises(UnboundedRegionError, match=r"\(r2,r1\)=\(0,1\)$"):
         project_to_frontier(sys, "r1", "r2")
+    # the cone is the one ray 3*r2 = 2*r1; its rows give it as (4, 6) and,
+    # scaled to integers, (6, 9), and it is reported divided by its gcd
+    ray = IneqSystem.build(["r1", "r2"], [({"r2": -6, "r1": 4}, 12),
+                                          ({"r2": Fraction(9, 2), "r1": -3}, 9)])
+    with pytest.raises(UnboundedRegionError, match=r"\(r2,r1\)=\(2,3\)$"):
+        project_to_frontier(ray, "r1", "r2")
 
 
 def test_project_infeasible_is_empty():
@@ -316,3 +323,172 @@ def test_pairwise_redundancy_pruning():
     assert implied not in kept and a in kept and b in kept
     kept2 = _drop_pairwise_redundant([a, b, tight])
     assert tight in kept2
+
+
+def _reference_project_to_frontier(sys, r1, r2):
+    """The vertex enumeration in `Fraction` arithmetic that the integer one
+    replaced, kept as its oracle (the message of an unbounded region aside)."""
+    rows = []
+    for iq in sys.inequalities:
+        if iq.is_infeasible():
+            return Frontier2D(())
+        if iq.is_trivially_true():
+            continue
+        rows.append((iq.coeff(r2), iq.coeff(r1), iq.bound))
+    rows.append((Fraction(-1), Fraction(0), Fraction(0)))
+    rows.append((Fraction(0), Fraction(-1), Fraction(0)))
+    vertices = set()
+    m = len(rows)
+    for i in range(m):
+        a1, b1, c1 = rows[i]
+        for j in range(i + 1, m):
+            a2, b2, c2 = rows[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = (c1 * b2 - c2 * b1) / det
+            y = (a1 * c2 - a2 * c1) / det
+            if x < 0 or y < 0:
+                continue
+            if all(a * x + b * y <= c for a, b, c in rows):
+                vertices.add((x, y))
+    if not vertices:
+        return Frontier2D(())
+    candidates = {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
+    for a, b, _ in rows:
+        for d in ((-b, a), (b, -a)):
+            if d != (0, 0) and d[0] >= 0 and d[1] >= 0:
+                candidates.add(d)
+    for d2, d1 in candidates:
+        if (d2, d1) != (0, 0) and all(a * d2 + b * d1 <= 0 for a, b, _ in rows):
+            raise UnboundedRegionError(f"unbounded along ({d2},{d1})")
+    by_x = {}
+    for x, y in vertices:
+        if x not in by_x or y > by_x[x]:
+            by_x[x] = y
+    hull = _upper_hull(sorted((float(x), float(y)) for x, y in by_x.items()), 1e-18)
+    while len(hull) >= 2 and hull[0][1] < hull[1][1] - 1e-15:
+        hull.pop(0)
+    return Frontier2D(tuple(hull))
+
+
+def _random_two_variable_system(rng, trial):
+    """A seeded (R2, R1) system mixing the row shapes the projection meets."""
+
+    def coeff():
+        if rng.random() < 0.4:  # a rationalized float, denominator 10**12
+            return rationalize(rng.uniform(-3, 3))
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+
+    def bound():  # mostly >= 0, so the origin is often feasible
+        return abs(coeff()) if rng.random() < 0.8 else coeff()
+
+    rows = []
+    for _ in range(int(rng.integers(1, 6))):
+        shape = rng.random()
+        if shape < 0.2:  # a zero coefficient
+            rows.append(({"r1" if rng.random() < 0.5 else "r2": coeff()}, bound()))
+        elif shape < 0.35 and rows:  # a duplicate or a positively scaled parallel row
+            coeffs, cap = rows[int(rng.integers(len(rows)))]
+            k = Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            shift = Fraction(0) if rng.random() < 0.5 else bound()
+            rows.append(({n: k * c for n, c in coeffs.items()}, k * cap + shift))
+        else:  # mixed signs, unequal denominators
+            rows.append(({"r1": coeff(), "r2": coeff()}, bound()))
+    if trial % 3:  # caps make most systems bounded
+        rows += [({"r1": 1}, rationalize(rng.uniform(0, 4))),
+                 ({"r2": Fraction(int(rng.integers(1, 5)), 3)}, rationalize(rng.uniform(0, 4)))]
+    if trial % 17 == 0:
+        rows.append(({}, Fraction(-1, 7)))  # a constant infeasible row
+    elif trial % 11 == 0:
+        rows.append(({}, Fraction(2)))  # a constant, trivially true row
+    return IneqSystem.build(["r1", "r2"], rows)
+
+
+def _random_fme_system(rng):
+    names = ["r1", "r2", "s", "t", "u"]
+    rows = []
+    for _ in range(8):
+        picks = rng.choice(5, size=3, replace=False)
+        coeffs = {names[k]: Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
+                  for k in picks}
+        rows.append((coeffs, rationalize(rng.uniform(0, 6))))
+    rows += [({n: -1}, 0) for n in names]
+    rows += [({n: 1}, int(rng.integers(3, 9))) for n in names]
+    return fme_project(IneqSystem.build(names, rows), ["r1", "r2"])
+
+
+def _outcome(project, sys):
+    try:
+        return project(sys, "r1", "r2").points
+    except UnboundedRegionError:
+        return "unbounded"
+
+
+def test_project_matches_fraction_reference():
+    rng = np.random.default_rng(20)
+    systems = [_random_two_variable_system(rng, t) for t in range(240)]
+    systems += [_random_fme_system(rng) for _ in range(40)]
+    kinds = {"unbounded": 0, "empty": 0, "vertices": 0}
+    for sys in systems:
+        got = _outcome(project_to_frontier, sys)
+        assert got == _outcome(_reference_project_to_frontier, sys), sys
+        kinds["unbounded" if got == "unbounded" else "vertices" if got else "empty"] += 1
+    # every outcome is exercised, most systems have a frontier
+    assert kinds["unbounded"] >= 20 and kinds["empty"] >= 20 and kinds["vertices"] >= 150, kinds
+
+
+def _reference_value(f, q):
+    """Frontier2D.value with numpy's searchsorted as the lookup."""
+    if f.is_empty:
+        return None
+    xs = [p[0] for p in f.points]
+    if q < 0 or q > xs[-1]:
+        return None
+    i = int(np.searchsorted(xs, q, side="left"))
+    if i < len(xs) and xs[i] == q:
+        return f.points[i][1]
+    if i == 0:
+        return f.points[0][1]
+    (x0, y0), (x1, y1) = f.points[i - 1], f.points[i]
+    return y0 + (q - x0) / (x1 - x0) * (y1 - y0)
+
+
+def _reference_affine_on(f, u, v):
+    """Frontier2D._affine_on with numpy's searchsorted as the lookup."""
+    if f.is_empty:
+        return None
+    xs = [p[0] for p in f.points]
+    t = 0.5 * (u + v)
+    if t < 0 or t > xs[-1]:
+        return None
+    i = int(np.searchsorted(xs, t, side="left"))
+    if i == 0:
+        return (0.0, f.points[0][1])
+    (x0, y0), (x1, y1) = f.points[i - 1], f.points[i]
+    if x1 == x0:
+        return None
+    m = (y1 - y0) / (x1 - x0)
+    return (m, y0 - m * x0)
+
+
+def test_frontier_lookups_match_searchsorted():
+    rng = np.random.default_rng(21)
+    steps = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        r2s = np.sort(np.round(rng.uniform(0, 2, size=n), 1))  # repeats: vertical steps
+        r1s = np.sort(rng.uniform(0, 3, size=n))[::-1]
+        f = Frontier2D(tuple(zip(r2s.tolist(), r1s.tolist())))
+        xs = [p[0] for p in f.points]
+        steps += len(xs) - len(set(xs))
+        top = f.r2_max
+        qs = xs + [0.0, top, -0.0, np.nextafter(0.0, -1.0), np.nextafter(top, 9.0),
+                   top + 1e-9, -1e-9] + rng.uniform(-0.1, top + 0.1, size=20).tolist()
+        for q in qs:
+            assert f.value(q) == _reference_value(f, q), (f.points, q)
+        ends = qs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        for u in ends[::2]:
+            for v in ends[1::2]:
+                assert f._affine_on(u, v) == _reference_affine_on(f, u, v), (f.points, u, v)
+    assert steps >= 20
