@@ -202,10 +202,9 @@ def _cmd_region(args) -> int:
     elif regime == "VSI":
         frontier = gaussian.region_mp_vsi(chan, rho_grid=grid)
     elif regime == "WI":
-        frontier = gaussian.region_mp_wi(chan, eta_grid=grid, rho_grid=grid)
+        frontier = gaussian.region_mp_wi(chan, eta_grid=grid)
     elif regime == "mixed":
-        frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid,
-                                            rho_grid=grid)
+        frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid)
     else:
         raise CliValidationError("channel is outside every covered regime")
     _write_frontier(frontier, args.out)

@@ -429,8 +429,8 @@ def _wi_r1(chan: GaussianMultiPrimary, subset, eta: float, rho: float) -> float:
     )
 
 
-def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, rho_grid=201,
-                 r2_values=None, require_regime: bool = True) -> Frontier2D:
+def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, r2_values=None,
+                 require_regime: bool = True) -> Frontier2D:
     """Weak-interference capacity region of the multi-primary channel:
     union over eta of  R2 <= 1/2 log2(1 + eta P2),
                        R1 <= max_rho min_j of the layered-scheme log ratio.
@@ -469,7 +469,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, rho_grid=201,
 
 
 def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
-                    rho_grid=201, r2_values=None, require_regime: bool = True) -> Frontier2D:
+                    r2_values=None, require_regime: bool = True) -> Frontier2D:
     """Mixed weak/very-strong capacity region of the multi-primary channel:
     union over (eta, rho) of
         R1 <= min over weak j of the layered log ratio,
@@ -563,10 +563,9 @@ def coherent_intersection_check(
         if regime == "VSI":
             return region_mp_vsi(chan, rho_grid, r2_values=r2_values)
         if regime == "WI":
-            return region_mp_wi(chan, eta_grid, rho_grid, r2_values=r2_values)
+            return region_mp_wi(chan, eta_grid, r2_values=r2_values)
         if regime == "mixed":
-            return region_mp_mixed(chan, partition, eta_grid, rho_grid,
-                                   r2_values=r2_values)
+            return region_mp_mixed(chan, partition, eta_grid, r2_values=r2_values)
         raise GaussianModelError(f"unknown regime {regime!r}")
 
     def pairwise(j: int, r2_values):
@@ -577,12 +576,12 @@ def coherent_intersection_check(
             return region_mp_vsi(single, rho_grid, r2_values=r2_values,
                                  require_regime=False)
         if regime == "WI":
-            return region_mp_wi(single, eta_grid, rho_grid, r2_values=r2_values,
+            return region_mp_wi(single, eta_grid, r2_values=r2_values,
                                 require_regime=False)
         strong, weak = _validate_partition(chan.n_primary, partition)
         part = ((0,), ()) if j in strong else ((), (0,))
-        return region_mp_mixed(single, part, eta_grid, rho_grid,
-                               r2_values=r2_values, require_regime=False)
+        return region_mp_mixed(single, part, eta_grid, r2_values=r2_values,
+                               require_regime=False)
 
     probe = multicast(None)
     qs = np.array([p[0] for p in probe.points])

@@ -18,18 +18,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 # Grid used when converting float constants to exact rationals.
 RATIONALIZE_GRAIN = 10**12
-
-# Pairwise-combination redundancy removal is only worth its cost once an
-# intermediate system grows past this many inequalities.
-_PAIR_PRUNE_THRESHOLD = 48
 
 
 class UnboundedRegionError(ValueError):
@@ -74,15 +69,9 @@ class LinIneq:
                 return c
         return Fraction(0)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
     @property
     def support(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
 
     def is_trivially_true(self) -> bool:
         return not self.coeffs and self.bound >= 0
@@ -174,76 +163,6 @@ def _dedupe(ineqs: Iterable[LinIneq]) -> list[LinIneq]:
     return list(best.values())
 
 
-def _solve_two_combination(target: LinIneq, b: LinIneq, c: LinIneq) -> bool:
-    """True iff target = lam*b + mu*c with lam, mu >= 0 and combined bound
-    <= target.bound, i.e. target is redundant given b and c."""
-    names = sorted(target.support | b.support | c.support)
-    tb = target.as_dict()
-    bb = b.as_dict()
-    cb = c.as_dict()
-    # float prescreen: solve the 2x2 least-squares system and reject clear
-    # mismatches before any exact arithmetic
-    bf = np.array([float(bb.get(n, 0)) for n in names])
-    cf = np.array([float(cb.get(n, 0)) for n in names])
-    tf = np.array([float(tb.get(n, 0)) for n in names])
-    gram = np.array([[bf @ bf, bf @ cf], [bf @ cf, cf @ cf]])
-    rhs = np.array([bf @ tf, cf @ tf])
-    det = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
-    if det > 1e-12:
-        lam_f, mu_f = np.linalg.solve(gram, rhs)
-        if lam_f < -1e-9 or mu_f < -1e-9:
-            return False
-        scale = max(1.0, np.abs(tf).max())
-        if np.abs(lam_f * bf + mu_f * cf - tf).max() > 1e-7 * scale:
-            return False
-    rows = [(bb.get(n, Fraction(0)), cb.get(n, Fraction(0)), tb.get(n, Fraction(0))) for n in names]
-    pivot = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        return False  # rank-deficient: proportional cases handled by _dedupe
-    i, j, det = pivot
-    lam = (rows[i][2] * rows[j][1] - rows[i][1] * rows[j][2]) / det
-    mu = (rows[i][0] * rows[j][2] - rows[i][2] * rows[j][0]) / det
-    if lam < 0 or mu < 0:
-        return False
-    for bi, ci, ti in rows:
-        if lam * bi + mu * ci != ti:
-            return False
-    return lam * b.bound + mu * c.bound <= target.bound
-
-
-def _drop_pairwise_redundant(ineqs: list[LinIneq]) -> list[LinIneq]:
-    """Drop rows implied by a nonnegative combination of two other rows.
-
-    Cheap support prefilter first; exact rational verification on survivors.
-    """
-    kept = list(ineqs)
-    for idx in range(len(kept) - 1, -1, -1):
-        target = kept[idx]
-        if target.is_constant():
-            continue
-        others = kept[:idx] + kept[idx + 1:]
-        dropped = False
-        for m, b in enumerate(others):
-            for c in others[m + 1:]:
-                if not (target.support <= (b.support | c.support)):
-                    continue
-                if _solve_two_combination(target, b, c):
-                    kept.pop(idx)
-                    dropped = True
-                    break
-            if dropped:
-                break
-    return kept
-
-
 def fme_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     """Exact projection of the feasible set onto the variables without `var`.
 
@@ -266,11 +185,8 @@ def fme_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     for p in pos:
         for n in neg:
             new.append(_combine(p, n, var))
-    reduced = _dedupe(new)
-    if len(reduced) > _PAIR_PRUNE_THRESHOLD:
-        reduced = _drop_pairwise_redundant(reduced)
     variables = tuple(v for v in sys.variables if v != var)
-    return IneqSystem(variables, tuple(reduced))
+    return IneqSystem(variables, tuple(_dedupe(new)))
 
 
 def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
@@ -281,6 +197,10 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
     carries the set of original rows it combines, and rows whose history
     exceeds (eliminated + 1) originals are dropped (they are always redundant,
     Imbert's acceleration criterion).
+
+    No search for rows implied by pairs of other rows is made: the coding
+    system of `dmc_regions` starts at 21 rows and holds at most 19 after any
+    elimination step, too few for such a search to pay.
     """
     keep_set = set(keep)
     unknown = keep_set - set(sys.variables)
@@ -292,9 +212,11 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
     remaining = [v for v in sys.variables if v not in keep_set]
     eliminated = 0
     while remaining:
+        # (variable, coefficient > 0) -> rows; stored coefficients are nonzero
+        signs = Counter((n, c > 0) for iq, _ in rows for n, c in iq.coeffs)
+
         def pairing_cost(v):
-            p = sum(1 for iq, _ in rows if iq.coeff(v) > 0)
-            n = sum(1 for iq, _ in rows if iq.coeff(v) < 0)
+            p, n = signs[v, True], signs[v, False]
             return p * n - p - n
         var = min(remaining, key=pairing_cost)
         remaining.remove(var)
@@ -327,10 +249,6 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
             rows = [infeasible]
             break
         rows = list(best.values())
-        if len(rows) > _PAIR_PRUNE_THRESHOLD:
-            pruned = _drop_pairwise_redundant([iq for iq, _ in rows])
-            kept_keys = {iq.scaled_key() for iq in pruned}
-            rows = [(iq, h) for iq, h in rows if iq.scaled_key() in kept_keys]
     variables = tuple(v for v in sys.variables if v in keep_set)
     return IneqSystem(variables, tuple(iq for iq, _ in rows))
 
@@ -626,7 +544,7 @@ def monotone_frontier(pairs) -> Frontier2D:
     """Frontier of sampled (r2, r1) pairs: sorted by r2, each r1 capped by the
     running minimum of the ones before it and clamped at zero."""
     out = []
-    best = np.inf
+    best = math.inf
     for x, y in sorted(pairs):
         y = min(y, best)
         best = y

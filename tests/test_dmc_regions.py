@@ -259,6 +259,52 @@ def test_projection_never_exceeds_inequality_region():
     assert found_strict
 
 
+def superposition_aux(rng, t=0.0):
+    """Auxiliary joint drawn as p(q1) p(q|q1) p(v|q1,q) p(x1|q1) p(u,x2|q1,q,x1),
+    then mixed with weight t of a Dirichlet joint. At t = 0, X1 is independent
+    of (Q, V) given Q1, so the covering costs I(X1;Q|Q1) and I(V;X1|Q1,Q)
+    vanish and the inner-bound region is nonempty."""
+
+    def cond(*shape):
+        return rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+
+    joint = np.einsum("a,ab,abv,ax,abxuy->abuvxy", cond(2), cond(2, 2), cond(2, 2, 2),
+                      cond(2, 2), cond(2, 2, 2, 4).reshape(2, 2, 2, 2, 2))
+    joint = (1 - t) * joint + t * rng.dirichlet(np.ones(64)).reshape(joint.shape)
+    return dr.AuxAssignment(JointDist(
+        (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)), joint
+    ))
+
+
+def test_verify_fme_on_nonempty_regions(rng):
+    # the Dirichlet stream of verify-fme gives an empty region on about 99% of
+    # its draws; superposition-structured assignments give nonempty ones
+    multi_point = 0
+    for _ in range(240):
+        aux = superposition_aux(rng)
+        chan = random_channel(rng)
+        direct = dr.inner_bound_region(aux, chan)
+        assert not direct.is_empty
+        multi_point += len(direct.points) >= 3
+        assert dr.verify_fme_inner_bound(aux, chan)
+    assert multi_point >= 50
+    # a little Dirichlet mass makes the covering costs positive: the
+    # projection may then be strictly smaller, but never larger
+    from mcifc.polytope import fme_project
+
+    strictly_smaller = 0
+    for _ in range(40):
+        aux = superposition_aux(rng, 0.2 * (1.0 - rng.random()))  # t in (0, 0.2]
+        chan = random_channel(rng)
+        direct = dr.inner_bound_region(aux, chan)
+        via_fme = project_to_frontier(
+            fme_project(dr.coding_constraint_system(aux, chan), ("R1", "R2")), "R1", "R2"
+        )
+        assert frontier_contains(direct, via_fme, 1e-9)
+        strictly_smaller += not frontier_contains(via_fme, direct, 1e-9)
+    assert strictly_smaller >= 1
+
+
 def test_verify_fme_requires_single_pair(rng):
     chan = random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2)))
     aux = dr.AuxAssignment(sample_input_dist(

@@ -312,17 +312,45 @@ def test_chained_elimination_matches_batched_projection():
         )
 
 
-def test_pairwise_redundancy_pruning():
-    from mcifc.polytope import _drop_pairwise_redundant
+def _has_witness(sys, point, free):
+    """Exact membership oracle: does `point` extend to a solution of `sys`
+    over the two variables `free`? Substitutes the point and enumerates the
+    vertices of the remaining (bounded, nonnegative) two-variable system."""
+    rows = []
+    for iq in sys.inequalities:
+        rest = sum((c * point[n] for n, c in iq.coeffs if n in point), Fraction(0))
+        rows.append(({n: c for n, c in iq.coeffs if n in free}, iq.bound - rest))
+    sub = IneqSystem.build(free, rows)
+    return not project_to_frontier(sub, *free).is_empty
 
-    a = LinIneq.of({"x": 1, "y": 1}, 4)
-    b = LinIneq.of({"x": 1, "y": -1}, 2)
-    implied = LinIneq.of({"x": 2}, 7)  # a + b gives 2x <= 6 <= 7
-    tight = LinIneq.of({"x": 2}, 5)    # tighter than any combination
-    kept = _drop_pairwise_redundant([a, b, implied])
-    assert implied not in kept and a in kept and b in kept
-    kept2 = _drop_pairwise_redundant([a, b, tight])
-    assert tight in kept2
+
+def test_fme_project_on_systems_past_48_rows():
+    # whichever variable fme_project eliminates first, the system it holds
+    # after that step has more than 48 rows, far more than the 19 the coding
+    # system of dmc_regions reaches: no row-count threshold may change the
+    # projection
+    rng = np.random.default_rng(0)
+    names = ["r1", "r2", "s", "t"]
+    hits = 0
+    for _ in range(3):
+        rows = []
+        for _ in range(18):
+            coeffs = {n: int(c) for n, c in zip(names, rng.integers(-3, 4, size=4)) if c != 0}
+            rows.append((coeffs, int(rng.integers(0, 12))))
+        rows += [({n: -1}, 0) for n in names]
+        rows += [({n: 1}, 9) for n in names]
+        sys = IneqSystem.build(names, rows)
+        assert min(len(fme_eliminate(sys, v)) for v in ("s", "t")) > 48
+        proj = fme_project(sys, ["r1", "r2"])
+        chained = fme_eliminate(fme_eliminate(sys, "s"), "t")
+        assert region_equal(project_to_frontier(proj, "r1", "r2"),
+                            project_to_frontier(chained, "r1", "r2"), 1e-12)
+        for _ in range(40):
+            point = {n: Fraction(int(rng.integers(0, 17)), 4) for n in ("r1", "r2")}
+            inside = proj.satisfied_by(point)
+            assert inside == chained.satisfied_by(point) == _has_witness(sys, point, ("s", "t"))
+            hits += inside
+    assert 0 < hits < 120
 
 
 def _reference_project_to_frontier(sys, r1, r2):
