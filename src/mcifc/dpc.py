@@ -19,7 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import CovMatrix, binding_eta, gaussian_mi, golden_section, half_log2
+from .gaussian import (
+    CovMatrix, GaussianModelError, SingularCovarianceError, binding_eta, gaussian_mi,
+    golden_section, half_log2, lane_max, lane_min,
+)
 from .polytope import Frontier2D, monotone_frontier
 
 MD_VARIANTS = ("sqrt", "linear")
@@ -92,36 +95,174 @@ class DpcConfig:
         )
 
 
+class _Lanes:
+    """`cfg` at L power splits at once, one lane per entry of `eta`: every
+    attribute is an array over lanes. Each function of one configuration
+    below is the 1-lane case (see `_one`); comparison_sweep runs all of its
+    etas as lanes."""
+
+    def __init__(self, cfg: DpcConfig, eta):
+        self.cfg = cfg
+        self.eta = eta = np.asarray(eta, dtype=float)
+        self.P_u = (1.0 - eta) * cfg.P2
+        self.P_v = eta * cfg.P2
+        self.c1u = cfg.rho * np.sqrt(cfg.P1 * self.P_u)
+        # Var(Z_k) = P2 + a_k^2 P1 + 2 a_k rho sqrt(P1 P_u) + 1
+        self.v1, self.v2 = (
+            cfg.P2 + ak**2 * cfg.P1 + 2 * ak * self.c1u + 1.0 for ak in (cfg.a1, cfg.a2)
+        )
+        # the x-free factors of the MD penalty's mismatch term, grouped as the
+        # closed form groups them, so each lane rounds as a 1-lane call does
+        self.scale = (cfg.P1 * (self.P_v + (1.0 - cfg.rho**2) * self.P_u + 1.0)
+                      * (cfg.a1 - cfg.a2) ** 2)
+        self.spread = (self.P_v + 1.0) * _pow2(np.sqrt(self.v1) + np.sqrt(self.v2))
+        self.clean = half_log2(self.P_v + 1.0)
+
+    def r1(self) -> np.ndarray:
+        cfg = self.cfg
+        num = cfg.b**2 * cfg.P2 + cfg.P1 + 2 * cfg.b * cfg.rho * np.sqrt(cfg.P1 * self.P_u) + 1.0
+        den = cfg.b**2 * self.eta * cfg.P2 + 1.0
+        return lane_max([0.0, half_log2(num / den)])
+
+    def md_rate(self, x: np.ndarray) -> np.ndarray:
+        """MD rate at private-description power x[l, k] in lane l."""
+        sq = np.sqrt(x + 1.0)
+        mismatch = self.scale[:, None] * ((self.P_v[:, None] - x) / sq) / self.spread[:, None]
+        tail = sq if self.cfg.md_variant == "sqrt" else x + 1.0
+        return lane_max([0.0, self.clean[:, None] - half_log2(mismatch + tail)])
+
+    def cd_rate(self) -> np.ndarray:
+        if not np.all((self.v1 > 0) & (self.v2 > 0)):
+            raise DpcConfigError("receiver variances must be positive")
+        return self.md_rate(np.zeros((len(self.eta), 1)))[:, 0]
+
+    def best_x(self, scan_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """Best private-description power per lane: a bracketing scan, then
+        60 golden-section steps in every lane at once."""
+        n = max(2, scan_points)
+        xs = _scan_points(self.P_v, n)
+        vals = self.md_rate(xs)
+        rows = np.arange(len(xs))
+        i = np.argmax(vals, axis=1)
+
+        def f(x):
+            return self.md_rate(x[:, None])[:, 0]
+
+        a, b = golden_section(f, xs[rows, np.maximum(0, i - 1)],
+                              xs[rows, np.minimum(n - 1, i + 1)], 60)
+        mid = 0.5 * (a + b)
+        f_mid = f(mid)
+        # a stable sort of (scan, mid) by rate: the scan point wins only when
+        # strictly better
+        x_scan, f_scan = xs[rows, i], vals[rows, i]
+        scan_wins = f_mid < f_scan
+        x_star = np.where(scan_wins, x_scan, mid)
+        md = np.where(scan_wins, f_scan, f_mid)
+        # no precoded power: x = 0 (the scan's first point)
+        idle = self.P_v <= 0
+        return np.where(idle, 0.0, x_star), np.where(idle, vals[:, 0], md)
+
+    def precoding(self, gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Stack of covariance matrices of _PRECODING = (V, X1, Xu, Z1, Z2)
+        with V = Xv + gamma Xu + alpha X1, one per lane."""
+        cfg = self.cfg
+        P1, Pu, Pv, c1u = cfg.P1, self.P_u, self.P_v, self.c1u
+        m = np.zeros((len(self.eta), 5, 5))
+        m[:, 0, 0] = Pv + _pow2(gamma) * Pu + _pow2(alpha) * P1 + 2 * gamma * alpha * c1u
+        m[:, 1, 1] = P1
+        m[:, 2, 2] = Pu
+        m[:, 1, 2] = m[:, 2, 1] = c1u
+        m[:, 0, 1] = m[:, 1, 0] = gamma * c1u + alpha * P1
+        m[:, 0, 2] = m[:, 2, 0] = gamma * Pu + alpha * c1u
+        for pos, ak in ((3, cfg.a1), (4, cfg.a2)):
+            m[:, pos, pos] = Pv + Pu + ak**2 * P1 + 2 * ak * c1u + 1.0
+            m[:, 0, pos] = m[:, pos, 0] = Pv + gamma * (Pu + ak * c1u) + alpha * (c1u + ak * P1)
+            m[:, 1, pos] = m[:, pos, 1] = c1u + ak * P1
+            m[:, 2, pos] = m[:, pos, 2] = Pu + ak * c1u
+        m[:, 3, 4] = m[:, 4, 3] = Pv + Pu + cfg.a1 * cfg.a2 * P1 + (cfg.a1 + cfg.a2) * c1u
+        return m
+
+    def slot_rates(self, gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """I(V; Z_k) - I(V; Xu X1) clamped at zero, receiver k by lane: each
+        lane's covariance and I(V; Xu X1) are built once for both receivers.
+        The MIs are taken in the order that slot_rate for receiver 1, then
+        for receiver 2, takes them, so a 1-lane call fails where they would."""
+        cov = CovMatrix(_PRECODING, self.precoding(gamma, alpha))
+        to_z1 = gaussian_mi(cov, {"V"}, {"Z1"})
+        shared = gaussian_mi(cov, {"V"}, {"Xu", "X1"})
+        to_z2 = gaussian_mi(cov, {"V"}, {"Z2"})
+        return np.stack([lane_max([0.0, to_z - shared]) for to_z in (to_z1, to_z2)])
+
+    def block(self, t_points: int) -> np.ndarray:
+        """Block-expansion rate per lane (0 without precoded power)."""
+        out = np.zeros(len(self.eta))
+        on = self.P_v > 0
+        if not on.any():
+            return out
+        # lanes [:L] run slot 1 (alpha tuned to a1), lanes [L:] slot 2
+        slots = _Lanes(self.cfg, np.tile(self.eta[on], 2))
+        g = gamma_opt(slots)
+        alpha = np.repeat([self.cfg.a1, self.cfg.a2], on.sum()) * g
+        try:
+            rates = slots.slot_rates(g, alpha)
+        except (GaussianModelError, SingularCovarianceError):
+            # raise the error a per-eta evaluation meets first: each eta's
+            # slot 1, then its slot 2, one lane at a time
+            for k in np.argsort(np.tile(np.arange(on.sum()), 2), kind="stable"):
+                _Lanes(self.cfg, slots.eta[k:k + 1]).slot_rates(g[k:k + 1], alpha[k:k + 1])
+            raise
+        # rate[receiver][slot], each a column over lanes
+        rate = rates.reshape(2, 2, -1)[:, :, :, None]
+        # both time-shared rates are affine in t, so the grid plus the exact
+        # crossing decide the max of the worse one
+        d0 = rate[0][0] - rate[0][1]
+        d1 = rate[1][0] - rate[1][1]
+        ok = np.abs(d0 - d1) > 1e-15
+        t_cross = np.divide(rate[1][1] - rate[0][1], d0 - d1, out=np.full(d0.shape, 2.0),
+                            where=ok)
+        ok &= (0.0 < t_cross) & (t_cross < 1.0)
+        ts = np.linspace(0.0, 1.0, t_points)
+        t = np.concatenate([np.broadcast_to(ts, (len(d0), t_points)), t_cross], axis=1)
+        worst = lane_min([t * r[0] + (1 - t) * r[1] for r in rate])
+        worst[~ok[:, 0], -1] = -np.inf
+        out[on] = lane_max(worst.T)
+        return out
+
+
+_PRECODING = ("V", "X1", "Xu", "Z1", "Z2")
+
+
+def _one(cfg: DpcConfig) -> _Lanes:
+    return _Lanes(cfg, [cfg.eta])
+
+
+def _pow2(v: np.ndarray) -> np.ndarray:
+    """v**2 per lane by the scalar power (libm pow): an array's ** 2
+    multiplies instead, which rounds differently in about 1 of 1200 draws."""
+    return np.array([x**2 for x in v.tolist()])
+
+
+def _scan_points(stop: np.ndarray, n: int) -> np.ndarray:
+    """Row l is np.linspace(0.0, stop[l], n): numpy's rule for one call,
+    including its branch for a zero step, applied per lane."""
+    k = np.arange(n, dtype=float)
+    step = stop[:, None] / (n - 1)
+    y = np.where(step == 0, k / (n - 1) * stop[:, None], k * step) + 0.0
+    y[:, -1] = stop
+    return y
+
+
 def r1_weak(cfg: DpcConfig) -> float:
     """Primary rate of the layered scheme,
     1/2 log2((b^2 P2 + P1 + 2 b rho sqrt(P1 (1-eta) P2) + 1) / (b^2 eta P2 + 1)),
     clamped at zero."""
-    num = cfg.b**2 * cfg.P2 + cfg.P1 \
-        + 2 * cfg.b * cfg.rho * np.sqrt(cfg.P1 * cfg.P_u) + 1.0
-    den = cfg.b**2 * cfg.eta * cfg.P2 + 1.0
-    return max(0.0, half_log2(num / den))
+    return float(_one(cfg).r1()[0])
 
 
 def receiver_variances(cfg: DpcConfig) -> tuple[float, float]:
     """Var(Z_k) = P2 + a_k^2 P1 + 2 a_k rho sqrt(P1 P_u) + 1 for k = 1, 2."""
-    c = cfg.rho * np.sqrt(cfg.P1 * cfg.P_u)
-    return tuple(
-        cfg.P2 + ak**2 * cfg.P1 + 2 * ak * c + 1.0 for ak in (cfg.a1, cfg.a2)
-    )
-
-
-def _md_penalty_arg(cfg: DpcConfig, x: float) -> float:
-    """Argument of the penalty log shared by the CD (x = 0) and MD forms."""
-    v1, v2 = receiver_variances(cfg)
-    P_v, P_u = cfg.P_v, cfg.P_u
-    sq = np.sqrt(x + 1.0)
-    p_of_x = (P_v - x) / sq
-    mismatch = (
-        cfg.P1 * (P_v + (1.0 - cfg.rho**2) * P_u + 1.0) * (cfg.a1 - cfg.a2) ** 2
-        * p_of_x / ((P_v + 1.0) * (np.sqrt(v1) + np.sqrt(v2)) ** 2)
-    )
-    tail = sq if cfg.md_variant == "sqrt" else x + 1.0
-    return mismatch + tail
+    lanes = _one(cfg)
+    return float(lanes.v1[0]), float(lanes.v2[0])
 
 
 def md_dpc_rate(cfg: DpcConfig, x: float | None = None) -> float:
@@ -132,19 +273,17 @@ def md_dpc_rate(cfg: DpcConfig, x: float | None = None) -> float:
         x = cfg.x
     if not 0.0 <= x <= cfg.P_v + 1e-12:
         raise DpcConfigError(f"x must lie in [0, P_v] = [0, {cfg.P_v}], got {x}")
-    return max(0.0, half_log2(cfg.P_v + 1.0) - half_log2(_md_penalty_arg(cfg, x)))
+    return float(_one(cfg).md_rate(np.array([[x]], dtype=float))[0, 0])
 
 
 def cd_dpc_rate(cfg: DpcConfig) -> float:
     """Common-description DPC rate (the MD form at x = 0)."""
-    v1, v2 = receiver_variances(cfg)
-    if v1 <= 0 or v2 <= 0:
-        raise DpcConfigError("receiver variances must be positive")
-    return md_dpc_rate(cfg, 0.0)
+    return float(_one(cfg).cd_rate()[0])
 
 
-def gamma_opt(cfg: DpcConfig) -> float:
-    """Optimal scaling of the shared layer inside the precoding variable."""
+def gamma_opt(cfg) -> float:
+    """Optimal scaling of the shared layer inside the precoding variable (per
+    lane when given _Lanes)."""
     return cfg.P_v / (cfg.P_v + 1.0)
 
 
@@ -159,17 +298,8 @@ def alpha_opt_pair(cfg: DpcConfig) -> float:
 def optimize_md_x(cfg: DpcConfig, scan_points: int = 64) -> tuple[float, float]:
     """Best private-description power: bracketing scan then golden section
     (the rate curve is monotone or unimodal in x)."""
-    if cfg.P_v <= 0:
-        return 0.0, md_dpc_rate(cfg, 0.0)
-    xs = np.linspace(0.0, cfg.P_v, max(2, scan_points))
-    vals = [md_dpc_rate(cfg, float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    lo = xs[max(0, i - 1)]
-    hi = xs[min(len(xs) - 1, i + 1)]
-    a, b = golden_section(lambda x: md_dpc_rate(cfg, x), float(lo), float(hi), 60)
-    cands = [(float(xs[i]), vals[i]), (0.5 * (a + b), md_dpc_rate(cfg, 0.5 * (a + b)))]
-    cands.sort(key=lambda t: t[1])
-    return cands[-1]
+    x_star, md = _one(cfg).best_x(scan_points)
+    return float(x_star[0]), float(md[0])
 
 
 def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
@@ -200,33 +330,10 @@ def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_covariance(cfg: DpcConfig) -> dict[str, float]:
-    c1u = cfg.rho * np.sqrt(cfg.P1 * cfg.P_u)
-    return {"P1": cfg.P1, "Pu": cfg.P_u, "Pv": cfg.P_v, "c1u": c1u}
-
-
 def precoding_covariance(cfg: DpcConfig, gamma: float, alpha: float) -> CovMatrix:
     """Covariance of (V, X1, Xu, Z1, Z2) with V = Xv + gamma Xu + alpha X1."""
-    base = _scheme_covariance(cfg)
-    P1, Pu, Pv, c1u = base["P1"], base["Pu"], base["Pv"], base["c1u"]
-    names = ("V", "X1", "Xu", "Z1", "Z2")
-    m = np.zeros((5, 5))
-    var_v = Pv + gamma**2 * Pu + alpha**2 * P1 + 2 * gamma * alpha * c1u
-    cov_v_x1 = gamma * c1u + alpha * P1
-    cov_v_xu = gamma * Pu + alpha * c1u
-    m[0, 0] = var_v
-    m[1, 1] = P1
-    m[2, 2] = Pu
-    m[1, 2] = m[2, 1] = c1u
-    m[0, 1] = m[1, 0] = cov_v_x1
-    m[0, 2] = m[2, 0] = cov_v_xu
-    for pos, ak in ((3, cfg.a1), (4, cfg.a2)):
-        m[pos, pos] = Pv + Pu + ak**2 * P1 + 2 * ak * c1u + 1.0
-        m[0, pos] = m[pos, 0] = Pv + gamma * (Pu + ak * c1u) + alpha * (c1u + ak * P1)
-        m[1, pos] = m[pos, 1] = c1u + ak * P1
-        m[2, pos] = m[pos, 2] = Pu + ak * c1u
-    m[3, 4] = m[4, 3] = Pv + Pu + cfg.a1 * cfg.a2 * P1 + (cfg.a1 + cfg.a2) * c1u
-    return CovMatrix(names, m)
+    m = _one(cfg).precoding(np.array([gamma], dtype=float), np.array([alpha], dtype=float))
+    return CovMatrix(_PRECODING, m[0])
 
 
 @dataclass(frozen=True)
@@ -259,8 +366,8 @@ def numeric_dpc_oracle(cfg: DpcConfig, gamma_points: int = 201,
         raise DpcConfigError("oracle grid must have at least 101 points per axis")
     if cfg.P_v <= 0:
         return OracleResult(0.0, 0.0, 0.0, 0.0, 0.0)
-    base = _scheme_covariance(cfg)
-    P1, Pu, Pv, c1u = base["P1"], base["Pu"], base["Pv"], base["c1u"]
+    lanes = _one(cfg)
+    P1, Pu, Pv, c1u = cfg.P1, lanes.P_u[0], lanes.P_v[0], lanes.c1u[0]
     amax = max(abs(cfg.a1), abs(cfg.a2), 1.0)
     if fixed_gamma is None:
         gammas = np.linspace(0.0, 1.0, gamma_points)
@@ -297,17 +404,17 @@ def numeric_dpc_oracle(cfg: DpcConfig, gamma_points: int = 201,
     if fixed_gamma is not None:
         # refine alpha within one grid step (the alpha profile at fixed gamma
         # is a min of two smooth curves; the kink sits between grid points)
-        def f(alpha: float) -> float:
-            cov = precoding_covariance(cfg, float(gammas[0]), alpha)
-            return min(
+        def f(alpha: np.ndarray) -> np.ndarray:
+            cov = CovMatrix(_PRECODING, lanes.precoding(gammas[:1], alpha))
+            return lane_min(
                 gaussian_mi(cov, {"V"}, {z}) for z in ("Z1", "Z2")
             ) - gaussian_mi(cov, {"V"}, {"Xu", "X1"})
-        a, b = golden_section(f, max(-amax, alpha_star - alpha_step),
-                              min(amax, alpha_star + alpha_step), 50)
+        a, b = golden_section(f, [max(-amax, alpha_star - alpha_step)],
+                              [min(amax, alpha_star + alpha_step)], 50)
         mid = 0.5 * (a + b)
-        fm = f(mid)
+        fm = float(f(mid)[0])
         if fm > value:
-            value, alpha_star = fm, mid
+            value, alpha_star = fm, float(mid[0])
     result = OracleResult(
         value, float(gammas[k[0]]), alpha_star,
         float(gammas[1] - gammas[0]) if len(gammas) > 1 else 0.0, alpha_step,
@@ -348,28 +455,7 @@ def block_expansion_baseline(cfg: DpcConfig, t_points: int = 201) -> float:
     slot fraction maximizes the worse time-shared rate (both slot rates are
     affine in t, so the grid plus the exact crossing decide the max).
     """
-    if cfg.P_v <= 0:
-        return 0.0
-    g = gamma_opt(cfg)
-    r = np.zeros((2, 2))  # [receiver, slot]
-    for slot, ak in ((0, cfg.a1), (1, cfg.a2)):
-        alpha = ak * g
-        for receiver in (0, 1):
-            r[receiver, slot] = slot_rate(cfg, g, alpha, receiver)
-
-    def worst(t: float) -> float:
-        r0 = t * r[0, 0] + (1 - t) * r[0, 1]
-        r1 = t * r[1, 0] + (1 - t) * r[1, 1]
-        return min(r0, r1)
-
-    ts = list(np.linspace(0.0, 1.0, t_points))
-    d0 = r[0, 0] - r[0, 1]
-    d1 = r[1, 0] - r[1, 1]
-    if abs(d0 - d1) > 1e-15:
-        t_cross = (r[1, 1] - r[0, 1]) / (d0 - d1)
-        if 0.0 < t_cross < 1.0:
-            ts.append(float(t_cross))
-    return max(worst(float(t)) for t in ts)
+    return float(_one(cfg).block(t_points)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +482,21 @@ def comparison_sweep(
         eta_grid = 101
     etas = np.linspace(0.0, 1.0, int(eta_grid)) if np.isscalar(eta_grid) \
         else np.asarray(eta_grid, dtype=float)
-    rows = []
     for eta in etas:
-        sub = replace(cfg, eta=float(eta), x=0.0)
-        cd = cd_dpc_rate(sub)
-        x_star, md = optimize_md_x(sub, x_scan_points)
-        if md < cd - 1e-12:
-            raise AssertionError(
-                f"MD rate fell below CD at eta={eta}: {md} < {cd}"
-            )
-        rows.append({
-            "eta": float(eta),
-            "R1": r1_weak(sub),
-            "R2_cd": cd,
-            "R2_md": md,
-            "x_star": float(x_star),
-            "R2_block": block_expansion_baseline(sub),
-            "R2_outer": half_log2(1.0 + eta * cfg.P2),
-        })
+        if not 0.0 <= eta <= 1.0:
+            replace(cfg, eta=float(eta))  # raises the config's own error
+    lanes = _Lanes(cfg, etas)
+    cd = lanes.cd_rate()
+    x_star, md = lanes.best_x(x_scan_points)
+    below = np.flatnonzero(md < cd - 1e-12)
+    if below.size:
+        k = below[0]
+        raise AssertionError(
+            f"MD rate fell below CD at eta={etas[k]}: {md[k]} < {cd[k]}"
+        )
+    columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(201),
+               half_log2(1.0 + etas * cfg.P2))
+    rows = [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
     if out_path is not None:
         out_path = Path(out_path)
         lines = [",".join(SWEEP_COLUMNS)]

@@ -42,9 +42,24 @@ def half_log2(x: float) -> float:
     return 0.5 * np.log2(x)
 
 
-def log2_pos(x: float) -> float:
-    """log2 clamped at zero (used by converse-side expressions)."""
-    return max(0.0, np.log2(x)) if x > 0 else 0.0
+def lane_min(values):
+    """Lane-wise min() of a sequence of arrays (or scalars), by min()'s rule:
+    a later value replaces the running one only when strictly smaller, so the
+    first of equal values wins (0.0 against -0.0, too)."""
+    it = iter(values)
+    acc = next(it)
+    for v in it:
+        acc = np.where(v < acc, v, acc)
+    return acc
+
+
+def lane_max(values):
+    """Lane-wise max() of a sequence of arrays (or scalars), by max()'s rule."""
+    it = iter(values)
+    acc = next(it)
+    for v in it:
+        acc = np.where(v > acc, v, acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,9 @@ def channel_from_json_dict(doc: dict):
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric PSD covariance over named jointly-Gaussian variables."""
+    """Symmetric PSD covariance over named jointly-Gaussian variables, or a
+    stack of L such covariances (a matrix of shape (L, n, n)). Every check
+    applies to each matrix of a stack."""
 
     names: tuple[str, ...]
     matrix: np.ndarray
@@ -144,14 +161,16 @@ class CovMatrix:
         if len(set(names)) != len(names):
             raise GaussianModelError(f"duplicate variable names {names}")
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(names), len(names)):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (len(names), len(names)):
             raise GaussianModelError("matrix shape does not match names")
-        if not np.allclose(m, m.T, atol=1e-9):
+        mt = np.swapaxes(m, -1, -2)
+        if not np.allclose(m, mt, atol=1e-9):
             raise GaussianModelError("covariance must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -1e-9:
+        sym = 0.5 * (m + mt)
+        if np.linalg.eigvalsh(sym).min() < -1e-9:
             raise GaussianModelError("covariance must be positive semidefinite")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        object.__setattr__(self, "matrix", sym)
 
     def _idx(self, group: Iterable[str]) -> list[int]:
         pos = {n: i for i, n in enumerate(self.names)}
@@ -162,12 +181,13 @@ class CovMatrix:
             out.append(pos[n])
         return sorted(out)
 
-    def _logdet(self, group: list[int]) -> float:
+    def _logdet(self, group: list[int]):
         if not group:
             return 0.0
-        sub = self.matrix[np.ix_(group, group)] + COV_RIDGE * np.eye(len(group))
+        idx = np.array(group)
+        sub = self.matrix[..., idx[:, None], idx] + COV_RIDGE * np.eye(len(group))
         sign, logdet = np.linalg.slogdet(sub)
-        if sign <= 0:
+        if (sign <= 0).any():
             raise SingularCovarianceError(
                 "conditional covariance singular beyond the 1e-12 ridge"
             )
@@ -175,9 +195,10 @@ class CovMatrix:
 
 
 def gaussian_mi(cov: CovMatrix, left: Iterable[str], right: Iterable[str],
-                given: Iterable[str] = ()) -> float:
+                given: Iterable[str] = ()):
     """I(left; right | given) in bits via the log-det ratio
-    0.5*log2( |S_LG| |S_RG| / (|S_G| |S_LRG|) )."""
+    0.5*log2( |S_LG| |S_RG| / (|S_G| |S_LRG|) ): a float, or an array of L
+    values for a stack of L covariances."""
     left, right, given = set(left), set(right), set(given)
     if left & right or left & given or right & given:
         raise GaussianModelError("left/right/given must be pairwise disjoint")
@@ -187,11 +208,10 @@ def gaussian_mi(cov: CovMatrix, left: Iterable[str], right: Iterable[str],
     g = cov._idx(given)
     nats = cov._logdet(lg) + cov._logdet(rg) - cov._logdet(g) - cov._logdet(lrg)
     bits = 0.5 * nats / np.log(2.0)
-    if bits < 0.0:
-        if bits < -1e-10:
-            raise SingularCovarianceError(f"mutual information came out {bits:g}")
-        bits = 0.0
-    return bits
+    if (bits < -1e-10).any():
+        raise SingularCovarianceError(f"mutual information came out {np.min(bits):g}")
+    bits = np.where(bits < 0.0, 0.0, bits)
+    return bits if bits.ndim else float(bits)
 
 
 def full_correlation_covariance(chan: GaussianMultiPrimary, j: int, rho: float) -> CovMatrix:
@@ -323,23 +343,43 @@ def classify_gaussian(chan, partition=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def golden_section(f, a: float, b: float, iters: int, tol: float = 0.0):
-    """Golden-section bracket of a maximum of a unimodal f on [a, b]: the
-    bracket after `iters` shrink steps, or earlier once it is narrower than
-    tol."""
+def golden_section(f, a, b, iters: int, tol=0.0):
+    """Golden-section brackets of the maxima of unimodal functions, one per
+    lane.
+
+    `a`, `b` and `tol` (or a scalar tol) hold L lanes, and f maps an array of
+    L points, one per lane, to their L values. Each lane shrinks its own
+    bracket for `iters` steps, or stops after the first step that leaves it
+    narrower than its tol; a stopped lane keeps its bracket while the others
+    go on. Returns the brackets (a, b) as arrays.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    tol = np.broadcast_to(tol, a.shape)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    live = np.ones(a.shape, dtype=bool)
+    n_live = live.size
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+        # fc >= fd keeps [a, d]: d moves to c and a new c is probed;
+        # otherwise [c, b] stays: c moves to d and a new d is probed
+        left = fc >= fd
+        na = np.where(left, a, c)
+        nb = np.where(left, d, b)
+        span = _GOLDEN * (nb - na)
+        probe = np.where(left, nb - span, na + span)
+        fp = f(probe)
+        new = (na, nb, np.where(left, probe, d), np.where(left, c, probe),
+               np.where(left, fp, fd), np.where(left, fc, fp))
+        if n_live == live.size:
+            a, b, c, d, fc, fd = new
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < tol:
+            old = (a, b, c, d, fc, fd)
+            a, b, c, d, fc, fd = (np.where(live, n, o) for n, o in zip(new, old))
+        live &= ~(b - a < tol)
+        n_live = np.count_nonzero(live)
+        if not n_live:
             break
     return a, b
 
@@ -349,14 +389,23 @@ def binding_eta(r2: float, P2: float) -> float:
     return min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 44):
-    """Maximum of a concave function on [lo, hi]; also probes the endpoints,
-    so monotone objectives resolve to the exact boundary value."""
-    a, b = golden_section(f, lo, hi, iters, 1e-13 * max(1.0, abs(hi - lo)))
-    xs = [lo, hi, 0.5 * (a + b)]
-    vals = [f(x) for x in xs]
-    k = int(np.argmax(vals))
-    return xs[k], vals[k]
+def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
+    # one scalar call per sample: an array 4.0**qs rounds differently from
+    # the scalar power in about 5% of draws
+    return np.array([binding_eta(r2, P2) for r2 in qs], dtype=float)
+
+
+def _golden_max(f, lo, hi, iters: int = 44):
+    """Maxima of concave functions on [lo, hi], one per lane; also probes the
+    endpoints, so monotone objectives resolve to the exact boundary value.
+    Returns the arrays (argmax, max), taking the first of (lo, hi, mid) on
+    ties."""
+    a, b = golden_section(f, lo, hi, iters, 1e-13 * np.maximum(1.0, np.abs(hi - lo)))
+    xs = np.stack([lo, hi, 0.5 * (a + b)])
+    vals = np.stack([f(x) for x in xs])
+    k = np.argmax(vals, axis=0)
+    lanes = np.arange(xs.shape[1])
+    return xs[k, lanes], vals[k, lanes]
 
 
 def _coherent(chan: GaussianMultiPrimary) -> bool:
@@ -377,10 +426,18 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
         qs = np.asarray(r2_values, dtype=float)
         return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
     qs = np.concatenate([
-        np.array([half_log2(1 + e * chan.P2) for e in eta_like]),
+        half_log2(1 + eta_like * chan.P2),
         np.linspace(0.0, r2_cap, len(eta_like)),
     ])
     return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
+
+
+def _sum_cap(chan: GaussianMultiPrimary, subset, rho, root):
+    """min over j in subset of 1/2 log2(1 + b_j^2 P2 + P1 + 2 b_j rho root)."""
+    P1, P2 = chan.P1, chan.P2
+    return lane_min(
+        half_log2(1 + chan.b[j]**2 * P2 + P1 + 2 * chan.b[j] * rho * root) for j in subset
+    )
 
 
 def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
@@ -390,39 +447,37 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
                        R1+R2 <= min_j 1/2 log2(1+b_j^2 P2+P1+2 b_j rho sqrt(P1 P2)).
 
     Evaluated per R2 sample: the admissible rho interval is closed-form and
-    the concave min_j sum-rate is maximized by golden section inside it.
+    the concave min_j sum-rate is maximized by golden section inside it, over
+    all samples at once.
     """
     if require_regime and classify_gaussian(chan) != "VSI":
         raise GaussianModelError("channel is not in the very-strong regime")
-    P1, P2 = chan.P1, chan.P2
-    root = np.sqrt(P1 * P2)
+    P2 = chan.P2
+    root = np.sqrt(chan.P1 * P2)
+    every = range(chan.n_primary)
 
-    def sum_cap(rho: float) -> float:
-        return min(
-            half_log2(1 + bj**2 * P2 + P1 + 2 * bj * rho * root) for bj in chan.b
-        )
+    def sum_cap(rho):
+        return _sum_cap(chan, every, rho, root)
 
     _, r2_top = _golden_max(
-        lambda r: min(half_log2(1 + (1 - r * r) * P2), sum_cap(r)), -1.0, 1.0
+        lambda r: lane_min([half_log2(1 + (1 - r * r) * P2), sum_cap(r)]),
+        np.array([-1.0]), np.array([1.0]),
     )
     if np.isscalar(rho_grid):
         rhos = np.linspace(-1.0, 1.0, int(rho_grid))
     else:
         rhos = np.asarray(rho_grid, dtype=float)
     etas = 1.0 - rhos**2
-    qs = _r2_samples(chan, etas, r2_values, r2_top)
-    pts = []
-    for r2 in qs:
-        rho0 = np.sqrt(1.0 - binding_eta(r2, P2))
-        _, best = _golden_max(sum_cap, -rho0, rho0)
-        pts.append((float(r2), best - r2))
-    return monotone_frontier(pts)
+    qs = _r2_samples(chan, etas, r2_values, r2_top[0])
+    rho0 = np.sqrt(1.0 - _binding_etas(qs, P2))
+    _, best = _golden_max(sum_cap, -rho0, rho0)
+    return monotone_frontier(zip(qs.tolist(), (best - qs).tolist()))
 
 
-def _wi_r1(chan: GaussianMultiPrimary, subset, eta: float, rho: float) -> float:
+def _wi_r1(chan: GaussianMultiPrimary, subset, eta, rho):
     P1, P2 = chan.P1, chan.P2
-    root = np.sqrt(max(0.0, (1.0 - eta)) * P1 * P2)
-    return min(
+    root = np.sqrt(np.maximum(0.0, 1.0 - eta) * P1 * P2)
+    return lane_min(
         half_log2((1 + chan.b[j]**2 * P2 + P1 + 2 * chan.b[j] * rho * root)
                   / (1 + chan.b[j]**2 * eta * P2))
         for j in subset
@@ -437,35 +492,27 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, r2_values=None,
 
     For each R2 sample the binding power split eta0 is closed-form; a running
     maximum over the eta grid covers any non-monotone max-min behaviour under
-    mixed-sign gains.
+    mixed-sign gains. One golden section runs over every eta0 and grid eta.
     """
     if require_regime and classify_gaussian(chan) != "WI":
         raise GaussianModelError("channel is not in the weak regime")
     P2 = chan.P2
-    subset = range(chan.n_primary)
-
-    def g(eta: float) -> float:
-        return _golden_max(lambda r: _wi_r1(chan, subset, eta, r), -1.0, 1.0)[1]
-
     etas = _grid(eta_grid, 201)
     coherent = _coherent(chan)
+    qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
+    eta0 = _binding_etas(qs, P2)
+    # mixed-sign gains: the max-min over rho need not decrease in eta, so the
+    # grid values join the lanes for a running-maximum envelope
+    lanes = eta0 if coherent else np.concatenate([eta0, etas])
+    ones = np.ones(len(lanes))
+    _, g = _golden_max(lambda r: _wi_r1(chan, range(chan.n_primary), lanes, r), -ones, ones)
+    r1 = g[:len(qs)]
     if not coherent:
-        # mixed-sign gains: the max-min over rho need not decrease in eta,
-        # so keep a running grid maximum as an envelope
-        g_vals = np.array([g(e) for e in etas])
-        suffix_max = np.maximum.accumulate(g_vals[::-1])[::-1]
-    r2_top = half_log2(1 + P2)
-    qs = _r2_samples(chan, etas, r2_values, r2_top)
-    pts = []
-    for r2 in qs:
-        eta0 = binding_eta(r2, P2)
-        r1 = g(eta0)
-        if not coherent:
-            k = int(np.searchsorted(etas, eta0))
-            if k < len(etas):
-                r1 = max(r1, float(suffix_max[k]))
-        pts.append((float(r2), r1))
-    return monotone_frontier(pts)
+        suffix_max = np.maximum.accumulate(g[len(qs):][::-1])[::-1]
+        # a sample above the last grid eta finds the -inf pad
+        suffix_max = np.append(suffix_max, -np.inf)
+        r1 = lane_max([r1, suffix_max[np.searchsorted(etas, eta0)]])
+    return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
 def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
@@ -475,41 +522,44 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
         R1 <= min over weak j of the layered log ratio,
         R2 <= 1/2 log2(1 + eta P2),
         R1 + R2 <= min over strong j of 1/2 log2(1+b_j^2 P2+P1+2 b_j rho sqrt((1-eta) P1 P2)).
+
+    Each R2 sample binds at eta0; under mixed-sign gains the coarse-grid etas
+    above eta0 are tried as well. One golden section runs over every
+    (eta, R2) pair.
     """
     if require_regime and classify_gaussian(chan, partition) not in ("mixed", "WI", "VSI"):
         raise GaussianModelError("channel fails the mixed-regime conditions")
     strong, weak = _validate_partition(chan.n_primary, partition)
     P1, P2 = chan.P1, chan.P2
-
-    def h(eta: float, r2: float) -> float:
-        def obj(rho: float) -> float:
-            vals = []
-            if weak:
-                vals.append(_wi_r1(chan, weak, eta, rho))
-            if strong:
-                root = np.sqrt(max(0.0, 1.0 - eta) * P1 * P2)
-                vals.append(min(
-                    half_log2(1 + chan.b[j]**2 * P2 + P1 + 2 * chan.b[j] * rho * root)
-                    for j in strong
-                ) - r2)
-            return min(vals) if vals else 0.0
-        return _golden_max(obj, -1.0, 1.0)[1]
-
     etas = _grid(eta_grid, 201)
     coherent = _coherent(chan)
     coarse = etas[:: max(1, len(etas) // 16)]
-    r2_top = half_log2(1 + P2)
-    qs = _r2_samples(chan, etas, r2_values, r2_top)
-    pts = []
-    for r2 in qs:
-        eta0 = binding_eta(r2, P2)
-        r1 = h(eta0, r2)
-        if not coherent:
-            for e in coarse:
-                if e > eta0:
-                    r1 = max(r1, h(float(e), r2))
-        pts.append((float(r2), max(r1, 0.0)))
-    return monotone_frontier(pts)
+    qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
+    eta0 = _binding_etas(qs, P2)
+    lane_eta, lane_r2 = eta0, qs
+    if not coherent:
+        above = coarse[None, :] > eta0[:, None]  # (sample, coarse eta) pairs to try
+        lane_eta = np.concatenate([eta0, np.broadcast_to(coarse, above.shape)[above]])
+        lane_r2 = np.concatenate([qs, np.broadcast_to(qs[:, None], above.shape)[above]])
+
+    def obj(rho):
+        vals = []
+        if weak:
+            vals.append(_wi_r1(chan, weak, lane_eta, rho))
+        if strong:
+            root = np.sqrt(np.maximum(0.0, 1.0 - lane_eta) * P1 * P2)
+            vals.append(_sum_cap(chan, strong, rho, root) - lane_r2)
+        return lane_min(vals)
+
+    ones = np.ones(len(lane_eta))
+    _, h = _golden_max(obj, -ones, ones)
+    r1 = h[:len(qs)]
+    if not coherent:
+        tried = np.full(above.shape, -np.inf)
+        tried[above] = h[len(qs):]
+        r1 = lane_max([r1, *tried.T])
+    r1 = lane_max([r1, 0.0])
+    return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
 def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
@@ -524,20 +574,17 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
         raise GaussianModelError("channel is not in the very-strong regime")
     P1, P2, b = chan.P1, chan.P2, chan.b
 
-    def sum_cap(eta: float) -> float:
+    def sum_cap(eta):
         return half_log2(1 + b**2 * P2 + P1
-                         + 2 * abs(b) * np.sqrt(max(0.0, 1 - eta) * P1 * P2))
+                         + 2 * abs(b) * np.sqrt(np.maximum(0.0, 1 - eta) * P1 * P2))
 
     _, r2_top = _golden_max(
-        lambda e: min(half_log2(1 + e * P2), sum_cap(e)), 0.0, 1.0
+        lambda e: lane_min([half_log2(1 + e * P2), sum_cap(e)]),
+        np.array([0.0]), np.array([1.0]),
     )
     etas = _grid(eta_grid, 201)
-    qs = _r2_samples(chan, etas, r2_values, r2_top)
-    pts = []
-    for r2 in qs:
-        eta0 = binding_eta(r2, P2)
-        pts.append((float(r2), sum_cap(eta0) - r2))
-    return monotone_frontier(pts)
+    qs = _r2_samples(chan, etas, r2_values, r2_top[0])
+    return monotone_frontier(zip(qs.tolist(), (sum_cap(_binding_etas(qs, P2)) - qs).tolist()))
 
 
 def coherent_intersection_check(
@@ -555,8 +602,7 @@ def coherent_intersection_check(
     {"equal": bool, "max_gap": float} where the gap is the largest frontier
     height difference found.
     """
-    signs = {np.sign(bj) for bj in chan.b if bj != 0}
-    if len(signs) > 1:
+    if not _coherent(chan):
         raise GaussianModelError("coherent check requires gains of one sign")
 
     def multicast(r2_values):

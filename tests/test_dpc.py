@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalar_reference as reference
 from mcifc.dpc import (
+    MD_VARIANTS,
+    SWEEP_COLUMNS,
     DpcConfig,
     DpcConfigError,
     alpha_opt_pair,
@@ -20,8 +23,19 @@ from mcifc.dpc import (
     receiver_variances,
     slot_rate,
     weak_outer_bound,
+    _PRECODING,
+    _Lanes,
+    _scan_points,
 )
-from mcifc.gaussian import GaussianMultiPrimary, gaussian_mi, half_log2, wi_input_covariance
+from mcifc.gaussian import (
+    CovMatrix,
+    GaussianMultiPrimary,
+    SingularCovarianceError,
+    gaussian_mi,
+    half_log2,
+    wi_input_covariance,
+)
+from scalar_reference import bits
 
 FIG_CFG = DpcConfig(P1=3.0, P2=1.0, a1=0.75, a2=-0.5, b=0.1, eta=0.5, rho=0.0)
 
@@ -300,3 +314,80 @@ def test_config_validation():
             DpcConfig(**{"P1": 1, "P2": 1, "a1": 0, "a2": 0, "b": 0, **gains})
     cfg = DpcConfig.from_json_dict(FIG_CFG.to_json_dict())
     assert cfg == FIG_CFG
+
+
+# -- lane-wise evaluation ------------------------------------------------------------
+
+
+def test_sweep_rows_equal_per_eta_reference():
+    cfgs = [FIG_CFG, replace(FIG_CFG, md_variant="linear"),
+            DpcConfig(P1=0.0, P2=1.0, a1=0.75, a2=-0.5, b=0.1, rho=0.4),
+            DpcConfig(P1=2.0, P2=0.0, a1=0.3, a2=0.9, b=-0.2, rho=0.5)]
+    rng = np.random.default_rng(5)
+    cfgs += [replace(random_cfg(rng), md_variant=v) for v in MD_VARIANTS for _ in range(2)]
+    for cfg in cfgs:
+        got = comparison_sweep(cfg)
+        want = reference.comparison_rows(cfg)
+        assert got[0]["eta"] == 0.0 and len(got) == 101
+        for g, w in zip(got, want):
+            assert list(g) == list(SWEEP_COLUMNS)
+            assert bits([g[c] for c in SWEEP_COLUMNS]) == bits([w[c] for c in SWEEP_COLUMNS]), \
+                (cfg, g["eta"])
+
+
+def test_one_lane_functions_equal_scalar_reference(rng):
+    for k in range(150):
+        cfg = replace(random_cfg(rng, eta_range=(0.0, 1.0)),
+                      md_variant=MD_VARIANTS[k % 2])
+        x = float(rng.uniform(0.0, cfg.P_v))
+        assert bits(md_dpc_rate(cfg, x)) == bits(reference.md_dpc_rate(cfg, x))
+        assert bits(optimize_md_x(cfg, 16)) == bits(reference.optimize_md_x(cfg, 16))
+        assert bits(block_expansion_baseline(cfg)) == \
+            bits(reference.block_expansion_baseline(cfg))
+        assert bits(r1_weak(cfg)) == bits(reference.r1_weak(cfg))
+        assert bits(receiver_variances(cfg)) == bits(reference.receiver_variances(cfg))
+        g = gamma_opt(cfg)
+        assert bits(precoding_covariance(cfg, g, cfg.a2 * g).matrix) == \
+            bits(reference.precoding_covariance(cfg, g, cfg.a2 * g).matrix)
+
+
+def test_stacked_slot_mis_equal_gaussian_mi(rng):
+    cfg = random_cfg(rng)
+    etas = np.linspace(0.01, 1.0, 40)
+    lanes = _Lanes(cfg, etas)
+    g = gamma_opt(lanes)
+    alpha = np.where(np.arange(40) % 2, cfg.a1, cfg.a2) * g
+    stack = CovMatrix(_PRECODING, lanes.precoding(g, alpha))
+    assert stack.matrix.shape == (40, 5, 5)
+    for left, right in (({"V"}, {"Z1"}), ({"V"}, {"Z2"}), ({"V"}, {"Xu", "X1"})):
+        got = gaussian_mi(stack, left, right)
+        for k, eta in enumerate(etas):
+            single = precoding_covariance(replace(cfg, eta=float(eta)), g[k], alpha[k])
+            assert bits(single.matrix) == bits(stack.matrix[k])
+            assert bits(got[k]) == bits(gaussian_mi(single, left, right))
+    rates = lanes.slot_rates(g, alpha)
+    for k, eta in enumerate(etas):
+        sub = replace(cfg, eta=float(eta))
+        for receiver in (0, 1):
+            want = reference.slot_rate(sub, g[k], alpha[k], receiver)
+            assert bits(rates[receiver, k]) == bits(want)
+            assert bits(slot_rate(sub, g[k], alpha[k], receiver)) == bits(want)
+
+
+def test_scan_points_follow_linspace_per_lane():
+    stops = np.array([0.0, -0.0, 5e-324, 1e-310, 0.3, 2.5])
+    got = _scan_points(stops, 64)
+    for k, stop in enumerate(stops):
+        assert bits(got[k]) == bits(np.linspace(0.0, stop, 64))
+
+
+def test_sweep_raises_the_error_a_per_eta_loop_meets_first():
+    # rho = 1 makes (Xu, X1) singular; several etas fail the MI clamp, each
+    # with its own value, and the sweep must name the first one in eta order
+    cfg = DpcConfig(P1=0.425373798350523, P2=3.5029165475800093, a1=0.619525342450582,
+                    a2=-1.3262104689421488, b=-0.0529374740889792, rho=1.0)
+    with pytest.raises(SingularCovarianceError) as want:
+        reference.comparison_rows(cfg)
+    with pytest.raises(SingularCovarianceError) as got:
+        comparison_sweep(cfg)
+    assert str(got.value) == str(want.value)

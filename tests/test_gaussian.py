@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+import scalar_reference as reference
 from mcifc.gaussian import (
     CovMatrix,
     GaussianModelError,
     GaussianMultiPrimary,
     GaussianMultiSecondary,
+    SingularCovarianceError,
+    binding_eta,
     channel_from_json_dict,
     classify_gaussian,
     coherent_intersection_check,
     full_correlation_covariance,
     gaussian_mi,
+    golden_section,
     half_log2,
+    lane_max,
+    lane_min,
     region_mp_mixed,
     region_mp_vsi,
     region_mp_wi,
@@ -20,6 +26,7 @@ from mcifc.gaussian import (
     _vsi_margin,
 )
 from mcifc.polytope import frontier_intersect
+from scalar_reference import bits
 
 
 # -- classification -----------------------------------------------------------
@@ -401,9 +408,133 @@ def test_n1_regions_equal_min_free_formulas(rng):
         assert fr.value(float(q)) == pytest.approx(want, abs=1e-9)
 
 
-def test_log2_pos_clamps():
-    from mcifc.gaussian import log2_pos
 
-    assert log2_pos(4.0) == 2.0
-    assert log2_pos(0.5) == 0.0
-    assert log2_pos(0.0) == 0.0
+# -- lane-wise golden section and region evaluators -------------------------------
+
+
+def _counted(f):
+    """f plus a count of its calls."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def _lanes_match_scalar(fs, lo, hi, iters, tol):
+    """Run golden_section over lanes l with f_l = fs[l] and compare each
+    bracket bit for bit with the scalar loop, and the number of lockstep
+    steps with the longest scalar run; returns the scalar step counts."""
+    lanes_f = _counted(lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())]))
+    a, b = golden_section(lanes_f, np.array(lo), np.array(hi), iters, np.array(tol))
+    steps = []
+    for lane, f in enumerate(fs):
+        fc = _counted(f)
+        want = reference.golden_section(fc, lo[lane], hi[lane], iters, tol[lane])
+        assert bits([a[lane], b[lane]]) == bits(want), lane
+        steps.append(fc.calls - 2)
+    assert lanes_f.calls - 2 == max(steps)
+    return steps
+
+
+def test_golden_section_lanes_stop_at_their_own_step():
+    centers = [0.3, -0.7, 0.1, 2.0]
+    fs = [lambda x, m=m: -(x - m) * (x - m) for m in centers]
+    lo, hi = [-1.0, -1.0, 0.0, -3.0], [1.0, 1.0, 1e-9, 5.0]
+    tol = [1e-3, 1e-8, 1e-13, 1e-5]
+    steps = _lanes_match_scalar(fs, lo, hi, 60, tol)
+    assert len(set(steps)) == len(steps) and max(steps) < 60
+
+
+def test_golden_section_fixed_step_lanes():
+    fs = [lambda x: -(x - 0.25) * (x - 0.25), lambda x: x, lambda x: 1.0]
+    for iters in (60, 50):
+        steps = _lanes_match_scalar(fs, [0.0, -2.0, 0.0], [1.0, 3.0, 1.0], iters,
+                                    [0.0, 0.0, 0.0])
+        assert steps == [iters] * 3
+
+
+def test_golden_section_degenerate_lanes():
+    # lo == hi, and the VSI bracket at binding_eta = 1: [-sqrt(0), sqrt(0)]
+    rho0 = np.sqrt(1.0 - binding_eta(10.0, 1.0))
+    assert bits(-rho0) == bits(-0.0)
+    fs = [lambda x: -x * x, lambda x: x, lambda x: x * 3.0]
+    lo, hi = [0.4, -rho0, -rho0], [0.4, rho0, rho0]
+    assert _lanes_match_scalar(fs, lo, hi, 44, [1e-13, 1e-13, 0.0]) == [1, 1, 44]
+
+
+def test_lane_min_and_max_keep_the_first_of_equal_values():
+    nan = float("nan")
+    for a, b in ((0.0, -0.0), (-0.0, 0.0), (nan, 1.0), (1.0, nan), (2.0, 1.0)):
+        assert bits(lane_min([np.array([a]), np.array([b])])) == bits(min(a, b))
+        assert bits(lane_max([np.array([a]), np.array([b])])) == bits(max(a, b))
+
+
+def test_golden_section_one_lane():
+    f = lambda x: -(x - 0.1) * (x - 0.1) + 0.5 * x  # noqa: E731
+    _lanes_match_scalar([f], [-1.0], [1.0], 44, [2e-13])
+    a, b = golden_section(lambda x: np.array([f(v) for v in x.tolist()]), [-1.0], [1.0], 44)
+    assert a.shape == b.shape == (1,)
+
+
+def _gain_signs(rng, n, coherent):
+    """One random sign for all n gains, or alternating signs."""
+    if coherent:
+        return np.full(n, rng.choice([-1.0, 1.0]))
+    return np.where(np.arange(n) % 2, -1.0, 1.0)
+
+
+def test_regions_equal_scalar_reference():
+    rng = np.random.default_rng(11)
+    explicit = np.linspace(-0.05, 1.3, 31)
+    for n in (1, 2, 3, 4):
+        for coherent in (True, False):
+            if n == 1 and not coherent:
+                continue
+            P1, P2 = rng.uniform(0.2, 3.0, size=2)
+            signs = _gain_signs(rng, n, coherent)
+            weak = signs * rng.uniform(0.05, 1.0, size=n)
+            strong = signs * rng.uniform(1.0, 3.0, size=n)
+            grid, r2 = (None, None) if (n + coherent) % 2 else (41, explicit)
+            kw = {} if grid is None else {"eta_grid": grid}
+            wi = GaussianMultiPrimary(tuple(weak), rng.uniform(-1, 1), P1, P2)
+            got = region_mp_wi(wi, r2_values=r2, require_regime=False, **kw)
+            want = reference.region_mp_wi(wi, grid or 201, r2)
+            assert bits(got.points) == bits(want.points), ("WI", n, coherent)
+            vsi = GaussianMultiPrimary(tuple(strong), float(strong[0]), P1, P2)
+            got = region_mp_vsi(vsi, rho_grid=grid or 201, r2_values=r2,
+                                require_regime=False)
+            want = reference.region_mp_vsi(vsi, grid or 201, r2)
+            assert bits(got.points) == bits(want.points), ("VSI", n, coherent)
+            mixed_b = np.where(np.arange(n) % 2 == 0, strong, weak)
+            mixed = GaussianMultiPrimary(tuple(mixed_b), float(strong[0]), P1, P2)
+            part = (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+            got = region_mp_mixed(mixed, part, r2_values=r2, require_regime=False, **kw)
+            want = reference.region_mp_mixed(mixed, part, grid or 201, r2)
+            assert bits(got.points) == bits(want.points), ("mixed", n, coherent)
+            ms = GaussianMultiSecondary(float(strong[0]), tuple(strong), P1, P2)
+            got = region_ms_vsi(ms, r2_values=r2, require_regime=False, **kw)
+            want = reference.region_ms_vsi(ms, grid or 201, r2)
+            assert bits(got.points) == bits(want.points), ("MS VSI", n, coherent)
+
+
+def test_regions_with_no_r2_sample_in_range():
+    chan = GaussianMultiPrimary((0.5, -0.4), 0.2, 1.0, 1.0)
+    assert region_mp_wi(chan, r2_values=[-1.0, 5.0]).points == ()
+    assert region_mp_mixed(chan, ((), (0, 1)), r2_values=[-1.0]).points == ()
+
+
+def test_cov_matrix_stack_checks_every_matrix():
+    good = np.array([[2.0, 1.0], [1.0, 2.0]])
+    stack = np.stack([good, good * 3.0])
+    cov = CovMatrix(("X", "Y"), stack)
+    got = gaussian_mi(cov, {"X"}, {"Y"})
+    for k in range(2):
+        assert bits(got[k]) == bits(gaussian_mi(CovMatrix(("X", "Y"), stack[k]), {"X"}, {"Y"}))
+    with pytest.raises(GaussianModelError, match="symmetric"):
+        CovMatrix(("X", "Y"), np.stack([good, np.array([[1.0, 0.5], [0.0, 1.0]])]))
+    with pytest.raises(GaussianModelError, match="positive semidefinite"):
+        CovMatrix(("X", "Y"), np.stack([good, np.array([[1.0, 2.0], [2.0, 1.0]])]))
+    singular = np.stack([good, np.zeros((2, 2)) - 1e-11 * np.eye(2)])
+    with pytest.raises(SingularCovarianceError):
+        gaussian_mi(CovMatrix(("X", "Y"), singular), {"X"}, {"Y"})
