@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,7 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # built once per process; `run` only parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcifc",

@@ -629,9 +629,8 @@ def coherent_intersection_check(
         return region_mp_mixed(single, part, eta_grid, r2_values=r2_values,
                                require_regime=False)
 
-    probe = multicast(None)
-    qs = np.array([p[0] for p in probe.points])
-    mc = multicast(qs)
+    mc = multicast(None)
+    qs = np.array([p[0] for p in mc.points])
     inter = None
     for j in range(chan.n_primary):
         fr = pairwise(j, qs)

@@ -10,8 +10,8 @@ Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
 encoded by two consecutive points sharing one r2 value. A two-variable system
 reaches its frontier through an exact vertex enumeration in integer
-homogeneous coordinates: each row is scaled to Python ints, and a vertex
-becomes a `Fraction` only once it is known to be feasible.
+homogeneous coordinates (Python ints). The union of regions, convexified by
+time sharing, is the upper hull of all their points.
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ def rationalize(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(round(float(x) * RATIONALIZE_GRAIN), RATIONALIZE_GRAIN)
+
+
+def grid_row(a: int, b: int, c: float) -> tuple[int, int, int]:
+    """Integer row (a, b, c) of `integer_frontier` for a*r2 + b*r1 <= c with
+    integer a and b: the row scaled by the grain, its bound snapped to the
+    grid as `rationalize` snaps it."""
+    g = RATIONALIZE_GRAIN
+    return a * g, b * g, round(float(c) * g)
 
 
 @dataclass(frozen=True)
@@ -529,14 +537,14 @@ def _upper_hull(pts: list[tuple[float, float]], tol: float) -> list[tuple[float,
     return hull
 
 
-def concave_envelope(f: Frontier2D) -> Frontier2D:
-    """Upper concave envelope of the frontier (time-sharing convexification)."""
-    if f.is_empty or len(f.points) <= 2:
-        return f
+def concave_envelope(frontiers: Iterable[Frontier2D]) -> Frontier2D:
+    """Time-sharing convexification of the union of the frontiers' regions:
+    the upper hull of all their points, each r2 keeping its largest r1."""
     top: dict[float, float] = {}
-    for x, y in f.points:
-        if x not in top or y > top[x]:
-            top[x] = y
+    for f in frontiers:
+        for x, y in f.points:
+            if x not in top or y > top[x]:
+                top[x] = y
     return Frontier2D(tuple(_upper_hull(sorted(top.items()), 1e-15)))
 
 
@@ -558,39 +566,35 @@ def monotone_frontier(pairs) -> Frontier2D:
 
 
 def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
-    """Pareto (upper-right) frontier of a 2-variable system intersected with
-    the nonnegative quadrant.
-
-    Vertices are enumerated exactly, in integer homogeneous coordinates: each
-    row a*r2 + b*r1 <= c is scaled by the lcm of its denominators, a vertex is
-    (x, y) / det with det > 0, and it is feasible when a*x + b*y <= c*det for
-    every row. An unbounded region raises UnboundedRegionError naming a
-    recession direction divided by its gcd (every rate region here is bounded
-    by finite mutual-information terms). An infeasible system yields the empty
-    frontier.
-    """
+    """Pareto (upper-right) frontier of a 2-variable system in the nonnegative
+    quadrant: `integer_frontier` of its rows, each scaled by its lcm denominator."""
     if set(sys.variables) != {r1, r2}:
         raise ValueError(
             f"system must be over exactly ({r1!r}, {r2!r}); has {sys.variables}"
         )
-    # rows as integer (a, b, c): a*r2 + b*r1 <= c, each scaled by the lcm of
-    # its denominators (a positive scaling keeps the half-plane), plus the
-    # quadrant
-    system_rows: list[tuple[int, int, int]] = []
+    rows = []
     for iq in sys.inequalities:
-        if iq.is_infeasible():
-            return Frontier2D(())
-        if iq.is_trivially_true():
-            continue
         row = (iq.coeff(r2), iq.coeff(r1), iq.bound)
         k = math.lcm(*(v.denominator for v in row))
-        system_rows.append(tuple(v.numerator * (k // v.denominator) for v in row))
+        rows.append(tuple(v.numerator * (k // v.denominator) for v in row))
+    return integer_frontier(rows)
+
+
+def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
+    """Pareto (upper-right) frontier of integer rows (a, b, c), each meaning
+    a*r2 + b*r1 <= c, in the nonnegative quadrant. A vertex is (x, y) / det
+    with det > 0, feasible when a*x + b*y <= c*det for every row; integer
+    division rounds it to floats as `float(Fraction(x, det))` would. An
+    unbounded region raises UnboundedRegionError naming a recession direction
+    divided by its gcd; an infeasible system yields the empty frontier."""
+    # a constant row 0 <= c either holds and is dropped, or no vertex meets it
+    system_rows = [(a, b, c) for a, b, c in rows if a or b or c < 0]
     rows = system_rows + [(-1, 0, 0), (0, -1, 0)]
 
     # the quadrant rows make the region pointed, so nonempty implies a vertex;
-    # a vertex is (x, y) / det in homogeneous coordinates with det > 0, and
-    # x, y >= 0 already satisfy the quadrant rows
-    vertices: set[tuple[Fraction, Fraction]] = set()
+    # x, y >= 0 already satisfy the quadrant rows. `top` maps each vertex r2,
+    # as a reduced pair (x, det), to its largest r1 as (y, det)
+    top: dict[tuple[int, int], tuple[int, int]] = {}
     m = len(rows)
     for i in range(m):
         a1, b1, c1 = rows[i]
@@ -609,8 +613,12 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
                 if a * x + b * y > c * det:
                     break
             else:
-                vertices.add((Fraction(x, det), Fraction(y, det)))
-    if not vertices:
+                g = math.gcd(x, det)
+                key = (x // g, det // g)
+                best = top.get(key)
+                if best is None or y * best[1] > best[0] * det:
+                    top[key] = (y, det)
+    if not top:
         return Frontier2D(())
 
     # unboundedness (only meaningful for a nonempty region): a direction
@@ -628,12 +636,8 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
                 f"region is unbounded along direction (r2,r1)=({d2},{d1})"
             )
 
-    # max r1 per r2, then the upper concave chain of the polygon boundary
-    by_x: dict[Fraction, Fraction] = {}
-    for x, y in vertices:
-        if x not in by_x or y > by_x[x]:
-            by_x[x] = y
-    hull = _upper_hull(sorted((float(x), float(y)) for x, y in by_x.items()), 1e-18)
+    # the upper concave chain of the polygon boundary
+    hull = _upper_hull(sorted((x / dx, y / dy) for (x, dx), (y, dy) in top.items()), 1e-18)
     # enforce the downward-closed reading: drop any rising prefix
     while len(hull) >= 2 and hull[0][1] < hull[1][1] - 1e-15:
         hull.pop(0)

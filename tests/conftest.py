@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import DmcChannel
+from mcifc.polytope import Frontier2D, frontier_union
 
 
 def random_channel(rng, x1=2, x2=2, outputs=(("Y1", 2), ("Z1", 2)), alpha=1.0):
@@ -63,6 +64,21 @@ def weak_family_channel(rng, x1=2, x2=2, card=3):
     y2 = zlaw @ g2
     probs = np.einsum("abi,abj,abk->abijk", y1, y2, zlaw)
     return DmcChannel(x1, x2, (("Y1", card), ("Y2", card), ("Z1", card)), probs)
+
+
+def union_all(frontiers):
+    """Balanced pairwise `frontier_union` of the frontiers: the union the
+    capacity region convexifies, as an oracle for `concave_envelope` of the
+    pieces themselves."""
+    items = [f for f in frontiers if not f.is_empty]
+    if not items:
+        return Frontier2D(())
+    while len(items) > 1:
+        items = [
+            frontier_union(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
+            for i in range(0, len(items), 2)
+        ]
+    return items[0]
 
 
 @pytest.fixture

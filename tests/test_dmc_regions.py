@@ -14,6 +14,7 @@ from mcifc.info_theory import (
 from mcifc.polytope import (
     IneqSystem,
     LinIneq,
+    UnboundedRegionError,
     frontier_contains,
     project_to_frontier,
     region_equal,
@@ -23,6 +24,7 @@ from mcifc import dmc_regions as dr
 from conftest import (
     random_channel,
     shared_law_channel,
+    union_all,
     weak_family_channel,
 )
 
@@ -131,6 +133,42 @@ def test_inner_bound_collapses_without_helper(rng):
         ]
         want = project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
         assert region_equal(got, want, 1e-9)
+
+
+def _outcome(project, rows):
+    try:
+        return project(rows).points
+    except UnboundedRegionError as exc:
+        return str(exc)
+
+
+def test_integer_frontier_matches_rational_projection():
+    # every coefficient shape the per-distribution regions use
+    table_rows = [row for rows in dr._REGIONS.values() for row in rows]
+    table_rows += [*dr._FULL_DECODE.values(), *dr._MP_MIXED.values()]
+    shapes = sorted({tuple(sorted(coeffs.items())) for coeffs, _ in table_rows})
+    assert len(shapes) == 3
+    rng = np.random.default_rng(31)
+
+    def bound():
+        pick = rng.random()
+        if pick < 0.1:
+            return 0.0
+        if pick < 0.2:  # within two 1e-12 grid steps of 0, so some snap to 0
+            return float(rng.choice([-1, 1]) * rng.uniform(0, 2e-12))
+        return rng.uniform(-0.5, 3)
+
+    def rational(rows):
+        return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+
+    kinds = {"unbounded": 0, "empty": 0, "vertices": 0}
+    for _ in range(600):
+        picks = rng.choice(len(shapes), size=int(rng.integers(1, 4)))
+        rows = [(dict(shapes[k]), bound()) for k in picks]
+        got = _outcome(dr._frontier, rows)
+        assert got == _outcome(rational, rows), rows
+        kinds["unbounded" if isinstance(got, str) else "vertices" if got else "empty"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_inner_bound_zero_channel_gives_origin(rng):
@@ -753,7 +791,7 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
         pieces.append(Frontier2D(((0.0, r1), (r2, r1))))
     from mcifc.polytope import concave_envelope
 
-    want = concave_envelope(dr.union_all(pieces))
+    want = concave_envelope([union_all(pieces)])
     assert region_equal(fr, want, 1e-9)
 
 
@@ -856,5 +894,5 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
         r1 = mutual_information(joint, ["X1", "U"], ["Y1"])
         r2 = mutual_information(joint, ["X2"], ["Z1"], ["X1", "U"])
         pieces.append(Frontier2D(((0.0, r1), (r2, r1))))
-    want = concave_envelope(dr.union_all(pieces))
+    want = concave_envelope([union_all(pieces)])
     assert region_equal(fr, want, 1e-9)

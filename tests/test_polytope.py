@@ -21,6 +21,8 @@ from mcifc.polytope import (
     region_equal,
 )
 
+from conftest import union_all
+
 
 def box(r2_cap, r1_cap):
     return Frontier2D(((0.0, r1_cap), (r2_cap, r1_cap)))
@@ -264,10 +266,37 @@ def test_contains():
 
 def test_concave_envelope_flattens_staircase():
     stair = frontier_union(box(1, 2), box(2, 1))
-    env = concave_envelope(stair)
+    env = concave_envelope([box(1, 2), box(2, 1)])
+    assert env.points == concave_envelope([stair]).points
     assert env.value(1.0) == pytest.approx(2.0)
     assert env.value(1.5) == pytest.approx(1.5)  # time-sharing chord
     assert frontier_contains(env, stair, 1e-12)
+
+
+def _random_piece(rng):
+    """A box, trapezoid or triangle frontier; some coordinates on a 0.1 grid,
+    so that pieces share r2 values and vertices."""
+
+    def coord():
+        v = rng.uniform(0, 2)
+        return round(v, 1) if rng.random() < 0.3 else v
+
+    h, w = coord(), coord()
+    kind = rng.integers(3)
+    if kind == 0:
+        return Frontier2D(((0.0, h), (w, h)))
+    if kind == 1:
+        return Frontier2D(((0.0, h), (rng.uniform(0, w), h), (w, rng.uniform(0, h))))
+    return Frontier2D(((0.0, h), (w, 0.0)))
+
+
+def test_concave_envelope_of_pieces_equals_envelope_of_their_union():
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        pieces = [_random_piece(rng) for _ in range(int(rng.integers(1, 81)))]
+        assert concave_envelope(pieces).points == concave_envelope([union_all(pieces)]).points
+    assert concave_envelope([]).is_empty
+    assert concave_envelope([Frontier2D(())]).is_empty
 
 
 def test_csv_round_trip():
