@@ -3,7 +3,8 @@
 Subpackages:
     info_theory  -- finite-alphabet distributions, entropy, mutual information
     polytope     -- exact rational inequality systems, Fourier-Motzkin
-                    elimination, 2-D frontier geometry
+                    elimination, projection through a cached integer
+                    projection cone, 2-D frontier geometry
     dmc_regions  -- discrete memoryless inner bound, regime checks, capacity
                     regions, encoding-system cross verification
     gaussian     -- closed-form Gaussian regions and log-det MI

@@ -416,7 +416,8 @@ def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
-    return project_to_frontier(inner_bound_system(aux, chan), "R1", "R2")
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
+    return _frontier(_rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
 #: variables eliminated when projecting the encoding/decoding system

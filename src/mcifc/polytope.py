@@ -5,6 +5,10 @@ Inequality systems use exact `fractions.Fraction` arithmetic; float constants
 (e.g. mutual-information values) are rationalized on a 1e-12 grid before they
 enter a system, so elimination is exact relative to its inputs. Float drift
 inside Fourier-Motzkin is the classic failure mode this avoids.
+`fme_project` projects through a projection cone: the extreme rays of the
+Farkas multipliers that cancel the eliminated variables, found once per
+integer coefficient matrix by Fourier-Motzkin elimination and cached. Each
+call then sums those rays against the system's bounds in exact integers.
 
 Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
@@ -18,9 +22,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 # Grid used when converting float constants to exact rationals.
@@ -197,68 +201,115 @@ def fme_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     return IneqSystem(variables, tuple(_dedupe(new)))
 
 
+@lru_cache(maxsize=64)  # the coding system of dmc_regions needs one entry
+def _projection_cone(variables: tuple[str, ...], keep: tuple[str, ...],
+                     int_coeff_rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """Extreme rays of the projection cone {lam >= 0 : lam . A_elim = 0} of
+    integer coefficient rows A (one column per variable), where A_elim holds
+    the columns outside `keep`. By Farkas' lemma the projection of
+    {A x <= b} onto `keep` is {lam . A_keep . x <= lam . b} over these rays,
+    whatever the bounds b.
+
+    Each row runs through Fourier-Motzkin elimination together with its
+    multiplier vector lam. A combination whose support exceeds (eliminated +
+    1) rows is dropped (Chernikov's rule), and so is every row whose support
+    contains another row's (the minimal-support test): what is left after
+    each step is exactly the extreme rays of the partial cone, each unique up
+    to scale. A ray is a sparse tuple of (row index, multiplier).
+
+    Returns (constant, directions): the rays with lam . A_keep = 0, and one
+    (d, scale, rays) per gcd-reduced direction d, each of its rays scaled so
+    that lam . A_keep = scale * d.
+    """
+    n, m = len(variables), len(int_coeff_rows)
+    # a row is its coefficients followed by its multipliers, with the
+    # support bitmask of the multipliers
+    rows = [(coeffs + tuple(int(i == k) for k in range(m)), 1 << i)
+            for i, coeffs in enumerate(int_coeff_rows)]
+    remaining = [j for j, v in enumerate(variables) if v not in keep]
+    eliminated = 0
+    while remaining:
+        def pairing_cost(j):
+            p = sum(row[j] > 0 for row, _ in rows)
+            q = sum(row[j] < 0 for row, _ in rows)
+            return p * q - p - q
+        j = min(remaining, key=pairing_cost)
+        remaining.remove(j)
+        eliminated += 1
+        new = [r for r in rows if r[0][j] == 0]
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        for p, sp in pos:
+            for q, sq in neg:
+                support = sp | sq
+                if support.bit_count() > eliminated + 1:
+                    continue
+                a, b = p[j], -q[j]
+                row = [b * x + a * y for x, y in zip(p, q)]
+                g = math.gcd(*row)
+                new.append((tuple(v // g for v in row), support))
+        new.sort(key=lambda r: r[1].bit_count())
+        rows = []
+        for row, support in new:
+            if all(s & support != s for _, s in rows):
+                rows.append((row, support))
+
+    cols = [j for j, v in enumerate(variables) if v in keep]
+    constant = []
+    by_direction: dict[tuple[int, ...], list] = {}
+    for row, _ in rows:
+        lam = tuple((i, c) for i, c in enumerate(row[n:]) if c)
+        k = tuple(row[j] for j in cols)
+        g = math.gcd(*k)
+        if g == 0:
+            constant.append(lam)
+        else:
+            by_direction.setdefault(tuple(c // g for c in k), []).append((g, lam))
+    directions = []
+    for d, rays in by_direction.items():
+        scale = math.lcm(*(g for g, _ in rays))
+        directions.append((d, scale, tuple(
+            tuple((i, c * (scale // g)) for i, c in lam) for g, lam in rays)))
+    return tuple(constant), tuple(directions)
+
+
 def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
-    """Eliminate every variable outside `keep`.
+    """Exact projection of the feasible set onto the variables in `keep`,
+    through the cached projection cone of the system's coefficients.
 
-    Elimination order is chosen greedily to minimize the pos*neg pairing
-    count; the projection itself is order-independent. Each intermediate row
-    carries the set of original rows it combines, and rows whose history
-    exceeds (eliminated + 1) originals are dropped (they are always redundant,
-    Imbert's acceleration criterion).
-
-    No search for rows implied by pairs of other rows is made: the coding
-    system of `dmc_regions` starts at 21 rows and holds at most 19 after any
-    elimination step, too few for such a search to pay.
+    Each row is scaled by the lcm of its coefficient denominators, so the
+    cone depends on the integer coefficient matrix only and is built once
+    per matrix. Per call the bounds are brought to one common denominator
+    and each ray lam of the cone gives lam . A_keep . x <= lam . b exactly.
+    A constant ray with lam . b < 0 makes the system infeasible, returned as
+    the single row 0 <= -1. Otherwise the tightest bound of each direction
+    is kept.
     """
     keep_set = set(keep)
     unknown = keep_set - set(sys.variables)
     if unknown:
         raise ValueError(f"unknown variables {sorted(unknown)}")
-    rows: list[tuple[LinIneq, frozenset[int]]] = [
-        (iq, frozenset([i])) for i, iq in enumerate(sys.inequalities)
-    ]
-    remaining = [v for v in sys.variables if v not in keep_set]
-    eliminated = 0
-    while remaining:
-        # (variable, coefficient > 0) -> rows; stored coefficients are nonzero
-        signs = Counter((n, c > 0) for iq, _ in rows for n, c in iq.coeffs)
-
-        def pairing_cost(v):
-            p, n = signs[v, True], signs[v, False]
-            return p * n - p - n
-        var = min(remaining, key=pairing_cost)
-        remaining.remove(var)
-        eliminated += 1
-        pos, neg, zero = [], [], []
-        for iq, hist in rows:
-            c = iq.coeff(var)
-            (pos if c > 0 else neg if c < 0 else zero).append((iq, hist))
-        new = list(zero)
-        for p, hp in pos:
-            for n, hn in neg:
-                hist = hp | hn
-                if len(hist) > eliminated + 1:
-                    continue
-                new.append((_combine(p, n, var), hist))
-        best: dict[tuple, tuple[LinIneq, frozenset[int]]] = {}
-        infeasible = None
-        for iq, hist in new:
-            if iq.is_trivially_true():
-                continue
-            if iq.is_infeasible():
-                infeasible = (LinIneq((), Fraction(-1)), hist)
-                break
-            key = iq.scaled_key()
-            cur = best.get(key)
-            if (cur is None or iq.scaled_bound() < cur[0].scaled_bound()
-                    or (iq.scaled_bound() == cur[0].scaled_bound() and len(hist) < len(cur[1]))):
-                best[key] = (iq, hist)
-        if infeasible is not None:
-            rows = [infeasible]
-            break
-        rows = list(best.values())
+    column = {v: j for j, v in enumerate(sys.variables)}
+    coeff_rows, bounds = [], []
+    for iq in sys.inequalities:
+        k = math.lcm(*(c.denominator for _, c in iq.coeffs))
+        row = [0] * len(column)
+        for name, c in iq.coeffs:
+            row[column[name]] = c.numerator * (k // c.denominator)
+        coeff_rows.append(tuple(row))
+        bounds.append((iq.bound.numerator * k, iq.bound.denominator))
     variables = tuple(v for v in sys.variables if v in keep_set)
-    return IneqSystem(variables, tuple(iq for iq, _ in rows))
+    constant, directions = _projection_cone(sys.variables, variables, tuple(coeff_rows))
+    den = math.lcm(*(q for _, q in bounds))
+    b = [p * (den // q) for p, q in bounds]
+    for lam in constant:
+        if sum(b[i] * c for i, c in lam) < 0:
+            return IneqSystem(variables, (LinIneq((), Fraction(-1)),))
+    rows = []
+    for d, scale, rays in directions:
+        best = min(sum(b[i] * c for i, c in lam) for lam in rays)
+        rows.append(LinIneq(tuple(zip(variables, d)), Fraction(best, scale * den)))
+    return IneqSystem(variables, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

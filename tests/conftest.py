@@ -1,10 +1,13 @@
 """Shared builders for the test suite."""
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mcifc.info_theory import DmcChannel
-from mcifc.polytope import Frontier2D, frontier_union
+from mcifc.polytope import Frontier2D, IneqSystem, LinIneq, _combine, frontier_union
 
 
 def random_channel(rng, x1=2, x2=2, outputs=(("Y1", 2), ("Z1", 2)), alpha=1.0):
@@ -79,6 +82,66 @@ def union_all(frontiers):
             for i in range(0, len(items), 2)
         ]
     return items[0]
+
+
+def imbert_fme_project(sys, keep):
+    """Fourier-Motzkin projection onto `keep` in `Fraction` arithmetic, one
+    variable at a time, as an oracle for the projection cone of `fme_project`.
+
+    Elimination order is chosen greedily to minimize the pos*neg pairing
+    count. Each intermediate row carries the set of original rows it
+    combines, and rows whose history exceeds (eliminated + 1) originals are
+    dropped (Imbert's acceleration criterion). Each step keeps the tightest
+    row per positively scaled direction; an infeasible system is the single
+    row 0 <= -1.
+    """
+    keep_set = set(keep)
+    unknown = keep_set - set(sys.variables)
+    if unknown:
+        raise ValueError(f"unknown variables {sorted(unknown)}")
+    rows = [(iq, frozenset([i])) for i, iq in enumerate(sys.inequalities)]
+    remaining = [v for v in sys.variables if v not in keep_set]
+    eliminated = 0
+    while remaining:
+        # (variable, coefficient > 0) -> rows; stored coefficients are nonzero
+        signs = Counter((n, c > 0) for iq, _ in rows for n, c in iq.coeffs)
+
+        def pairing_cost(v):
+            p, n = signs[v, True], signs[v, False]
+            return p * n - p - n
+        var = min(remaining, key=pairing_cost)
+        remaining.remove(var)
+        eliminated += 1
+        pos, neg, zero = [], [], []
+        for iq, hist in rows:
+            c = iq.coeff(var)
+            (pos if c > 0 else neg if c < 0 else zero).append((iq, hist))
+        new = list(zero)
+        for p, hp in pos:
+            for n, hn in neg:
+                hist = hp | hn
+                if len(hist) > eliminated + 1:
+                    continue
+                new.append((_combine(p, n, var), hist))
+        best = {}
+        infeasible = None
+        for iq, hist in new:
+            if iq.is_trivially_true():
+                continue
+            if iq.is_infeasible():
+                infeasible = (LinIneq((), Fraction(-1)), hist)
+                break
+            key = iq.scaled_key()
+            cur = best.get(key)
+            if (cur is None or iq.scaled_bound() < cur[0].scaled_bound()
+                    or (iq.scaled_bound() == cur[0].scaled_bound() and len(hist) < len(cur[1]))):
+                best[key] = (iq, hist)
+        if infeasible is not None:
+            rows = [infeasible]
+            break
+        rows = list(best.values())
+    variables = tuple(v for v in sys.variables if v in keep_set)
+    return IneqSystem(variables, tuple(iq for iq, _ in rows))
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ from mcifc.polytope import (
     IneqSystem,
     LinIneq,
     UnboundedRegionError,
+    _projection_cone,
+    fme_project,
     frontier_contains,
     project_to_frontier,
     region_equal,
@@ -22,6 +24,7 @@ from mcifc.polytope import (
 from mcifc import dmc_regions as dr
 
 from conftest import (
+    imbert_fme_project,
     random_channel,
     shared_law_channel,
     union_all,
@@ -143,11 +146,12 @@ def _outcome(project, rows):
 
 
 def test_integer_frontier_matches_rational_projection():
-    # every coefficient shape the per-distribution regions use
+    # every coefficient shape the per-distribution regions and the inner
+    # bound use
     table_rows = [row for rows in dr._REGIONS.values() for row in rows]
-    table_rows += [*dr._FULL_DECODE.values(), *dr._MP_MIXED.values()]
+    table_rows += [*dr._FULL_DECODE.values(), *dr._MP_MIXED.values(), *dr._INNER_BOUND]
     shapes = sorted({tuple(sorted(coeffs.items())) for coeffs, _ in table_rows})
-    assert len(shapes) == 3
+    assert len(shapes) == 4
     rng = np.random.default_rng(31)
 
     def bound():
@@ -236,8 +240,6 @@ def test_verify_fme_degenerate_aux():
 
 
 def test_verify_fme_detects_corruption(rng):
-    from mcifc.polytope import fme_project
-
     # find an instance with a solidly nonempty region on which the baseline
     # verification holds, then tighten the pure-R1 row; the comparison must
     # flag the mutated system
@@ -276,8 +278,6 @@ def test_projection_never_exceeds_inequality_region():
     (its binning cost exceeds its decoding budget) and the exact projection is
     strictly smaller than the inequality-list region; it is never larger.
     The first such draw under this stream sits at index 116."""
-    from mcifc.polytope import fme_project
-
     rng = np.random.default_rng(0)
     found_strict = False
     for i in range(120):
@@ -328,8 +328,6 @@ def test_verify_fme_on_nonempty_regions(rng):
     assert multi_point >= 50
     # a little Dirichlet mass makes the covering costs positive: the
     # projection may then be strictly smaller, but never larger
-    from mcifc.polytope import fme_project
-
     strictly_smaller = 0
     for _ in range(40):
         aux = superposition_aux(rng, 0.2 * (1.0 - rng.random()))  # t in (0, 0.2]
@@ -341,6 +339,52 @@ def test_verify_fme_on_nonempty_regions(rng):
         assert frontier_contains(direct, via_fme, 1e-9)
         strictly_smaller += not frontier_contains(via_fme, direct, 1e-9)
     assert strictly_smaller >= 1
+
+
+def _verify_fme_stream(seed):
+    """The (aux, chan) draws of `mcifc verify-fme --seed SEED`."""
+    rng = np.random.default_rng(seed)
+    while True:
+        aux = dr.AuxAssignment(sample_input_dist(
+            [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
+        ))
+        probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
+        yield aux, DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
+
+
+def test_fme_project_matches_imbert_oracle_on_coding_systems():
+    stream = _verify_fme_stream(0)
+    draws = [next(stream) for _ in range(200)]
+    rng = np.random.default_rng(9)
+    for k in range(240):
+        t = 0.0 if k % 2 else 0.2 * (1.0 - rng.random())  # t in (0, 0.2]
+        draws.append((superposition_aux(rng, t), random_channel(rng)))
+    nonempty = 0
+    for aux, chan in draws:
+        system = dr.coding_constraint_system(aux, chan)
+        got = project_to_frontier(fme_project(system, ("R1", "R2")), "R1", "R2")
+        want = project_to_frontier(imbert_fme_project(system, ("R1", "R2")), "R1", "R2")
+        assert got.points == want.points
+        nonempty += not got.is_empty
+    assert nonempty >= 100
+
+
+def test_coding_system_projection_cone_structure(rng):
+    system = dr.coding_constraint_system(superposition_aux(rng), random_channel(rng))
+    _projection_cone.cache_clear()
+    fme_project(system, ("R1", "R2"))
+    # the coding system has integer coefficients, so this is the cone's key
+    matrix = tuple(tuple(int(iq.coeff(v)) for v in system.variables) for iq in system.inequalities)
+    assert len(matrix) == 21 and len(system.variables) == 9
+    constant, directions = _projection_cone(system.variables, ("R1", "R2"), matrix)
+    assert _projection_cone.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # extreme rays of a pointed cone are unique up to scale: a drifting count
+    # means the minimal-support rule broke
+    assert len(constant) == 39
+    assert sum(len(rays) for _, _, rays in directions) == 54
+    shapes = {(c.get("R1", 0), c.get("R2", 0)) for c, _ in dr._INNER_BOUND}
+    assert shapes == {(1, 0), (0, 1), (1, 1), (1, 2)}
+    assert {d for d, _, _ in directions} == shapes | {(-1, 0), (0, -1)}
 
 
 def test_verify_fme_requires_single_pair(rng):

@@ -9,6 +9,7 @@ from mcifc.polytope import (
     IneqSystem,
     LinIneq,
     UnboundedRegionError,
+    _projection_cone,
     _upper_hull,
     concave_envelope,
     fme_eliminate,
@@ -21,7 +22,7 @@ from mcifc.polytope import (
     region_equal,
 )
 
-from conftest import union_all
+from conftest import imbert_fme_project, union_all
 
 
 def box(r2_cap, r1_cap):
@@ -97,8 +98,8 @@ def test_fme_matches_sampling_oracle():
     assert True
 
 
-def test_fme_project_order_independent():
-    rng = np.random.default_rng(3)
+def _dense_system(rng):
+    """Ten dense integer rows over five variables, boxed in [0, 9]."""
     names = ["r1", "r2", "u", "v", "w"]
     rows = []
     for _ in range(10):
@@ -108,7 +109,12 @@ def test_fme_project_order_independent():
         rows.append((coeffs, int(rng.integers(0, 8))))
     rows += [({n: -1}, 0) for n in names]
     rows += [({n: 1}, 9) for n in names]  # keep the projection bounded
-    sys = IneqSystem.build(names, rows)
+    return IneqSystem.build(names, rows)
+
+
+def test_fme_project_order_independent():
+    rng = np.random.default_rng(3)
+    sys = _dense_system(rng)
     fr_a = project_to_frontier(fme_project(sys, ["r1", "r2"]), "r1", "r2")
     manual = sys
     for var in ["w", "u", "v"]:
@@ -314,24 +320,29 @@ def test_empty_projection_is_valid_system():
     assert out.inequalities == ()
 
 
-def test_chained_elimination_matches_batched_projection():
-    # the batched projector adds a history-based redundancy filter; chained
-    # single-variable elimination must reach the same region (systems sized
-    # to the intended envelope: few variables, sparse rows)
-    rng = np.random.default_rng(11)
+def _sparse_system(rng):
+    """Nine integer rows of at most three variables each over five
+    variables, boxed in [0, 8]."""
     names = ["r1", "r2", "s", "t", "u"]
+    rows = []
+    for _ in range(9):
+        picks = rng.choice(5, size=3, replace=False)
+        coeffs = {
+            names[k]: int(rng.integers(-2, 3)) for k in picks
+        }
+        coeffs = {n: c for n, c in coeffs.items() if c != 0}
+        rows.append((coeffs, int(rng.integers(0, 7))))
+    rows += [({n: -1}, 0) for n in names]
+    rows += [({n: 1}, 8) for n in names]
+    return IneqSystem.build(names, rows)
+
+
+def test_chained_elimination_matches_batched_projection():
+    # the batched projector sums the rays of a projection cone; chained
+    # single-variable elimination must reach the same region
+    rng = np.random.default_rng(11)
     for _ in range(6):
-        rows = []
-        for _ in range(9):
-            picks = rng.choice(5, size=3, replace=False)
-            coeffs = {
-                names[k]: int(rng.integers(-2, 3)) for k in picks
-            }
-            coeffs = {n: c for n, c in coeffs.items() if c != 0}
-            rows.append((coeffs, int(rng.integers(0, 7))))
-        rows += [({n: -1}, 0) for n in names]
-        rows += [({n: 1}, 8) for n in names]
-        sys = IneqSystem.build(names, rows)
+        sys = _sparse_system(rng)
         batched = project_to_frontier(fme_project(sys, ["r1", "r2"]), "r1", "r2")
         chained = sys
         for var in ["s", "t", "u"]:
@@ -353,22 +364,27 @@ def _has_witness(sys, point, free):
     return not project_to_frontier(sub, *free).is_empty
 
 
-def test_fme_project_on_systems_past_48_rows():
-    # whichever variable fme_project eliminates first, the system it holds
-    # after that step has more than 48 rows, far more than the 19 the coding
-    # system of dmc_regions reaches: no row-count threshold may change the
-    # projection
-    rng = np.random.default_rng(0)
+def _past_48_system(rng):
+    """Eighteen dense integer rows over four variables, boxed in [0, 9]:
+    eliminating either of s and t first leaves more than 48 rows."""
     names = ["r1", "r2", "s", "t"]
+    rows = []
+    for _ in range(18):
+        coeffs = {n: int(c) for n, c in zip(names, rng.integers(-3, 4, size=4)) if c != 0}
+        rows.append((coeffs, int(rng.integers(0, 12))))
+    rows += [({n: -1}, 0) for n in names]
+    rows += [({n: 1}, 9) for n in names]
+    return IneqSystem.build(names, rows)
+
+
+def test_fme_project_on_systems_past_48_rows():
+    # whichever variable is eliminated first, the system after that step has
+    # more than 48 rows, far more than the 19 the coding system of
+    # dmc_regions reaches: no row-count threshold may change the projection
+    rng = np.random.default_rng(0)
     hits = 0
     for _ in range(3):
-        rows = []
-        for _ in range(18):
-            coeffs = {n: int(c) for n, c in zip(names, rng.integers(-3, 4, size=4)) if c != 0}
-            rows.append((coeffs, int(rng.integers(0, 12))))
-        rows += [({n: -1}, 0) for n in names]
-        rows += [({n: 1}, 9) for n in names]
-        sys = IneqSystem.build(names, rows)
+        sys = _past_48_system(rng)
         assert min(len(fme_eliminate(sys, v)) for v in ("s", "t")) > 48
         proj = fme_project(sys, ["r1", "r2"])
         chained = fme_eliminate(fme_eliminate(sys, "s"), "t")
@@ -462,7 +478,9 @@ def _random_two_variable_system(rng, trial):
     return IneqSystem.build(["r1", "r2"], rows)
 
 
-def _random_fme_system(rng):
+def _rational_system(rng):
+    """Eight rows with rational coefficients and rationalized float bounds
+    over five variables, boxed."""
     names = ["r1", "r2", "s", "t", "u"]
     rows = []
     for _ in range(8):
@@ -472,7 +490,7 @@ def _random_fme_system(rng):
         rows.append((coeffs, rationalize(rng.uniform(0, 6))))
     rows += [({n: -1}, 0) for n in names]
     rows += [({n: 1}, int(rng.integers(3, 9))) for n in names]
-    return fme_project(IneqSystem.build(names, rows), ["r1", "r2"])
+    return IneqSystem.build(names, rows)
 
 
 def _outcome(project, sys):
@@ -485,7 +503,7 @@ def _outcome(project, sys):
 def test_project_matches_fraction_reference():
     rng = np.random.default_rng(20)
     systems = [_random_two_variable_system(rng, t) for t in range(240)]
-    systems += [_random_fme_system(rng) for _ in range(40)]
+    systems += [fme_project(_rational_system(rng), ["r1", "r2"]) for _ in range(40)]
     kinds = {"unbounded": 0, "empty": 0, "vertices": 0}
     for sys in systems:
         got = _outcome(project_to_frontier, sys)
@@ -493,6 +511,63 @@ def test_project_matches_fraction_reference():
         kinds["unbounded" if got == "unbounded" else "vertices" if got else "empty"] += 1
     # every outcome is exercised, most systems have a frontier
     assert kinds["unbounded"] >= 20 and kinds["empty"] >= 20 and kinds["vertices"] >= 150, kinds
+
+
+def _projected(project, sys):
+    """Frontier of the (r1, r2) projection of `sys`, or "unbounded"."""
+    return _outcome(project_to_frontier, project(sys, ["r1", "r2"]))
+
+
+@pytest.mark.parametrize("build, count", [
+    (_dense_system, 60), (_sparse_system, 60), (_past_48_system, 8), (_rational_system, 80),
+])
+def test_fme_project_matches_imbert_oracle(build, count):
+    # each system has its own coefficient matrix, so each builds a new cone
+    rng = np.random.default_rng(40)
+    nonempty = 0
+    for _ in range(count):
+        sys = build(rng)
+        got = _projected(fme_project, sys)
+        assert got == _projected(imbert_fme_project, sys), sys
+        nonempty += bool(got)
+    assert nonempty >= count // 2
+
+
+def test_projection_cone_is_cached_on_coefficients_only():
+    rng = np.random.default_rng(41)
+    sys = _rational_system(rng)
+    _projection_cone.cache_clear()
+    assert _projected(fme_project, sys) == _projected(imbert_fme_project, sys)
+    assert _projection_cone.cache_info()[:2] == (0, 1)  # (hits, misses)
+    # the same coefficients under other bounds reuse the cone
+    kinds = set()
+    for k in range(1, 41):
+        rebound = IneqSystem(sys.variables, tuple(
+            LinIneq(iq.coeffs, iq.bound + rationalize(rng.uniform(-2, 2))) for iq in sys.inequalities))
+        got = _projected(fme_project, rebound)
+        assert got == _projected(imbert_fme_project, rebound), rebound
+        assert _projection_cone.cache_info()[:2] == (k, 1)
+        kinds.add(bool(got))
+    assert kinds == {False, True}  # some empty, some not
+    # one changed coefficient builds a new cone
+    first, *rest = sys.inequalities
+    changed = IneqSystem(sys.variables, (
+        LinIneq(first.coeffs + (("r1", first.coeff("r1") + 1),), first.bound), *rest))
+    assert _projected(fme_project, changed) == _projected(imbert_fme_project, changed)
+    assert _projection_cone.cache_info()[:2] == (40, 2)
+
+
+def test_fme_project_contract():
+    # x + s <= 1, s <= 1 and s >= 2
+    sys = IneqSystem.build(["x", "s"], [({"x": 1, "s": 1}, 1), ({"s": 1}, 1), ({"s": -1}, -2)])
+    with pytest.raises(ValueError, match="unknown variables"):
+        fme_project(sys, ["x", "y"])
+    # an infeasible system projects to the single row 0 <= -1
+    assert fme_project(sys, ["x"]) == IneqSystem(("x",), (LinIneq((), Fraction(-1)),))
+    assert imbert_fme_project(sys, ["x"]) == fme_project(sys, ["x"])
+    # with nothing to eliminate, rows keep their tightest bound per direction
+    kept = fme_project(IneqSystem.build(["x"], [({"x": 2}, 3), ({"x": 1}, 2), ({}, 1)]), ["x"])
+    assert kept == IneqSystem(("x",), (LinIneq.of({"x": 1}, Fraction(3, 2)),))
 
 
 def _reference_value(f, q):
