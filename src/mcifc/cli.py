@@ -23,7 +23,6 @@ import jsonschema
 
 from . import dmc_regions, dpc, gaussian
 from .info_theory import DmcChannel, sample_input_dist
-from .polytope import Frontier2D
 
 _NUMBER = {"type": "number"}
 _POWER = {"type": "number", "minimum": 0}
@@ -171,8 +170,13 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _write_frontier(frontier: Frontier2D, path: str) -> None:
-    Path(path).write_text(frontier.to_csv_text())
+def _write_artifact(path: str | Path, text: str) -> None:
+    """Write one artifact file; a path that cannot be written is a
+    validation error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_classify(args) -> int:
@@ -208,7 +212,7 @@ def _cmd_region(args) -> int:
         frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid)
     else:
         raise CliValidationError("channel is outside every covered regime")
-    _write_frontier(frontier, args.out)
+    _write_artifact(args.out, frontier.to_csv_text())
     _emit({"regime": regime, "points": len(frontier.points), "out": args.out})
     return 0
 
@@ -216,7 +220,9 @@ def _cmd_region(args) -> int:
 def _cmd_dpc_compare(args) -> int:
     doc = _load_json(args.infile, DPC_SCHEMA)
     cfg = dpc.DpcConfig.from_json_dict(doc)
-    rows = dpc.comparison_sweep(cfg, eta_grid=args.grid, out_path=args.out)
+    rows = dpc.comparison_sweep(cfg, eta_grid=args.grid)
+    for path, text in dpc.sweep_artifacts(cfg, rows, args.out):
+        _write_artifact(path, text)
     strict = max(r["R2_md"] - r["R2_cd"] for r in rows)
     _emit({
         "rows": len(rows),
@@ -233,14 +239,17 @@ def _cmd_dpc_compare(args) -> int:
 def _cmd_verify_fme(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
-    for idx in range(args.samples):
-        aux = dmc_regions.AuxAssignment(sample_input_dist(
-            [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
-        ))
-        probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
-        chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
-        if not dmc_regions.verify_fme_inner_bound(aux, chan):
-            failures.append(idx)
+    # drawn a chunk at a time, each instance's aux joint before its channel
+    for start in range(0, args.samples, dmc_regions._CHUNK_CAP):
+        auxes, chans = [], []
+        for _ in range(min(dmc_regions._CHUNK_CAP, args.samples - start)):
+            auxes.append(dmc_regions.AuxAssignment(sample_input_dist(
+                [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
+            )))
+            probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
+            chans.append(DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs))
+        held = dmc_regions.verify_fme_inner_bounds(auxes, chans)
+        failures += [start + k for k, ok in enumerate(held) if not ok]
     report = {
         "instances": args.samples,
         "passes": args.samples - len(failures),
@@ -248,7 +257,7 @@ def _cmd_verify_fme(args) -> int:
         "seed": args.seed,
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+        _write_artifact(args.out, json.dumps(report, indent=1) + "\n")
     _emit(report)
     return 0 if not failures else 2
 
@@ -281,7 +290,7 @@ def _cmd_dmc_capacity(args) -> int:
     frontier = dmc_regions.dmc_capacity_region(
         chan, klass, args.regime, search, partition=partition, report=report,
     )
-    _write_frontier(frontier, args.out)
+    _write_artifact(args.out, frontier.to_csv_text())
     _emit({
         "report": report.to_json_dict(),
         "search": search.to_json_dict(),
@@ -299,7 +308,7 @@ def _cmd_counterexample(args) -> int:
         return 0
     doc = witness.to_json_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        _write_artifact(args.out, json.dumps(doc, indent=1) + "\n")
     _emit({
         "found": True,
         "receiver": witness.receiver,

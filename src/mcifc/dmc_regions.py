@@ -4,6 +4,13 @@ checks, the regime-specific capacity regions, cross-verification of the inner
 bound against its encoding/decoding constraint system, and the search for
 channels that satisfy the very-strong conditions while violating the weak one.
 
+Every information expression is a row of a table of signed MI terms,
+evaluated by one evaluator over a stack of joints. The cross-verification
+runs a stack of instances, each auxiliary joint with its own channel, in
+lockstep: both of its tables are evaluated on one batch, and the coding
+bounds go on the 1e-12 grid straight into the cached projection cone of
+`polytope.project_bounds`.
+
 Regime conditions quantify over *all* input distributions; the checkers here
 falsify by Dirichlet sampling plus a coarse deterministic simplex grid. A pass
 therefore means "no violation found", never a proof of membership.
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -35,14 +42,17 @@ from .info_theory import (
     stack_entropy,
 )
 from .polytope import (
+    RATIONALIZE_GRAIN,
     Frontier2D,
     IneqSystem,
     concave_envelope,
-    fme_project,
+    fme_project,  # noqa: F401  (perfbench/harness.py traces it here)
     frontier_union,  # noqa: F401  (perfbench/harness.py traces it here)
+    grid_bound,
     grid_row,
     integer_frontier,
-    project_to_frontier,
+    project_bounds,
+    project_to_frontier,  # noqa: F401  (perfbench/harness.py traces it here)
     region_equal,
 )
 
@@ -72,7 +82,8 @@ class AuxAssignment:
     joint: JointDist
 
     def __post_init__(self):
-        missing = [n for n in AUX_NAMES + ("X1", "X2") if n not in self.joint.names]
+        names = self.joint.names
+        missing = [n for n in AUX_NAMES + ("X1", "X2") if n not in names]
         if missing:
             raise AlphabetError(f"auxiliary joint lacks axes {missing}")
 
@@ -176,6 +187,13 @@ def _receiver_sets(chan: DmcChannel, strong=(), weak=()) -> dict:
     }
 
 
+# A batch holds at most this many joints, so at most _CHUNK_CAP * MAX_CELLS
+# cells. Regime checks and capacity regions take their input distributions in
+# chunks of 1, 2, 4, ... rows up to this many (a witness at depth 1 costs one
+# row); verify_fme_inner_bounds takes its instances this many at a time.
+_CHUNK_CAP = 64
+
+
 class _Batch:
     """A stack of joints (K, *shape) over the axes `names`, and the one
     evaluator of the MI tables on it. Each subset entropy and each MI term is
@@ -248,22 +266,64 @@ class _Batch:
         return total
 
 
-def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray, chan: DmcChannel) -> _Batch:
+def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
+             chan: DmcChannel | Sequence[DmcChannel]) -> _Batch:
     """Batch of the joints of a stack of input distributions over `axes`
     (which end with X1, X2) with the channel, each checked as JointDist
-    checks one joint: the same product as compose_with_channel."""
-    cells = inputs[0].size * int(np.prod([k for _, k in chan.outputs]))
+    checks one joint: the same product as compose_with_channel. `chan` is
+    one channel for every joint, or one channel per joint, all with the same
+    alphabets."""
+    if isinstance(chan, DmcChannel):
+        outputs, probs = chan.outputs, chan.probs
+    else:
+        # one channel per joint, broadcast over the auxiliary axes
+        outputs = chan[0].outputs
+        probs = np.stack([c.probs for c in chan])
+        probs = probs.reshape(probs.shape[:1] + (1,) * (len(axes) - 2) + probs.shape[1:])
+    cells = inputs[0].size * prod(k for _, k in outputs)
     if cells > MAX_CELLS:
         raise AlphabetError(
             f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
-    joints = inputs.reshape(inputs.shape + (1,) * len(chan.outputs)) * chan.probs
+    joints = inputs.reshape(inputs.shape + (1,) * len(outputs)) * probs
     # written so that NaN fails each comparison
     if not joints.min() >= 0:
         raise DistributionError(f"negative or NaN probability {joints.min():g}")
     worst = np.abs(joints.reshape(len(joints), -1).sum(axis=1) - 1.0).max()
     if not worst <= SUM_TOL:
         raise DistributionError(f"probabilities sum to 1 only within {worst:g}")
-    return _Batch([n for n, _ in tuple(axes) + chan.outputs], joints)
+    return _Batch([n for n, _ in tuple(axes) + outputs], joints)
+
+
+def _compose_each(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> list:
+    """Each joint composed with its own channel, as compose_with_channel
+    composes one: auxiliary axes first, in their order, then X1, X2 and the
+    outputs. Joints and channels of one alphabet share a batch; returns
+    (indices, batch, channel) per alphabet, with one of its channels."""
+    groups: dict = {}
+    for k, (joint, chan) in enumerate(zip(joints, chans, strict=True)):
+        x1, x2 = joint.axis_index("X1"), joint.axis_index("X2")
+        if joint.axes[x1][1] != chan.x1 or joint.axes[x2][1] != chan.x2:
+            raise AlphabetError(
+                f"input alphabet sizes ({joint.axes[x1][1]},{joint.axes[x2][1]}) do not "
+                f"match channel ({chan.x1},{chan.x2})")
+        order = tuple(i for i in range(len(joint.axes)) if i not in (x1, x2)) + (x1, x2)
+        axes = tuple(joint.axes[i] for i in order)
+        groups.setdefault((axes, chan.outputs), []).append((k, order))
+    out = []
+    for (axes, outputs), members in groups.items():
+        names = [n for n, _ in axes + outputs]
+        if len(set(names)) != len(names):
+            raise AlphabetError(f"duplicate axis names in {names}")
+        inputs = np.stack([joints[k].probs.transpose(order) for k, order in members])
+        batch = _compose(axes, inputs, [chans[k] for k, _ in members])
+        out.append(([k for k, _ in members], batch, chans[members[0][0]]))
+    return out
+
+
+def _compose_one(joint: JointDist, chan: DmcChannel) -> _Batch:
+    """The 1-joint batch of _compose_each."""
+    ((_, batch, _),) = _compose_each([joint], [chan])
+    return batch
 
 
 def _rows(batch: _Batch, sets: dict, table) -> list:
@@ -302,6 +362,9 @@ _INNER_BOUND = (
 
 _COMMON = (+1, "Q U", "X1", "Q1")
 
+#: variables eliminated when projecting the encoding/decoding system
+BINNING_VARS = ("T02", "T11", "T22", "R01", "R02", "R11", "R22")
+
 #: encoding and decoding rows of the constraint system, for one Y and one Z
 _CODING_SYSTEM = (
     # encoding: covering each bin must beat the correlation cost
@@ -319,6 +382,22 @@ _CODING_SYSTEM = (
     ({"T02": 1, "T11": 1}, ((+1, "X1 Q U", "Y", "Q1"), _COMMON)),
     ({"R01": 1, "T02": 1, "T11": 1}, ((+1, "Q1 X1 Q U", "Y", ""), _COMMON)),
 )
+
+#: the rest of the constraint system: the rate splits R1 = R01 + R11 and
+#: R2 = R02 + R22, and nonnegativity of every split and binning rate
+_CODING_LINEAR = (
+    ({"R1": 1, "R01": -1, "R11": -1}, 0),
+    ({"R1": -1, "R01": 1, "R11": 1}, 0),
+    ({"R2": 1, "R02": -1, "R22": -1}, 0),
+    ({"R2": -1, "R02": 1, "R22": 1}, 0),
+) + tuple(({v: -1}, 0) for v in BINNING_VARS)
+
+_CODING_VARS = ("R1", "R2") + BINNING_VARS
+
+#: integer coefficients of the constraint system's rows, one column per
+#: variable of _CODING_VARS: the key of its projection cone
+_CODING_MATRIX = tuple(tuple(coeffs.get(v, 0) for v in _CODING_VARS)
+                       for coeffs, _ in _CODING_SYSTEM + _CODING_LINEAR)
 
 
 def _gap(left: str, more: str, less: str, given: str = "") -> tuple:
@@ -410,18 +489,19 @@ _REGIONS = {
 
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
-    batch = _Batch.of(compose_with_channel(aux.joint, chan))
+    batch = _compose_one(aux.joint, chan)
     return IneqSystem.build(("R1", "R2"), _rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
-    batch = _Batch.of(compose_with_channel(aux.joint, chan))
+    batch = _compose_one(aux.joint, chan)
     return _frontier(_rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
-#: variables eliminated when projecting the encoding/decoding system
-BINNING_VARS = ("T02", "T11", "T22", "R01", "R02", "R11", "R22")
+def _check_single_pair(chan: DmcChannel) -> None:
+    if chan.n_primary != 1 or chan.n_secondary != 1:
+        raise RegimeError("constraint system is stated for exactly one Y and one Z")
 
 
 def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
@@ -431,38 +511,61 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     rate-split identities R1 = R01 + R11 and R2 = R02 + R22, and
     nonnegativity of every split/binning rate. Written for one Y and one Z.
     """
-    if chan.n_primary != 1 or chan.n_secondary != 1:
-        raise RegimeError("constraint system is stated for exactly one Y and one Z")
-    batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    rows = _rows(batch, _receiver_sets(chan), _CODING_SYSTEM)[0] + [
-        # rate splits
-        ({"R1": 1, "R01": -1, "R11": -1}, 0),
-        ({"R1": -1, "R01": 1, "R11": 1}, 0),
-        ({"R2": 1, "R02": -1, "R22": -1}, 0),
-        ({"R2": -1, "R02": 1, "R22": 1}, 0),
-    ]
-    rows += [({v: -1}, 0) for v in BINNING_VARS]
-    return IneqSystem.build(("R1", "R2") + BINNING_VARS, rows)
+    _check_single_pair(chan)
+    batch = _compose_one(aux.joint, chan)
+    rows = _rows(batch, _receiver_sets(chan), _CODING_SYSTEM)[0] + list(_CODING_LINEAR)
+    return IneqSystem.build(_CODING_VARS, rows)
+
+
+def _projected_frontier(bounds: list[int]) -> Frontier2D:
+    """Frontier of the constraint system projected onto (R1, R2), for its
+    bounds on the 1e-12 grid: the rows fme_project gives, each scaled to
+    integers, so that `integer_frontier` returns what project_to_frontier
+    returns for them."""
+    projected = project_bounds(_CODING_VARS, ("R1", "R2"), _CODING_MATRIX, bounds)
+    if projected is None:
+        return Frontier2D(())
+    g = RATIONALIZE_GRAIN
+    return integer_frontier([(d2 * scale * g, d1 * scale * g, best)
+                             for (d1, d2), scale, best in projected])
+
+
+def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment], chans: Sequence[DmcChannel],
+                            tol: float = 1e-9) -> list[bool]:
+    """For each instance (aux, chan), True iff the exact projection of the
+    constraint system is region-equal to the direct 11-inequality evaluation.
+
+    Up to _CHUNK_CAP instances at a time are composed into one batch per
+    alphabet, and both tables are evaluated on it, so each MI term they
+    share is computed once. The coding bounds are snapped to the 1e-12 grid as `rationalize`
+    snaps them and summed against the cached projection cone in integers.
+    """
+    held: list[bool] = [False] * len(auxes)
+    for start in range(0, len(auxes), _CHUNK_CAP):
+        chunk = slice(start, start + _CHUNK_CAP)
+        joints = [aux.joint for aux in auxes[chunk]]
+        for members, batch, chan in _compose_each(joints, chans[chunk]):
+            _check_single_pair(chan)
+            sets = _receiver_sets(chan)
+            direct = [_frontier(rows) for rows in _rows(batch, sets, _INNER_BOUND)]
+            bounds = [[grid_bound(b) for b in batch.value(sets, terms).tolist()]
+                      for _, terms in _CODING_SYSTEM]
+            linear = [grid_bound(b) for _, b in _CODING_LINEAR]
+            for k, region, mi_bounds in zip(members, direct, zip(*bounds)):
+                via_fme = _projected_frontier(list(mi_bounds) + linear)
+                held[start + k] = region_equal(region, via_fme, tol)
+    return held
 
 
 def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel, tol: float = 1e-9) -> bool:
     """True iff exact FME of the constraint system is region-equal to the
-    direct 11-inequality evaluation."""
-    direct = inner_bound_region(aux, chan)
-    projected = fme_project(coding_constraint_system(aux, chan), ("R1", "R2"))
-    via_fme = project_to_frontier(projected, "R1", "R2")
-    return region_equal(direct, via_fme, tol)
+    direct 11-inequality evaluation: the one-instance verify_fme_inner_bounds."""
+    return verify_fme_inner_bounds([aux], [chan], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # Regime conditions (sampled falsification checks)
 # ---------------------------------------------------------------------------
-
-
-# Regime checks and capacity regions take their input distributions in
-# chunks of 1, 2, 4, ... rows up to this many: a witness at depth 1 costs one
-# row, and a chunk's joints hold at most _CHUNK_CAP * MAX_CELLS cells.
-_CHUNK_CAP = 64
 
 
 @lru_cache(maxsize=None)  # keyed by (cells, step, cap); at most 2000 rows each

@@ -498,11 +498,18 @@ def comparison_sweep(
                half_log2(1.0 + etas * cfg.P2))
     rows = [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
     if out_path is not None:
-        out_path = Path(out_path)
-        lines = [",".join(SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(f"{row[c]:.12g}" for c in SWEEP_COLUMNS))
-        out_path.write_text("\n".join(lines) + "\n")
-        sidecar = out_path.with_suffix(out_path.suffix + ".json")
-        sidecar.write_text(json.dumps(cfg.to_json_dict(), indent=1) + "\n")
+        for path, text in sweep_artifacts(cfg, rows, out_path):
+            path.write_text(text)
     return rows
+
+
+def sweep_artifacts(cfg: DpcConfig, rows: list[dict], out_path: str | Path) -> list:
+    """(path, text) of the files a sweep writes: the CSV at `out_path`, then
+    the JSON sidecar with the configuration at `<out_path>.json`."""
+    out_path = Path(out_path)
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(f"{row[c]:.12g}" for c in SWEEP_COLUMNS))
+    sidecar = out_path.with_suffix(out_path.suffix + ".json")
+    return [(out_path, "\n".join(lines) + "\n"),
+            (sidecar, json.dumps(cfg.to_json_dict(), indent=1) + "\n")]

@@ -10,6 +10,7 @@ Every operation is a pure function, safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,7 +47,7 @@ def _check_axes(axes: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     for n, k in axes:
         if k < 1:
             raise AlphabetError(f"axis {n!r} has nonpositive size {k}")
-    cells = int(np.prod([k for _, k in axes], dtype=np.int64)) if axes else 1
+    cells = math.prod(k for _, k in axes)
     if cells > MAX_CELLS:
         raise AlphabetError(
             f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}"
@@ -139,7 +140,7 @@ class DmcChannel:
                 raise AlphabetError(f"output name {n!r} must start with Y or Z")
         if not self.y_names_of(outputs) or not self.z_names_of(outputs):
             raise AlphabetError("need at least one Y output and one Z output")
-        cells = self.x1 * self.x2 * int(np.prod([k for _, k in outputs], dtype=np.int64))
+        cells = self.x1 * self.x2 * math.prod(k for _, k in outputs)
         if cells > MAX_CELLS:
             raise AlphabetError(
                 f"channel tensor has {cells} cells, exceeding the cap of {MAX_CELLS}"
@@ -347,6 +348,6 @@ def sample_input_dist(
     axes = _check_axes(axes)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     shape = tuple(k for _, k in axes)
-    cells = int(np.prod(shape, dtype=np.int64))
+    cells = math.prod(shape)
     flat = rng.dirichlet(np.ones(cells))
     return JointDist(axes, flat.reshape(shape))

@@ -8,7 +8,9 @@ inside Fourier-Motzkin is the classic failure mode this avoids.
 `fme_project` projects through a projection cone: the extreme rays of the
 Farkas multipliers that cancel the eliminated variables, found once per
 integer coefficient matrix by Fourier-Motzkin elimination and cached. Each
-call then sums those rays against the system's bounds in exact integers.
+call then sums those rays against the system's bounds in exact integers
+(`project_bounds`), so a caller whose bounds are already integers, such as
+MI values on the 1e-12 grid, projects without building a system at all.
 
 Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
@@ -45,7 +47,12 @@ def rationalize(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(round(float(x) * RATIONALIZE_GRAIN), RATIONALIZE_GRAIN)
+    return Fraction(grid_bound(x), RATIONALIZE_GRAIN)
+
+
+def grid_bound(x: float) -> int:
+    """x in units of the 1e-12 grid, snapped to the nearest grid point."""
+    return round(float(x) * RATIONALIZE_GRAIN)
 
 
 def grid_row(a: int, b: int, c: float) -> tuple[int, int, int]:
@@ -53,7 +60,7 @@ def grid_row(a: int, b: int, c: float) -> tuple[int, int, int]:
     integer a and b: the row scaled by the grain, its bound snapped to the
     grid as `rationalize` snaps it."""
     g = RATIONALIZE_GRAIN
-    return a * g, b * g, round(float(c) * g)
+    return a * g, b * g, grid_bound(c)
 
 
 @dataclass(frozen=True)
@@ -273,6 +280,26 @@ def _projection_cone(variables: tuple[str, ...], keep: tuple[str, ...],
     return tuple(constant), tuple(directions)
 
 
+def project_bounds(variables: Sequence[str], keep: Sequence[str],
+                   coeff_rows: Sequence[tuple[int, ...]], bounds: Sequence[int]):
+    """Projection of {A x <= b} onto `keep`, for integer coefficient rows A
+    (`coeff_rows`, one column per variable) and integer bounds b, through
+    the cached projection cone of A; `keep` lists its variables in system
+    order.
+
+    Returns None when the system is infeasible, that is when a constant ray
+    lam has lam . b < 0. Otherwise returns one (d, scale, best) per direction
+    d of the cone, meaning scale * (d . x) <= best: the tightest lam . b over
+    the rays of that direction.
+    """
+    constant, directions = _projection_cone(tuple(variables), tuple(keep), tuple(coeff_rows))
+    for lam in constant:
+        if sum(bounds[i] * c for i, c in lam) < 0:
+            return None
+    return [(d, scale, min(sum(bounds[i] * c for i, c in lam) for lam in rays))
+            for d, scale, rays in directions]
+
+
 def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
     """Exact projection of the feasible set onto the variables in `keep`,
     through the cached projection cone of the system's coefficients.
@@ -280,10 +307,9 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
     Each row is scaled by the lcm of its coefficient denominators, so the
     cone depends on the integer coefficient matrix only and is built once
     per matrix. Per call the bounds are brought to one common denominator
-    and each ray lam of the cone gives lam . A_keep . x <= lam . b exactly.
-    A constant ray with lam . b < 0 makes the system infeasible, returned as
-    the single row 0 <= -1. Otherwise the tightest bound of each direction
-    is kept.
+    and `project_bounds` sums the cone's rays against them. An infeasible
+    system is returned as the single row 0 <= -1; otherwise each direction
+    keeps its tightest bound.
     """
     keep_set = set(keep)
     unknown = keep_set - set(sys.variables)
@@ -299,17 +325,14 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
         coeff_rows.append(tuple(row))
         bounds.append((iq.bound.numerator * k, iq.bound.denominator))
     variables = tuple(v for v in sys.variables if v in keep_set)
-    constant, directions = _projection_cone(sys.variables, variables, tuple(coeff_rows))
     den = math.lcm(*(q for _, q in bounds))
-    b = [p * (den // q) for p, q in bounds]
-    for lam in constant:
-        if sum(b[i] * c for i, c in lam) < 0:
-            return IneqSystem(variables, (LinIneq((), Fraction(-1)),))
-    rows = []
-    for d, scale, rays in directions:
-        best = min(sum(b[i] * c for i, c in lam) for lam in rays)
-        rows.append(LinIneq(tuple(zip(variables, d)), Fraction(best, scale * den)))
-    return IneqSystem(variables, tuple(rows))
+    projected = project_bounds(sys.variables, variables, coeff_rows,
+                               [p * (den // q) for p, q in bounds])
+    if projected is None:
+        return IneqSystem(variables, (LinIneq((), Fraction(-1)),))
+    return IneqSystem(variables, tuple(
+        LinIneq(tuple(zip(variables, d)), Fraction(best, scale * den))
+        for d, scale, best in projected))
 
 
 # ---------------------------------------------------------------------------

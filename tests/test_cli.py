@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from mcifc.cli import run
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def write(path: Path, doc: dict) -> str:
@@ -84,6 +87,43 @@ def test_verify_fme_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["passes"] == 4 and report["failures"] == []
     capsys.readouterr()
+
+
+def test_verify_fme_replays_benchmark_catalogue(tmp_path, capsys):
+    # every verify-fme case of the benchmark catalogue, against the exit code
+    # and failure list recorded with it
+    doc = json.loads(gzip.decompress((CATALOGUE / "fme-verify.json.gz").read_bytes()))
+    cases = doc["kinds"]["verify-fme"]
+    assert len(cases) == 20
+    mismatches = 0
+    for case in cases:
+        out = tmp_path / f"{case['id']}.json"
+        argv = [str(out) if a == "{out}" else a for a in case["argv"]]
+        ref = case["reference"]
+        assert run(argv) == ref["exit"], case["id"]
+        report = json.loads(out.read_text())
+        assert report["instances"] == ref["instances"], case["id"]
+        assert report["failures"] == ref["failures"], case["id"]
+        mismatches += len(report["failures"])
+    assert mismatches == 3  # seed 3 index 51, seed 4 index 35, seed 18 index 57
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-fme", "--samples", "2"],
+    ["region", "--in", "{wi}", "--grid", "5"],
+    ["dpc-compare", "--in", "{dpc}", "--grid", "3"],
+    ["counterexample", "--budget", "4", "--seed", "42"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_validation_error(argv, wi_chan, tmp_path, capsys):
+    dpc = write(tmp_path / "dpc.json", {"P1": 3.0, "P2": 1.0, "a1": 0.75, "a2": -0.5, "b": 0.1})
+    out = tmp_path / "missing" / "dir" / "out"
+    argv = [{"{wi}": wi_chan, "{dpc}": dpc}.get(a, a) for a in argv] + ["--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(f"cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_dmc_capacity_pass_and_fail(tmp_path, capsys):

@@ -242,8 +242,9 @@ def test_verify_fme_degenerate_aux():
 def test_verify_fme_detects_corruption(rng):
     # find an instance with a solidly nonempty region on which the baseline
     # verification holds, then tighten the pure-R1 row; the comparison must
-    # flag the mutated system
-    while True:
+    # flag the mutated system. The fixture's stream first holds one at draw
+    # 2715, so a verification that never holds fails here instead of hanging
+    for _ in range(4000):
         aux = dr.AuxAssignment(sample_input_dist(
             [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
         ))
@@ -253,6 +254,8 @@ def test_verify_fme_detects_corruption(rng):
         if (not fr.is_empty and fr.value(0.0) > 0.08
                 and dr.verify_fme_inner_bound(aux, chan)):
             break
+    else:
+        pytest.fail("no verified instance with a solidly nonempty region in 4000 draws")
     top = fr.value(0.0)
     rows = list(direct.inequalities)
     corrupted_rows = []
@@ -367,6 +370,52 @@ def test_fme_project_matches_imbert_oracle_on_coding_systems():
         assert got.points == want.points
         nonempty += not got.is_empty
     assert nonempty >= 100
+
+
+def test_lockstep_verification_matches_exact_references():
+    # 130 instances, so the stack spans three chunks: the first 60 draws of
+    # `verify-fme --seed 3` (index 51 is a documented mismatch), 28
+    # superposition-structured draws, two with a ternary X2 (a batch of their
+    # own), and the first 40 draws of `--seed 4` (index 35 is one too)
+    seed3, seed4 = _verify_fme_stream(3), _verify_fme_stream(4)
+    draws = [next(seed3) for _ in range(60)]
+    rng = np.random.default_rng(17)
+    for k in range(28):
+        t = 0.0 if k % 2 else 0.2 * (1.0 - rng.random())  # t in (0, 0.2]
+        draws.append((superposition_aux(rng, t), random_channel(rng)))
+    for _ in range(2):
+        aux = dr.AuxAssignment(sample_input_dist(
+            [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 3)], rng
+        ))
+        draws.append((aux, random_channel(rng, x2=3, outputs=(("Y1", 3), ("Z1", 2)))))
+    draws += [next(seed4) for _ in range(40)]
+    assert len(draws) == 130 > 2 * dr._CHUNK_CAP
+
+    held = dr.verify_fme_inner_bounds([a for a, _ in draws], [c for _, c in draws])
+    failures = [k for k, ok in enumerate(held) if not ok]
+    assert [k for k in failures if not 60 <= k < 90] == [51, 90 + 35]
+    # superposition draws with Dirichlet mass may project strictly smaller
+    assert any(60 <= k < 88 for k in failures)
+    nonempty = 0
+    for ok, (aux, chan) in zip(held, draws):
+        assert ok == dr.verify_fme_inner_bound(aux, chan)
+        direct = dr.inner_bound_region(aux, chan)
+        system = dr.coding_constraint_system(aux, chan)
+        for project in (fme_project, imbert_fme_project):
+            via = project_to_frontier(project(system, ("R1", "R2")), "R1", "R2")
+            assert ok == region_equal(direct, via, 1e-9)
+        nonempty += not direct.is_empty
+    assert nonempty >= 14  # the superposition draws at t = 0 at least
+
+
+def test_lockstep_verification_checks_every_channel(rng):
+    aux = [superposition_aux(rng) for _ in range(3)]
+    chans = [random_channel(rng), random_channel(rng),
+             random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2)))]
+    with pytest.raises(dr.RegimeError):
+        dr.verify_fme_inner_bounds(aux, chans)
+    with pytest.raises(ValueError):
+        dr.verify_fme_inner_bounds(aux, chans[:2])
 
 
 def test_coding_system_projection_cone_structure(rng):
