@@ -158,11 +158,6 @@ class SearchConfig:
         return {"samples": self.samples, "aux_card": self.aux_card,
                 "seed": self.seed}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SearchConfig":
-        return cls(int(doc.get("samples", 200)),
-                   doc.get("aux_card"), int(doc.get("seed", 0)))
-
 
 # ---------------------------------------------------------------------------
 # Information expressions as data, and their one evaluator
@@ -568,15 +563,19 @@ def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)  # keyed by (cells, step, cap); at most 2000 rows each
-def _simplex_grid(cells: int, step: int = 8, cap: int = 2000) -> np.ndarray:
-    """Compositions of `step` into `cells` parts, as the rows of a read-only
-    (n, cells) array of probability vectors.
+_GRID_STEP = 8
+_GRID_CAP = 2000
 
-    Has no rows when the grid would exceed `cap` points.
+
+@lru_cache(maxsize=None)  # keyed by cells; at most _GRID_CAP rows each
+def _simplex_grid(cells: int) -> np.ndarray:
+    """Compositions of `_GRID_STEP` into `cells` parts, as the rows of a
+    read-only (n, cells) array of probability vectors.
+
+    Has no rows when the grid would exceed `_GRID_CAP` points.
     """
     out = []
-    if comb(step + cells - 1, cells - 1) <= cap:
+    if comb(_GRID_STEP + cells - 1, cells - 1) <= _GRID_CAP:
 
         def rec(prefix, remaining, slots):
             if slots == 1:
@@ -585,8 +584,8 @@ def _simplex_grid(cells: int, step: int = 8, cap: int = 2000) -> np.ndarray:
             for k in range(remaining + 1):
                 rec(prefix + [k], remaining - k, slots - 1)
 
-        rec([], step, cells)
-    grid = np.array(out, dtype=float).reshape(len(out), cells) / step
+        rec([], _GRID_STEP, cells)
+    grid = np.array(out, dtype=float).reshape(len(out), cells) / _GRID_STEP
     grid.flags.writeable = False
     return grid
 
@@ -796,21 +795,17 @@ def dmc_capacity_region(
     regime: str,
     search: SearchConfig = SearchConfig(),
     partition: Sequence[Sequence[str]] | None = None,
-    report: RegimeReport | None = None,
+    *,
+    report: RegimeReport,
 ) -> Frontier2D:
     """Capacity region of a classified channel, as the convexified union of
     the per-regime region over gridded + sampled input distributions.
 
-    The caller must classify first: pass a passing RegimeReport, or leave
-    `report` as None to run a 200-sample check here. The sample stream is
+    The caller must classify first and pass the passing RegimeReport of
+    `check_regime` for this class and regime. The sample stream is
     prefix-stable in the budget, so a larger budget yields a superset.
     """
     _check_class(chan, klass)
-    if report is None:
-        report = check_regime(
-            chan, klass, regime, samples=200, aux_card=search.aux_card,
-            seed=search.seed, partition=partition,
-        )
     if not report.passed:
         raise RegimeError(
             f"regime check failed: {report.witness.condition} violated at "
@@ -871,20 +866,28 @@ class CounterexampleWitness:
         )
 
 
+# The fixed shape of the counterexample search: alphabet sizes of the
+# proposed channels and of U, the Dirichlet concentration of their laws, the
+# sample counts of the very-strong gates, of the weak-violation probe and of
+# the final very-strong check, and the margin a violation must exceed.
+CX_Y_CARD = 3
+CX_Z_CARD = 3
+CX_X1_CARD = 2
+CX_X2_CARD = 2
+CX_AUX_CARD = 5
+CX_DIRICHLET_ALPHA = 0.4
+CX_GATE_SCHEDULE = (24, 96, 384)
+CX_PD_SAMPLES = 400
+CX_FINAL_VSI_SAMPLES = 1500
+CX_MIN_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class CxSearchConfig:
+    """Budget (channels proposed) and seed of the counterexample search."""
+
     budget: int = 1000
     seed: int = 0
-    y_card: int = 3
-    z_card: int = 3
-    x1_card: int = 2
-    x2_card: int = 2
-    aux_card: int = 5
-    dirichlet_alpha: float = 0.4
-    gate_schedule: tuple[int, ...] = (24, 96, 384)
-    pd_samples: int = 400
-    final_vsi_samples: int = 1500
-    min_margin: float = 1e-6
 
     def __post_init__(self):
         if self.budget < 0:
@@ -892,14 +895,14 @@ class CxSearchConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "budget": self.budget, "seed": self.seed, "y_card": self.y_card,
-            "z_card": self.z_card, "x1_card": self.x1_card,
-            "x2_card": self.x2_card, "aux_card": self.aux_card,
-            "dirichlet_alpha": self.dirichlet_alpha,
-            "gate_schedule": list(self.gate_schedule),
-            "pd_samples": self.pd_samples,
-            "final_vsi_samples": self.final_vsi_samples,
-            "min_margin": self.min_margin,
+            "budget": self.budget, "seed": self.seed, "y_card": CX_Y_CARD,
+            "z_card": CX_Z_CARD, "x1_card": CX_X1_CARD,
+            "x2_card": CX_X2_CARD, "aux_card": CX_AUX_CARD,
+            "dirichlet_alpha": CX_DIRICHLET_ALPHA,
+            "gate_schedule": list(CX_GATE_SCHEDULE),
+            "pd_samples": CX_PD_SAMPLES,
+            "final_vsi_samples": CX_FINAL_VSI_SAMPLES,
+            "min_margin": CX_MIN_MARGIN,
         }
 
 
@@ -917,7 +920,7 @@ def weak_violation_margin(chan: DmcChannel, dist: JointDist) -> tuple[str, float
     return best
 
 
-def _propose_channel(cfg: CxSearchConfig, rng, structured: bool) -> DmcChannel:
+def _propose_channel(rng, structured: bool) -> DmcChannel:
     """Draw a two-primary candidate channel.
 
     Unstructured proposals are plain Dirichlet transition tensors. They
@@ -928,36 +931,36 @@ def _propose_channel(cfg: CxSearchConfig, rng, structured: bool) -> DmcChannel:
     (data processing gives the conditional ordering; Y2 anchors the min),
     while Y1 generally stays strictly more informative than Z.
     """
-    outs = tuple([("Y1", cfg.y_card), ("Y2", cfg.z_card) if structured else ("Y2", cfg.y_card),
-                  ("Z1", cfg.z_card)])
-    shape_in = (cfg.x1_card, cfg.x2_card)
+    outs = tuple([("Y1", CX_Y_CARD), ("Y2", CX_Z_CARD) if structured else ("Y2", CX_Y_CARD),
+                  ("Z1", CX_Z_CARD)])
+    shape_in = (CX_X1_CARD, CX_X2_CARD)
     if not structured:
         out_cells = int(np.prod([k for _, k in outs]))
         probs = rng.dirichlet(
-            np.full(out_cells, cfg.dirichlet_alpha), size=shape_in
+            np.full(out_cells, CX_DIRICHLET_ALPHA), size=shape_in
         ).reshape(shape_in + tuple(k for _, k in outs))
-        return DmcChannel(cfg.x1_card, cfg.x2_card, outs, probs)
-    base = rng.dirichlet(np.full(cfg.y_card, cfg.dirichlet_alpha), size=shape_in)
-    garble = rng.dirichlet(np.full(cfg.z_card, cfg.dirichlet_alpha), size=cfg.y_card)
+        return DmcChannel(CX_X1_CARD, CX_X2_CARD, outs, probs)
+    base = rng.dirichlet(np.full(CX_Y_CARD, CX_DIRICHLET_ALPHA), size=shape_in)
+    garble = rng.dirichlet(np.full(CX_Z_CARD, CX_DIRICHLET_ALPHA), size=CX_Y_CARD)
     zlaw = base @ garble  # (x1, x2, z)
     probs = (
         base[:, :, :, None, None] * zlaw[:, :, None, :, None] * zlaw[:, :, None, None, :]
     )
-    return DmcChannel(cfg.x1_card, cfg.x2_card, outs, probs)
+    return DmcChannel(CX_X1_CARD, CX_X2_CARD, outs, probs)
 
 
 def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> CounterexampleWitness | None:
     """Search random two-primary channels for one that passes the sampled
     very-strong check yet admits a weak-interference violation.
 
-    Returns the first verified witness (margin above cfg.min_margin and a
+    Returns the first verified witness (margin above CX_MIN_MARGIN and a
     fresh full-budget very-strong pass) or None when the budget is exhausted.
     """
     for idx in range(cfg.budget):
         rng = np.random.default_rng([cfg.seed, idx])
-        chan = _propose_channel(cfg, rng, structured=bool(idx % 2))
+        chan = _propose_channel(rng, structured=bool(idx % 2))
         gate_ok = True
-        for gate in cfg.gate_schedule:
+        for gate in CX_GATE_SCHEDULE:
             rep = check_regime(chan, MULTI_PRIMARY, "VSI", samples=gate, seed=rng)
             if not rep.passed:
                 gate_ok = False
@@ -965,18 +968,18 @@ def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> Cou
         if not gate_ok:
             continue
         found = None
-        for _ in range(cfg.pd_samples):
+        for _ in range(CX_PD_SAMPLES):
             dist = sample_input_dist(
-                [("U", cfg.aux_card), ("X1", cfg.x1_card), ("X2", cfg.x2_card)], rng
+                [("U", CX_AUX_CARD), ("X1", CX_X1_CARD), ("X2", CX_X2_CARD)], rng
             )
             receiver, margin = weak_violation_margin(chan, dist)
-            if margin > cfg.min_margin:
+            if margin > CX_MIN_MARGIN:
                 found = (dist, receiver, margin)
                 break
         if found is None:
             continue
         final = check_regime(
-            chan, MULTI_PRIMARY, "VSI", samples=cfg.final_vsi_samples,
+            chan, MULTI_PRIMARY, "VSI", samples=CX_FINAL_VSI_SAMPLES,
             seed=np.random.default_rng([cfg.seed, idx, 1]),
         )
         if not final.passed:
@@ -988,12 +991,13 @@ def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> Cou
     return None
 
 
-def verify_counterexample(witness: CounterexampleWitness, vsi_samples: int = 1500,
-                          seed: int = 0) -> bool:
-    """Re-verify a stored witness: the margin must reproduce above 1e-6 and
-    the channel must still pass the sampled very-strong check."""
+def verify_counterexample(witness: CounterexampleWitness,
+                          vsi_samples: int = CX_FINAL_VSI_SAMPLES, seed: int = 0) -> bool:
+    """Re-verify a stored witness: the margin must reproduce above
+    CX_MIN_MARGIN and the channel must still pass the sampled very-strong
+    check."""
     receiver, margin = weak_violation_margin(witness.chan, witness.dist)
-    if margin < 1e-6:
+    if margin < CX_MIN_MARGIN:
         return False
     rep = check_regime(witness.chan, MULTI_PRIMARY, "VSI", samples=vsi_samples, seed=seed)
     return rep.passed

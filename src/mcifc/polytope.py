@@ -1,16 +1,17 @@
-"""Exact rational inequality systems, Fourier-Motzkin elimination, and 2-D
-rate-region geometry.
+"""Exact rational inequality systems, their projection onto kept variables,
+and 2-D rate-region geometry.
 
 Inequality systems use exact `fractions.Fraction` arithmetic; float constants
 (e.g. mutual-information values) are rationalized on a 1e-12 grid before they
-enter a system, so elimination is exact relative to its inputs. Float drift
+enter a system, so projection is exact relative to its inputs. Float drift
 inside Fourier-Motzkin is the classic failure mode this avoids.
-`fme_project` projects through a projection cone: the extreme rays of the
-Farkas multipliers that cancel the eliminated variables, found once per
-integer coefficient matrix by Fourier-Motzkin elimination and cached. Each
-call then sums those rays against the system's bounds in exact integers
-(`project_bounds`), so a caller whose bounds are already integers, such as
-MI values on the 1e-12 grid, projects without building a system at all.
+`fme_project`, the one projection, works through a projection cone: the
+extreme rays of the Farkas multipliers that cancel the eliminated variables,
+found once per integer coefficient matrix by Fourier-Motzkin elimination and
+cached. Each call then sums those rays against the system's bounds in exact
+integers (`project_bounds`), so a caller whose bounds are already integers,
+such as MI values on the 1e-12 grid, projects without building a system at
+all.
 
 Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
@@ -92,23 +93,6 @@ class LinIneq:
     def support(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.coeffs)
 
-    def is_trivially_true(self) -> bool:
-        return not self.coeffs and self.bound >= 0
-
-    def is_infeasible(self) -> bool:
-        return not self.coeffs and self.bound < 0
-
-    def scaled_key(self) -> tuple:
-        """Canonical key invariant under positive scaling."""
-        if not self.coeffs:
-            return ("<const>",)
-        lead = abs(self.coeffs[0][1])
-        return tuple((n, c / lead) for n, c in self.coeffs)
-
-    def scaled_bound(self) -> Fraction:
-        lead = abs(self.coeffs[0][1]) if self.coeffs else Fraction(1)
-        return self.bound / lead
-
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((c * point[n] for n, c in self.coeffs), Fraction(0))
 
@@ -149,63 +133,6 @@ class IneqSystem:
 
     def __len__(self):
         return len(self.inequalities)
-
-
-def _combine(pos: LinIneq, neg: LinIneq, var: str) -> LinIneq:
-    """Nonnegative combination of a (+var) and a (-var) inequality killing var."""
-    cp = pos.coeff(var)
-    cn = neg.coeff(var)
-    coeffs: dict[str, Fraction] = {}
-    for n, c in pos.coeffs:
-        if n != var:
-            coeffs[n] = -cn * c
-    for n, c in neg.coeffs:
-        if n != var:
-            coeffs[n] = coeffs.get(n, Fraction(0)) + cp * c
-    bound = -cn * pos.bound + cp * neg.bound
-    return LinIneq(tuple(coeffs.items()), bound)
-
-
-def _dedupe(ineqs: Iterable[LinIneq]) -> list[LinIneq]:
-    """Drop trivially-true rows, duplicates, and positively-proportional
-    dominated rows; an infeasible constant row short-circuits the system."""
-    best: dict[tuple, LinIneq] = {}
-    for iq in ineqs:
-        if iq.is_trivially_true():
-            continue
-        if iq.is_infeasible():
-            return [LinIneq((), Fraction(-1))]
-        key = iq.scaled_key()
-        cur = best.get(key)
-        if cur is None or iq.scaled_bound() < cur.scaled_bound():
-            best[key] = iq
-    return list(best.values())
-
-
-def fme_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
-    """Exact projection of the feasible set onto the variables without `var`.
-
-    Pairs every (+var) row with every (-var) row, keeps var-free rows, then
-    removes duplicate / trivially-dominated rows. An empty projection is a
-    valid system; infeasibility surfaces as a constant row 0 <= negative.
-    """
-    if var not in sys.variables:
-        raise ValueError(f"variable {var!r} not in system {sys.variables}")
-    pos, neg, zero = [], [], []
-    for iq in sys.inequalities:
-        c = iq.coeff(var)
-        if c > 0:
-            pos.append(iq)
-        elif c < 0:
-            neg.append(iq)
-        else:
-            zero.append(iq)
-    new = list(zero)
-    for p in pos:
-        for n in neg:
-            new.append(_combine(p, n, var))
-    variables = tuple(v for v in sys.variables if v != var)
-    return IneqSystem(variables, tuple(_dedupe(new)))
 
 
 @lru_cache(maxsize=64)  # the coding system of dmc_regions needs one entry

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import DmcChannel
-from mcifc.polytope import Frontier2D, IneqSystem, LinIneq, _combine, frontier_union
+from mcifc.polytope import Frontier2D, IneqSystem, LinIneq, frontier_union
 
 
 def random_channel(rng, x1=2, x2=2, outputs=(("Y1", 2), ("Z1", 2)), alpha=1.0):
@@ -84,6 +84,86 @@ def union_all(frontiers):
     return items[0]
 
 
+def is_trivially_true(iq: LinIneq) -> bool:
+    return not iq.coeffs and iq.bound >= 0
+
+
+def is_infeasible(iq: LinIneq) -> bool:
+    return not iq.coeffs and iq.bound < 0
+
+
+def scaled_key(iq: LinIneq) -> tuple:
+    """Canonical key of a row, invariant under positive scaling."""
+    if not iq.coeffs:
+        return ("<const>",)
+    lead = abs(iq.coeffs[0][1])
+    return tuple((n, c / lead) for n, c in iq.coeffs)
+
+
+def scaled_bound(iq: LinIneq) -> Fraction:
+    lead = abs(iq.coeffs[0][1]) if iq.coeffs else Fraction(1)
+    return iq.bound / lead
+
+
+def _combine(pos: LinIneq, neg: LinIneq, var: str) -> LinIneq:
+    """Nonnegative combination of a (+var) and a (-var) inequality killing var."""
+    cp = pos.coeff(var)
+    cn = neg.coeff(var)
+    coeffs: dict[str, Fraction] = {}
+    for n, c in pos.coeffs:
+        if n != var:
+            coeffs[n] = -cn * c
+    for n, c in neg.coeffs:
+        if n != var:
+            coeffs[n] = coeffs.get(n, Fraction(0)) + cp * c
+    bound = -cn * pos.bound + cp * neg.bound
+    return LinIneq(tuple(coeffs.items()), bound)
+
+
+def _dedupe(ineqs):
+    """Drop trivially-true rows, duplicates, and positively-proportional
+    dominated rows; an infeasible constant row short-circuits the system."""
+    best: dict[tuple, LinIneq] = {}
+    for iq in ineqs:
+        if is_trivially_true(iq):
+            continue
+        if is_infeasible(iq):
+            return [LinIneq((), Fraction(-1))]
+        key = scaled_key(iq)
+        cur = best.get(key)
+        if cur is None or scaled_bound(iq) < scaled_bound(cur):
+            best[key] = iq
+    return list(best.values())
+
+
+def fme_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
+    """Exact projection of the feasible set onto the variables without `var`,
+    in `Fraction` arithmetic: a second, independent elimination that serves
+    as the reference for `fme_project`.
+
+    Pairs every (+var) row with every (-var) row, keeps var-free rows, then
+    removes duplicate / trivially-dominated rows. An empty projection is a
+    valid system; infeasibility surfaces as a constant row 0 <= negative.
+    """
+    if var not in sys.variables:
+        raise ValueError(f"variable {var!r} not in system {sys.variables}")
+    pos, neg, zero = [], [], []
+    for iq in sys.inequalities:
+        c = iq.coeff(var)
+        if c > 0:
+            pos.append(iq)
+        elif c < 0:
+            neg.append(iq)
+        else:
+            zero.append(iq)
+    new = list(zero)
+    for p in pos:
+        for n in neg:
+            new.append(_combine(p, n, var))
+    variables = tuple(v for v in sys.variables if v != var)
+    return IneqSystem(variables, tuple(_dedupe(new)))
+
+
 def imbert_fme_project(sys, keep):
     """Fourier-Motzkin projection onto `keep` in `Fraction` arithmetic, one
     variable at a time, as an oracle for the projection cone of `fme_project`.
@@ -126,15 +206,15 @@ def imbert_fme_project(sys, keep):
         best = {}
         infeasible = None
         for iq, hist in new:
-            if iq.is_trivially_true():
+            if is_trivially_true(iq):
                 continue
-            if iq.is_infeasible():
+            if is_infeasible(iq):
                 infeasible = (LinIneq((), Fraction(-1)), hist)
                 break
-            key = iq.scaled_key()
+            key = scaled_key(iq)
             cur = best.get(key)
-            if (cur is None or iq.scaled_bound() < cur[0].scaled_bound()
-                    or (iq.scaled_bound() == cur[0].scaled_bound() and len(hist) < len(cur[1]))):
+            if (cur is None or scaled_bound(iq) < scaled_bound(cur[0])
+                    or (scaled_bound(iq) == scaled_bound(cur[0]) and len(hist) < len(cur[1]))):
                 best[key] = (iq, hist)
         if infeasible is not None:
             rows = [infeasible]

@@ -161,7 +161,14 @@ def test_dmc_capacity_pass_and_fail(tmp_path, capsys):
 
 def test_counterexample_zero_budget(capsys):
     assert run(["counterexample", "--budget", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["found"] is False
+    report = json.loads(capsys.readouterr().out)
+    assert report["found"] is False
+    assert report["config"] == {
+        "budget": 0, "seed": 0, "y_card": 3, "z_card": 3, "x1_card": 2,
+        "x2_card": 2, "aux_card": 5, "dirichlet_alpha": 0.4,
+        "gate_schedule": [24, 96, 384], "pd_samples": 400,
+        "final_vsi_samples": 1500, "min_margin": 1e-06,
+    }
 
 
 def test_counterexample_finds_witness(tmp_path, capsys):

@@ -12,7 +12,6 @@ from mcifc.polytope import (
     _projection_cone,
     _upper_hull,
     concave_envelope,
-    fme_eliminate,
     fme_project,
     frontier_contains,
     frontier_intersect,
@@ -22,7 +21,13 @@ from mcifc.polytope import (
     region_equal,
 )
 
-from conftest import imbert_fme_project, union_all
+from conftest import (
+    fme_eliminate,
+    imbert_fme_project,
+    is_infeasible,
+    is_trivially_true,
+    union_all,
+)
 
 
 def box(r2_cap, r1_cap):
@@ -46,7 +51,7 @@ def test_fme_surfaces_contradiction():
     sys = IneqSystem.build(["y"], [({"y": 1}, 1), ({"y": -1}, -2)])
     out = fme_eliminate(sys, "y")
     assert len(out.inequalities) == 1
-    assert out.inequalities[0].is_infeasible()
+    assert is_infeasible(out.inequalities[0])
 
 
 def _project_membership(sys, var, point):
@@ -403,9 +408,9 @@ def _reference_project_to_frontier(sys, r1, r2):
     replaced, kept as its oracle (the message of an unbounded region aside)."""
     rows = []
     for iq in sys.inequalities:
-        if iq.is_infeasible():
+        if is_infeasible(iq):
             return Frontier2D(())
-        if iq.is_trivially_true():
+        if is_trivially_true(iq):
             continue
         rows.append((iq.coeff(r2), iq.coeff(r1), iq.bound))
     rows.append((Fraction(-1), Fraction(0), Fraction(0)))
