@@ -287,9 +287,7 @@ def _cmd_dmc_capacity(args) -> int:
         samples=args.budget if args.budget is not None else args.samples,
         seed=args.seed,
     )
-    frontier = dmc_regions.dmc_capacity_region(
-        chan, klass, args.regime, search, partition=partition, report=report,
-    )
+    frontier = dmc_regions.dmc_capacity_region(report, search)
     _write_artifact(args.out, frontier.to_csv_text())
     _emit({
         "report": report.to_json_dict(),

@@ -18,7 +18,7 @@ therefore means "no violation found", never a proof of membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from math import comb, prod
@@ -108,10 +108,13 @@ class RegimeWitness:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Outcome of a sampled regime check.
+    """Outcome of a sampled regime check of one channel.
 
     `label` is the checked regime on a pass and "none" on a failure; a pass is
-    explicitly a "no violation found" statement, not a proof.
+    explicitly a "no violation found" statement, not a proof. `chan`, the
+    (strong, weak) receiver names (empty outside the mixed regime) and |U|
+    say what was checked, and so what `dmc_capacity_region` computes; they
+    take no part in equality and stay out of the JSON form.
     """
 
     klass: str
@@ -119,8 +122,12 @@ class RegimeReport:
     passed: bool
     samples_checked: int
     witness: RegimeWitness | None
+    chan: DmcChannel = field(compare=False)
+    partition: tuple[tuple[str, ...], tuple[str, ...]] = field(compare=False)
+    aux_card: int = field(compare=False)
 
     def __post_init__(self):
+        _check_class(self.chan, self.klass)
         if self.passed == (self.witness is not None):
             raise RegimeError("witness must be present iff the check failed")
 
@@ -142,21 +149,18 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget for the union over sampled input distributions."""
+    """Budget for the union over sampled input distributions (|U| is the
+    report's; the JSON form keeps its key as null)."""
 
     samples: int = 200
-    aux_card: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 0:
             raise RegimeError("samples must be >= 0")
-        if self.aux_card is not None and self.aux_card < 1:
-            raise RegimeError("aux_card must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {"samples": self.samples, "aux_card": self.aux_card,
-                "seed": self.seed}
+        return {"samples": self.samples, "aux_card": None, "seed": self.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +733,9 @@ def check_regime(
             rng.bit_generator.state = state
             _draw(rng, axes, k + 1)
         witness = RegimeWitness(JointDist(axes, rows[k]), receiver, condition, margin)
-        return RegimeReport(klass, regime, False, checked + k + 1, witness)
-    return RegimeReport(klass, regime, True, checked, None)
+        return RegimeReport(klass, regime, False, checked + k + 1, witness,
+                            chan, (strong, weak), aux_card)
+    return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak), aux_card)
 
 
 # ---------------------------------------------------------------------------
@@ -789,41 +794,28 @@ def mixed_achievable_region(
     return _frontier([(_MP_MIXED[k][0], v) for k, v in bounds.items()])
 
 
-def dmc_capacity_region(
-    chan: DmcChannel,
-    klass: str,
-    regime: str,
-    search: SearchConfig = SearchConfig(),
-    partition: Sequence[Sequence[str]] | None = None,
-    *,
-    report: RegimeReport,
-) -> Frontier2D:
-    """Capacity region of a classified channel, as the convexified union of
-    the per-regime region over gridded + sampled input distributions.
+def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfig()) -> Frontier2D:
+    """Capacity region of the channel a passing `check_regime` report was
+    computed for, as the convexified union of the per-regime region over
+    gridded + sampled input distributions.
 
-    The caller must classify first and pass the passing RegimeReport of
-    `check_regime` for this class and regime. The sample stream is
-    prefix-stable in the budget, so a larger budget yields a superset.
+    The region is that of the report's class, regime, (strong, weak)
+    partition and |U|; a failing report raises RegimeError. The sample
+    stream is prefix-stable in the budget, so a larger budget yields a
+    superset.
     """
-    _check_class(chan, klass)
     if not report.passed:
         raise RegimeError(
             f"regime check failed: {report.witness.condition} violated at "
             f"{report.witness.receiver} by {report.witness.margin:g}"
         )
-    if report.klass != klass or report.regime != regime:
-        raise RegimeError("report does not match the requested class/regime")
-    strong: tuple[str, ...] = ()
-    weak: tuple[str, ...] = ()
-    if regime == "mixed":
-        strong, weak = _partition_sets(chan, klass, partition)
-    aux_card = default_aux_card(chan) if search.aux_card is None else search.aux_card
-    sets = _receiver_sets(chan, strong, weak)
-    axes = _input_axes(chan, regime, aux_card)
+    chan = report.chan
+    sets = _receiver_sets(chan, *report.partition)
+    axes = _input_axes(chan, report.regime, report.aux_card)
     pieces = []
     for rows, _ in _check_dists(axes, search.samples, np.random.default_rng(search.seed)):
         batch = _compose(axes, rows, chan)
-        pieces += [_frontier(r) for r in _rows(batch, sets, _REGIONS[klass, regime])]
+        pieces += [_frontier(r) for r in _rows(batch, sets, _REGIONS[report.klass, report.regime])]
     return concave_envelope(pieces)
 
 

@@ -109,6 +109,25 @@ def test_verify_fme_replays_benchmark_catalogue(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dmc_capacity_replays_benchmark_catalogue(tmp_path, capsys):
+    # every dmc-capacity case of the benchmark catalogue, against the exit
+    # code and the exact CSV recorded with it
+    doc = json.loads(gzip.decompress((CATALOGUE / "dmc-scan.json.gz").read_bytes()))
+    kinds = {kind: cases for kind, cases in doc["kinds"].items() if kind.startswith("cap-")}
+    assert sorted(kinds) == [f"cap-{c}-{r}" for c in ("mp", "ms")
+                             for r in ("mixed", "vsi", "vwi")]
+    cases = [case for group in kinds.values() for case in group]
+    assert len(cases) == 52
+    for case in cases:
+        src, out = tmp_path / f"{case['id']}.json", tmp_path / f"{case['id']}.csv"
+        src.write_text(json.dumps(case["input"]))
+        argv = [{"{in}": str(src), "{out}": str(out)}.get(a, a) for a in case["argv"]]
+        ref = case["reference"]
+        assert run(argv) == ref["exit"], case["id"]
+        assert out.read_text() == ref["frontier"], case["id"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-fme", "--samples", "2"],
     ["region", "--in", "{wi}", "--grid", "5"],
@@ -140,6 +159,7 @@ def test_dmc_capacity_pass_and_fail(tmp_path, capsys):
                 "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["report"]["passed"] is True
+    assert report["search"] == {"samples": 60, "aux_card": None, "seed": 1}
     assert out.exists()
 
     # Y pure noise while Z copies X2: the strong condition fails -> exit 2

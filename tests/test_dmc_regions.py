@@ -721,10 +721,8 @@ def test_regime_check_leaves_generator_as_sequential_draws(case, rng):
     assert mine.bit_generator.state == fresh.bit_generator.state
 
 
-_MP_REPORT = dr.RegimeReport(dr.MULTI_PRIMARY, "VSI", True, 1, None)
-_MS_REPORT = dr.RegimeReport(dr.MULTI_SECONDARY, "VSI", True, 1, None)
-
-# entry points bound to one channel class, and a channel of the other
+# entry points (and the report constructor) bound to one channel class, and
+# a channel of the other
 CLASS_BOUND_CALLS = {
     "full_decode_bounds": lambda c, d2, d3: dr.full_decode_bounds(d2, c),
     "full_decode_region": lambda c, d2, d3: dr.full_decode_region(d2, c),
@@ -733,10 +731,10 @@ CLASS_BOUND_CALLS = {
     "mixed_achievable_region": lambda c, d2, d3: dr.mixed_achievable_region(
         d3, c, ("Y1",), ()),
     "weak_violation_margin": lambda c, d2, d3: dr.weak_violation_margin(c, d3),
-    "dmc_capacity_region-multi_primary": lambda c, d2, d3: dr.dmc_capacity_region(
-        c, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=5), report=_MP_REPORT),
-    "dmc_capacity_region-multi_secondary": lambda c, d2, d3: dr.dmc_capacity_region(
-        c, dr.MULTI_SECONDARY, "VSI", dr.SearchConfig(samples=5), report=_MS_REPORT),
+    "RegimeReport-multi_primary": lambda c, d2, d3: dr.RegimeReport(
+        dr.MULTI_PRIMARY, "VSI", True, 1, None, c, ((), ()), 5),
+    "RegimeReport-multi_secondary": lambda c, d2, d3: dr.RegimeReport(
+        dr.MULTI_SECONDARY, "VSI", True, 1, None, c, ((), ()), 5),
 }
 
 
@@ -801,10 +799,7 @@ def test_capacity_region_noiseless_vsi():
     chan = noiseless_vsi_channel()
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VSI", samples=80, seed=0)
     assert rep.passed
-    fr = dr.dmc_capacity_region(
-        chan, dr.MULTI_PRIMARY, "VSI",
-        dr.SearchConfig(samples=120, seed=0), report=rep,
-    )
+    fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=120, seed=0))
     from mcifc.polytope import Frontier2D
 
     want = Frontier2D(((0.0, 2.0), (1.0, 1.0)))  # R1+R2 <= 2, R2 <= 1
@@ -816,14 +811,8 @@ def test_capacity_region_monotone_in_budget(rng):
     chan = shared_law_channel(rng, n_primary=2)
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VSI", samples=40, seed=1)
     assert rep.passed
-    small = dr.dmc_capacity_region(
-        chan, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=30, seed=9),
-        report=rep,
-    )
-    big = dr.dmc_capacity_region(
-        chan, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=90, seed=9),
-        report=rep,
-    )
+    small = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=30, seed=9))
+    big = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=90, seed=9))
     assert frontier_contains(big, small, 1e-9)
 
 
@@ -837,44 +826,42 @@ def test_capacity_region_z_ignores_x2():
     chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VSI", samples=60, seed=2)
     assert rep.passed
-    fr = dr.dmc_capacity_region(
-        chan, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=60, seed=2),
-        report=rep,
-    )
+    fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=60, seed=2))
     assert fr.r2_max <= 1e-9
     assert fr.value(0.0) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_capacity_requires_passing_report(rng):
-    chan = random_channel(rng)
+def test_capacity_requires_passing_report():
+    # Y pure noise while Z copies X2: the strong condition fails
+    probs = np.zeros((2, 2, 2, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            probs[x1, x2, :, x2] = 0.5
+    chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
     failing = dr.check_regime(chan, dr.MULTI_PRIMARY, "VSI", samples=100, seed=0)
-    if failing.passed:
-        pytest.skip("random channel accidentally passed")
-    with pytest.raises(dr.RegimeError):
-        dr.dmc_capacity_region(
-            chan, dr.MULTI_PRIMARY, "VSI", dr.SearchConfig(samples=10),
-            report=failing,
-        )
+    assert not failing.passed
+    with pytest.raises(dr.RegimeError, match="regime check failed: strong violated"):
+        dr.dmc_capacity_region(failing, dr.SearchConfig(samples=10))
 
 
-def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
+@pytest.mark.parametrize("aux_card", [None, 3])
+def test_ms_vwi_single_secondary_matches_direct_evaluator(aux_card, rng):
     # M = 1 multi-secondary weak region vs a direct evaluation of the same
-    # formulas without the min over receivers
+    # formulas without the min over receivers, over the |U| the check used
     zlaw = rng.dirichlet(np.ones(2), size=(2, 2))
     g = rng.dirichlet(np.ones(2), size=2)
     ylaw = zlaw @ g
     probs = np.einsum("abi,abj->abij", ylaw, zlaw)
     chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
-    rep = dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=120, seed=6)
+    rep = dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=120, seed=6,
+                          aux_card=aux_card)
     assert rep.passed
-    fr = dr.dmc_capacity_region(
-        chan, dr.MULTI_SECONDARY, "VWI", dr.SearchConfig(samples=50, seed=6),
-        report=rep,
-    )
+    fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=50, seed=6))
     pieces = []
     from mcifc.polytope import Frontier2D
 
-    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    axes = dr._input_axes(chan, "VWI", aux_card or dr.default_aux_card(chan))
+    assert axes[0] == ("U", rep.aux_card)
     dists = [JointDist(axes, row) for rows, _ in
              dr._check_dists(axes, 50, np.random.default_rng(6)) for row in rows]
     for dist in dists:
@@ -903,8 +890,6 @@ def test_negative_counts_rejected(rng):
     assert dr.SearchConfig(samples=0).samples == 0
     chan = random_channel(rng)
     for aux_card in (0, -2):
-        with pytest.raises(dr.RegimeError, match="aux_card"):
-            dr.SearchConfig(aux_card=aux_card)
         with pytest.raises(dr.RegimeError, match="aux_card"):
             dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=5, aux_card=aux_card)
 
@@ -955,10 +940,7 @@ def test_ms_mixed_regime_and_capacity(rng):
         partition=(("Z2",), ("Z1",)),
     )
     assert rep.passed, (rep.witness.condition, rep.witness.margin)
-    fr = dr.dmc_capacity_region(
-        chan, dr.MULTI_SECONDARY, "mixed", dr.SearchConfig(samples=40, seed=11),
-        partition=(("Z2",), ("Z1",)), report=rep,
-    )
+    fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=40, seed=11))
     assert not fr.is_empty
 
 
@@ -972,10 +954,7 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
     chan = DmcChannel(2, 2, (("Y1", 3), ("Z1", 3)), probs)
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=120, seed=13)
     assert rep.passed
-    fr = dr.dmc_capacity_region(
-        chan, dr.MULTI_PRIMARY, "VWI", dr.SearchConfig(samples=40, seed=13),
-        report=rep,
-    )
+    fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=40, seed=13))
     from mcifc.polytope import Frontier2D, concave_envelope
 
     pieces = []
