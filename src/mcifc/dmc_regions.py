@@ -18,6 +18,7 @@ therefore means "no violation found", never a proof of membership.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -319,12 +320,6 @@ def _compose_each(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> l
     return out
 
 
-def _compose_one(joint: JointDist, chan: DmcChannel) -> _Batch:
-    """The 1-joint batch of _compose_each."""
-    ((_, batch, _),) = _compose_each([joint], [chan])
-    return batch
-
-
 def _rows(batch: _Batch, sets: dict, table) -> list:
     """(coeffs, bound) rows of a table for each joint of `batch`. A row over an
     empty receiver set has bound +inf, constrains nothing and is left out."""
@@ -488,13 +483,13 @@ _REGIONS = {
 
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
-    batch = _compose_one(aux.joint, chan)
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
     return IneqSystem.build(("R1", "R2"), _rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
-    batch = _compose_one(aux.joint, chan)
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
     return _frontier(_rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
 
 
@@ -511,7 +506,7 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     nonnegativity of every split/binning rate. Written for one Y and one Z.
     """
     _check_single_pair(chan)
-    batch = _compose_one(aux.joint, chan)
+    batch = _Batch.of(compose_with_channel(aux.joint, chan))
     rows = _rows(batch, _receiver_sets(chan), _CODING_SYSTEM)[0] + list(_CODING_LINEAR)
     return IneqSystem.build(_CODING_VARS, rows)
 
@@ -529,10 +524,11 @@ def _projected_frontier(bounds: list[int]) -> Frontier2D:
                              for (d1, d2), scale, best in projected])
 
 
-def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment], chans: Sequence[DmcChannel],
-                            tol: float = 1e-9) -> list[bool]:
+def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment],
+                            chans: Sequence[DmcChannel]) -> list[bool]:
     """For each instance (aux, chan), True iff the exact projection of the
-    constraint system is region-equal to the direct 11-inequality evaluation.
+    constraint system is region-equal, within 1e-9, to the direct
+    11-inequality evaluation.
 
     Up to _CHUNK_CAP instances at a time are composed into one batch per
     alphabet, and both tables are evaluated on it, so each MI term they
@@ -552,14 +548,14 @@ def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment], chans: Sequence[DmcC
             linear = [grid_bound(b) for _, b in _CODING_LINEAR]
             for k, region, mi_bounds in zip(members, direct, zip(*bounds)):
                 via_fme = _projected_frontier(list(mi_bounds) + linear)
-                held[start + k] = region_equal(region, via_fme, tol)
+                held[start + k] = region_equal(region, via_fme, 1e-9)
     return held
 
 
-def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel, tol: float = 1e-9) -> bool:
+def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel) -> bool:
     """True iff exact FME of the constraint system is region-equal to the
     direct 11-inequality evaluation: the one-instance verify_fme_inner_bounds."""
-    return verify_fme_inner_bounds([aux], [chan], tol)[0]
+    return verify_fme_inner_bounds([aux], [chan])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +605,7 @@ def _partition_sets(chan: DmcChannel, klass: str, partition) -> tuple[tuple[str,
         raise RegimeError("mixed regime requires a (strong, weak) partition")
     strong = tuple(partition[0])
     weak = tuple(partition[1])
-    if set(strong) | set(weak) != set(names) or set(strong) & set(weak):
+    if Counter(strong + weak) != Counter(names):
         raise RegimeError(
             f"partition {partition} must split the receiver set {names}"
         )

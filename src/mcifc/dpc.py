@@ -14,7 +14,7 @@ an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,16 +185,18 @@ class _Lanes:
     def slot_rates(self, gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """I(V; Z_k) - I(V; Xu X1) clamped at zero, receiver k by lane: each
         lane's covariance and I(V; Xu X1) are built once for both receivers.
-        The MIs are taken in the order that slot_rate for receiver 1, then
-        for receiver 2, takes them, so a 1-lane call fails where they would."""
+        The MIs are taken in the order I(V; Z1), I(V; Xu X1), I(V; Z2), as
+        evaluating receiver 1 and then receiver 2 takes them, so a 1-lane call
+        fails where that would."""
         cov = CovMatrix(_PRECODING, self.precoding(gamma, alpha))
         to_z1 = gaussian_mi(cov, {"V"}, {"Z1"})
         shared = gaussian_mi(cov, {"V"}, {"Xu", "X1"})
         to_z2 = gaussian_mi(cov, {"V"}, {"Z2"})
         return np.stack([lane_max([0.0, to_z - shared]) for to_z in (to_z1, to_z2)])
 
-    def block(self, t_points: int) -> np.ndarray:
-        """Block-expansion rate per lane (0 without precoded power)."""
+    def block(self) -> np.ndarray:
+        """Block-expansion rate per lane (0 without precoded power), the
+        slot fraction t taken from 201 grid points plus the exact crossing."""
         out = np.zeros(len(self.eta))
         on = self.P_v > 0
         if not on.any():
@@ -221,8 +223,8 @@ class _Lanes:
         t_cross = np.divide(rate[1][1] - rate[0][1], d0 - d1, out=np.full(d0.shape, 2.0),
                             where=ok)
         ok &= (0.0 < t_cross) & (t_cross < 1.0)
-        ts = np.linspace(0.0, 1.0, t_points)
-        t = np.concatenate([np.broadcast_to(ts, (len(d0), t_points)), t_cross], axis=1)
+        ts = np.linspace(0.0, 1.0, 201)
+        t = np.concatenate([np.broadcast_to(ts, (len(d0), len(ts))), t_cross], axis=1)
         worst = lane_min([t * r[0] + (1 - t) * r[1] for r in rate])
         worst[~ok[:, 0], -1] = -np.inf
         out[on] = lane_max(worst.T)
@@ -439,23 +441,15 @@ def _spot_check_oracle(cfg, obj, gammas, alphas, idx_list):
             )
 
 
-def slot_rate(cfg: DpcConfig, gamma: float, alpha: float, receiver: int) -> float:
-    """Rate I(V; Z_k) - I(V; Xu X1) for one receiver under fixed precoding,
-    clamped at zero (the receiver treats the residual as noise)."""
-    cov = precoding_covariance(cfg, gamma, alpha)
-    z = "Z1" if receiver == 0 else "Z2"
-    return max(0.0, gaussian_mi(cov, {"V"}, {z}) - gaussian_mi(cov, {"V"}, {"Xu", "X1"}))
-
-
-def block_expansion_baseline(cfg: DpcConfig, t_points: int = 201) -> float:
+def block_expansion_baseline(cfg: DpcConfig) -> float:
     """Time sharing of per-receiver-tuned CD-DPC slots.
 
     Slot k uses gamma = P_v/(P_v+1) and alpha tuned to a_k; receiver k then
     gets the clean rate while the other receiver decodes what it can. The
     slot fraction maximizes the worse time-shared rate (both slot rates are
-    affine in t, so the grid plus the exact crossing decide the max).
+    affine in t, so 201 grid points plus the exact crossing decide the max).
     """
-    return float(_one(cfg).block(t_points)[0])
+    return float(_one(cfg).block()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,42 +459,28 @@ def block_expansion_baseline(cfg: DpcConfig, t_points: int = 201) -> float:
 SWEEP_COLUMNS = ("eta", "R1", "R2_cd", "R2_md", "x_star", "R2_block", "R2_outer")
 
 
-def comparison_sweep(
-    cfg: DpcConfig,
-    eta_grid=None,
-    x_scan_points: int = 64,
-    out_path: str | Path | None = None,
-) -> list[dict]:
-    """Per-eta comparison of the bounds; optionally writes a CSV plus a JSON
-    sidecar with the configuration.
+def comparison_sweep(cfg: DpcConfig, eta_grid: int = 101) -> list[dict]:
+    """Per-eta comparison of the bounds at `eta_grid` points of [0, 1]. Writes
+    no files: `sweep_artifacts` gives the CSV and sidecar texts of the rows.
 
-    Each row fixes eta, keeps cfg.rho, re-optimizes the MD power x, and
-    records (R1, CD, best-x MD, block expansion, outer R2 cap). Raises if any
-    row has MD below CD (that ordering is structural: x = 0 is in the scan).
+    Each row fixes eta, keeps cfg.rho, re-optimizes the MD power x (64-point
+    scan), and records (R1, CD, best-x MD, block expansion, outer R2 cap).
+    Raises if any row has MD below CD (that ordering is structural: x = 0 is
+    in the scan).
     """
-    if eta_grid is None:
-        eta_grid = 101
-    etas = np.linspace(0.0, 1.0, int(eta_grid)) if np.isscalar(eta_grid) \
-        else np.asarray(eta_grid, dtype=float)
-    for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            replace(cfg, eta=float(eta))  # raises the config's own error
+    etas = np.linspace(0.0, 1.0, eta_grid)
     lanes = _Lanes(cfg, etas)
     cd = lanes.cd_rate()
-    x_star, md = lanes.best_x(x_scan_points)
+    x_star, md = lanes.best_x(64)
     below = np.flatnonzero(md < cd - 1e-12)
     if below.size:
         k = below[0]
         raise AssertionError(
             f"MD rate fell below CD at eta={etas[k]}: {md[k]} < {cd[k]}"
         )
-    columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(201),
+    columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(),
                half_log2(1.0 + etas * cfg.P2))
-    rows = [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
-    if out_path is not None:
-        for path, text in sweep_artifacts(cfg, rows, out_path):
-            path.write_text(text)
-    return rows
+    return [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
 
 
 def sweep_artifacts(cfg: DpcConfig, rows: list[dict], out_path: str | Path) -> list:

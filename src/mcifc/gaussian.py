@@ -62,6 +62,19 @@ def lane_max(values):
     return acc
 
 
+def _check_gains_and_powers(chan, gains: tuple[float, ...]) -> None:
+    """Reject a non-finite gain, then a negative or non-finite power; store
+    the powers as floats."""
+    for g in gains:
+        if not np.isfinite(g):
+            raise GaussianModelError(f"gains must be finite, got {g}")
+    for p in (chan.P1, chan.P2):
+        if not np.isfinite(p) or p < 0:
+            raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
+    object.__setattr__(chan, "P1", float(chan.P1))
+    object.__setattr__(chan, "P2", float(chan.P2))
+
+
 @dataclass(frozen=True)
 class GaussianMultiPrimary:
     """Gains and powers of the one-secondary / N-primary Gaussian channel."""
@@ -76,16 +89,9 @@ class GaussianMultiPrimary:
         a = float(self.a)
         if not b:
             raise GaussianModelError("need at least one primary gain b_j")
-        for g in b + (a,):
-            if not np.isfinite(g):
-                raise GaussianModelError(f"gains must be finite, got {g}")
-        for p in (self.P1, self.P2):
-            if not np.isfinite(p) or p < 0:
-                raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
+        _check_gains_and_powers(self, b + (a,))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "P1", float(self.P1))
-        object.__setattr__(self, "P2", float(self.P2))
 
     @property
     def n_primary(self) -> int:
@@ -113,16 +119,9 @@ class GaussianMultiSecondary:
         b = float(self.b)
         if not a:
             raise GaussianModelError("need at least one secondary gain a_k")
-        for g in a + (b,):
-            if not np.isfinite(g):
-                raise GaussianModelError(f"gains must be finite, got {g}")
-        for p in (self.P1, self.P2):
-            if not np.isfinite(p) or p < 0:
-                raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
+        _check_gains_and_powers(self, a + (b,))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "P1", float(self.P1))
-        object.__setattr__(self, "P2", float(self.P2))
 
     @property
     def n_secondary(self) -> int:
@@ -395,12 +394,12 @@ def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
     return np.array([binding_eta(r2, P2) for r2 in qs], dtype=float)
 
 
-def _golden_max(f, lo, hi, iters: int = 44):
+def _golden_max(f, lo, hi):
     """Maxima of concave functions on [lo, hi], one per lane; also probes the
     endpoints, so monotone objectives resolve to the exact boundary value.
     Returns the arrays (argmax, max), taking the first of (lo, hi, mid) on
     ties."""
-    a, b = golden_section(f, lo, hi, iters, 1e-13 * np.maximum(1.0, np.abs(hi - lo)))
+    a, b = golden_section(f, lo, hi, 44, 1e-13 * np.maximum(1.0, np.abs(hi - lo)))
     xs = np.stack([lo, hi, 0.5 * (a + b)])
     vals = np.stack([f(x) for x in xs])
     k = np.argmax(vals, axis=0)
@@ -411,14 +410,6 @@ def _golden_max(f, lo, hi, iters: int = 44):
 def _coherent(chan: GaussianMultiPrimary) -> bool:
     signs = {np.sign(bj) for bj in chan.b if bj != 0}
     return len(signs) <= 1
-
-
-def _grid(values, default_points: int) -> np.ndarray:
-    if values is None:
-        return np.linspace(0.0, 1.0, default_points)
-    if np.isscalar(values):
-        return np.linspace(0.0, 1.0, int(values))
-    return np.asarray(values, dtype=float)
 
 
 def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndarray:
@@ -440,7 +431,7 @@ def _sum_cap(chan: GaussianMultiPrimary, subset, rho, root):
     )
 
 
-def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
+def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=None,
                   require_regime: bool = True) -> Frontier2D:
     """Very-strong-interference capacity region of the multi-primary channel:
     union over rho of  R2 <= 1/2 log2(1 + (1-rho^2) P2),
@@ -463,11 +454,7 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid=201, r2_values=None,
         lambda r: lane_min([half_log2(1 + (1 - r * r) * P2), sum_cap(r)]),
         np.array([-1.0]), np.array([1.0]),
     )
-    if np.isscalar(rho_grid):
-        rhos = np.linspace(-1.0, 1.0, int(rho_grid))
-    else:
-        rhos = np.asarray(rho_grid, dtype=float)
-    etas = 1.0 - rhos**2
+    etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
     qs = _r2_samples(chan, etas, r2_values, r2_top[0])
     rho0 = np.sqrt(1.0 - _binding_etas(qs, P2))
     _, best = _golden_max(sum_cap, -rho0, rho0)
@@ -484,7 +471,7 @@ def _wi_r1(chan: GaussianMultiPrimary, subset, eta, rho):
     )
 
 
-def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, r2_values=None,
+def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None,
                  require_regime: bool = True) -> Frontier2D:
     """Weak-interference capacity region of the multi-primary channel:
     union over eta of  R2 <= 1/2 log2(1 + eta P2),
@@ -497,7 +484,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, r2_values=None,
     if require_regime and classify_gaussian(chan) != "WI":
         raise GaussianModelError("channel is not in the weak regime")
     P2 = chan.P2
-    etas = _grid(eta_grid, 201)
+    etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
     qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
     eta0 = _binding_etas(qs, P2)
@@ -515,7 +502,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid=201, r2_values=None,
     return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
-def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
+def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
                     r2_values=None, require_regime: bool = True) -> Frontier2D:
     """Mixed weak/very-strong capacity region of the multi-primary channel:
     union over (eta, rho) of
@@ -531,7 +518,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
         raise GaussianModelError("channel fails the mixed-regime conditions")
     strong, weak = _validate_partition(chan.n_primary, partition)
     P1, P2 = chan.P1, chan.P2
-    etas = _grid(eta_grid, 201)
+    etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
     coarse = etas[:: max(1, len(etas) // 16)]
     qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
@@ -562,7 +549,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid=201,
     return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
-def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
+def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=None,
                   require_regime: bool = True) -> Frontier2D:
     """Very-strong-interference capacity region of the multi-secondary channel:
     union over eta of  R2 <= 1/2 log2(1 + eta P2),
@@ -582,36 +569,31 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid=201, r2_values=None,
         lambda e: lane_min([half_log2(1 + e * P2), sum_cap(e)]),
         np.array([0.0]), np.array([1.0]),
     )
-    etas = _grid(eta_grid, 201)
+    etas = np.linspace(0.0, 1.0, eta_grid)
     qs = _r2_samples(chan, etas, r2_values, r2_top[0])
     return monotone_frontier(zip(qs.tolist(), (sum_cap(_binding_etas(qs, P2)) - qs).tolist()))
 
 
-def coherent_intersection_check(
-    chan: GaussianMultiPrimary,
-    regime: str,
-    partition=None,
-    eta_grid=201,
-    rho_grid=201,
-    tol: float = 1e-6,
-) -> dict:
+def coherent_intersection_check(chan: GaussianMultiPrimary, regime: str,
+                                partition=None) -> dict:
     """Compare the multicast region against the intersection of the single-pair
-    (Z, Y_j) regions on a shared R2 grid.
+    (Z, Y_j) regions on a shared R2 grid, each region evaluated on its default
+    201-point grid.
 
     Requires coherent gains (all b_j of one sign). Returns
     {"equal": bool, "max_gap": float} where the gap is the largest frontier
-    height difference found.
+    height difference found and "equal" means a gap of at most 1e-6.
     """
     if not _coherent(chan):
         raise GaussianModelError("coherent check requires gains of one sign")
 
     def multicast(r2_values):
         if regime == "VSI":
-            return region_mp_vsi(chan, rho_grid, r2_values=r2_values)
+            return region_mp_vsi(chan, r2_values=r2_values)
         if regime == "WI":
-            return region_mp_wi(chan, eta_grid, r2_values=r2_values)
+            return region_mp_wi(chan, r2_values=r2_values)
         if regime == "mixed":
-            return region_mp_mixed(chan, partition, eta_grid, r2_values=r2_values)
+            return region_mp_mixed(chan, partition, r2_values=r2_values)
         raise GaussianModelError(f"unknown regime {regime!r}")
 
     def pairwise(j: int, r2_values):
@@ -619,15 +601,12 @@ def coherent_intersection_check(
         # channel as a whole is required to satisfy the regime conditions
         single = chan.single(j)
         if regime == "VSI":
-            return region_mp_vsi(single, rho_grid, r2_values=r2_values,
-                                 require_regime=False)
+            return region_mp_vsi(single, r2_values=r2_values, require_regime=False)
         if regime == "WI":
-            return region_mp_wi(single, eta_grid, r2_values=r2_values,
-                                require_regime=False)
+            return region_mp_wi(single, r2_values=r2_values, require_regime=False)
         strong, weak = _validate_partition(chan.n_primary, partition)
         part = ((0,), ()) if j in strong else ((), (0,))
-        return region_mp_mixed(single, part, eta_grid, r2_values=r2_values,
-                               require_regime=False)
+        return region_mp_mixed(single, part, r2_values=r2_values, require_regime=False)
 
     mc = multicast(None)
     qs = np.array([p[0] for p in mc.points])
@@ -645,4 +624,4 @@ def coherent_intersection_check(
         vi = inter.value(q)
         gaps.append(abs((vm if vm is not None else 0.0) - (vi if vi is not None else 0.0)))
     max_gap = float(max(gaps))
-    return {"equal": max_gap <= tol, "max_gap": max_gap}
+    return {"equal": max_gap <= 1e-6, "max_gap": max_gap}

@@ -128,6 +128,27 @@ def test_dmc_capacity_replays_benchmark_catalogue(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gaussian_dpc_replays_benchmark_catalogue(tmp_path, capsys):
+    # every region and dpc-compare case of the benchmark catalogue, against
+    # the exit code and the exact files recorded with it
+    doc = json.loads(gzip.decompress((CATALOGUE / "gaussian-dpc.json.gz").read_bytes()))
+    cases = [case for group in doc["kinds"].values() for case in group]
+    assert sum(c["argv"][0] == "region" for c in cases) == 60
+    assert sum(c["argv"][0] == "dpc-compare" for c in cases) == 16
+    for case in cases:
+        src, out = tmp_path / f"{case['id']}.json", tmp_path / f"{case['id']}.csv"
+        src.write_text(json.dumps(case["input"]))
+        argv = [{"{in}": str(src), "{out}": str(out)}.get(a, a) for a in case["argv"]]
+        ref = case["reference"]
+        assert run(argv) == ref["exit"], case["id"]
+        if case["argv"][0] == "region":
+            assert out.read_text() == ref["frontier"], case["id"]
+        else:
+            assert out.read_text() == ref["csv"], case["id"]
+            assert Path(f"{out}.json").read_text() == ref["sidecar"], case["id"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-fme", "--samples", "2"],
     ["region", "--in", "{wi}", "--grid", "5"],
@@ -219,6 +240,22 @@ def test_partition_flag_parsing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["regime"] == "mixed"
     assert run(["classify", "--in", mixed, "--partition", "9|1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["1,2|3,3", "1,1,2|3"])
+def test_dmc_capacity_rejects_a_repeated_receiver(raw, tmp_path, capsys):
+    probs = np.random.default_rng(4).dirichlet(np.ones(16), size=(2, 2))
+    dmc = write(tmp_path / "mp3.json", {
+        "axes": [["X1", 2], ["X2", 2], ["Y1", 2], ["Y2", 2], ["Y3", 2], ["Z1", 2]],
+        "probs": list(probs.reshape(-1)),
+    })
+    out = tmp_path / "cap.csv"
+    assert run(["dmc-capacity", "--in", dmc, "--regime", "mixed", "--samples", "5",
+                "--partition", raw, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must split" in json.loads(captured.err)["error"]
+    assert not out.exists()
 
 
 def test_region_mixed_with_partition(tmp_path, capsys):

@@ -564,6 +564,11 @@ def test_mixed_partition_validated(rng):
                         partition=(("Y1",), ("Y1", "Y2")))
     with pytest.raises(dr.RegimeError):
         dr.check_regime(chan, dr.MULTI_PRIMARY, "mixed", samples=5)
+    # a repeated receiver covers the set without splitting it; a name that is
+    # not a receiver is rejected whatever its type
+    for partition in ((("Y1",), ("Y2", "Y2")), (("Y1", "Y1"), ("Y2",)), (("Y1",), (2,))):
+        with pytest.raises(dr.RegimeError, match="must split"):
+            dr.check_regime(chan, dr.MULTI_PRIMARY, "mixed", samples=5, partition=partition)
 
 
 def test_mixed_pass_on_constructed_family(rng):

@@ -21,7 +21,7 @@ from mcifc.dpc import (
     precoding_covariance,
     r1_weak,
     receiver_variances,
-    slot_rate,
+    sweep_artifacts,
     weak_outer_bound,
     _PRECODING,
     _Lanes,
@@ -245,10 +245,8 @@ def test_block_expansion_equal_gains_matches_cd():
 def test_block_expansion_endpoints_are_single_slot_rates():
     cfg = FIG_CFG
     g = gamma_opt(cfg)
-    r = np.array([
-        [slot_rate(cfg, g, cfg.a1 * g, 0), slot_rate(cfg, g, cfg.a2 * g, 0)],
-        [slot_rate(cfg, g, cfg.a1 * g, 1), slot_rate(cfg, g, cfg.a2 * g, 1)],
-    ])
+    r = np.array([[reference.slot_rate(cfg, g, ak * g, receiver) for ak in (cfg.a1, cfg.a2)]
+                  for receiver in (0, 1)])
     assert block_expansion_baseline(cfg) >= max(min(r[:, 0]), min(r[:, 1])) - 1e-12
     # the tuned receiver always reaches the clean rate
     assert r[0, 0] == pytest.approx(half_log2(1 + cfg.P_v), abs=1e-9)
@@ -266,7 +264,9 @@ def test_block_expansion_between_cd_and_outer_at_fig_params():
 
 def test_sweep_ordering_and_strictness(tmp_path):
     out = tmp_path / "sweep.csv"
-    rows = comparison_sweep(FIG_CFG, eta_grid=41, out_path=out)
+    rows = comparison_sweep(FIG_CFG, eta_grid=41)
+    for path, text in sweep_artifacts(FIG_CFG, rows, out):
+        path.write_text(text)
     assert all(r["R2_md"] >= r["R2_cd"] - 1e-12 for r in rows)
     assert all(r["R2_md"] <= r["R2_outer"] + 1e-9 for r in rows)
     assert all(r["R2_cd"] <= r["R2_outer"] + 1e-9 for r in rows)
@@ -297,8 +297,9 @@ def test_sweep_rows_dominated_by_outer_frontier():
 def test_sweep_deterministic_artifacts(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    comparison_sweep(FIG_CFG, eta_grid=11, out_path=a)
-    comparison_sweep(FIG_CFG, eta_grid=11, out_path=b)
+    for path in (a, b):
+        for out, text in sweep_artifacts(FIG_CFG, comparison_sweep(FIG_CFG, eta_grid=11), path):
+            out.write_text(text)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -371,7 +372,6 @@ def test_stacked_slot_mis_equal_gaussian_mi(rng):
         for receiver in (0, 1):
             want = reference.slot_rate(sub, g[k], alpha[k], receiver)
             assert bits(rates[receiver, k]) == bits(want)
-            assert bits(slot_rate(sub, g[k], alpha[k], receiver)) == bits(want)
 
 
 def test_scan_points_follow_linspace_per_lane():
