@@ -22,7 +22,10 @@ import numpy as np
 import jsonschema
 
 from . import dmc_regions, dpc, gaussian
-from .info_theory import DmcChannel, sample_input_dist
+from .info_theory import (
+    DmcChannel,
+    sample_input_dist,  # noqa: F401  (perfbench/harness.py traces it here)
+)
 
 _NUMBER = {"type": "number"}
 _POWER = {"type": "number", "minimum": 0}
@@ -236,19 +239,32 @@ def _cmd_dpc_compare(args) -> int:
     return 0
 
 
+# the alphabets of a verify-fme instance: its auxiliary joint, then its channel
+_FME_AXES = (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2))
+_FME_OUTPUTS = (("Y1", 2), ("Z1", 2))
+
+
+def _draw_fme_chunk(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next n verify-fme instances of `rng`, stacked: for each, its
+    Dirichlet(1) joint over _FME_AXES (the draw of sample_input_dist), then
+    the Dirichlet(1) law of each of its channel's (x1, x2) slices."""
+    shape = tuple(k for _, k in _FME_AXES)
+    slices, laws = shape[-2:], tuple(k for _, k in _FME_OUTPUTS)
+    inputs = np.empty((n, math.prod(shape)))
+    probs = np.empty((n,) + slices + (math.prod(laws),))
+    ones_in, ones_out = np.ones(inputs.shape[1]), np.ones(probs.shape[-1])
+    for k in range(n):
+        inputs[k] = rng.dirichlet(ones_in)
+        probs[k] = rng.dirichlet(ones_out, size=slices)
+    return inputs.reshape((n,) + shape), probs.reshape((n,) + slices + laws)
+
+
 def _cmd_verify_fme(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
-    # drawn a chunk at a time, each instance's aux joint before its channel
     for start in range(0, args.samples, dmc_regions._CHUNK_CAP):
-        auxes, chans = [], []
-        for _ in range(min(dmc_regions._CHUNK_CAP, args.samples - start)):
-            auxes.append(dmc_regions.AuxAssignment(sample_input_dist(
-                [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng
-            )))
-            probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
-            chans.append(DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs))
-        held = dmc_regions.verify_fme_inner_bounds(auxes, chans)
+        inputs, probs = _draw_fme_chunk(rng, min(dmc_regions._CHUNK_CAP, args.samples - start))
+        held = dmc_regions.verify_fme_stack(_FME_AXES, inputs, _FME_OUTPUTS, probs)
         failures += [start + k for k, ok in enumerate(held) if not ok]
     report = {
         "instances": args.samples,

@@ -6,10 +6,12 @@ channels that satisfy the very-strong conditions while violating the weak one.
 
 Every information expression is a row of a table of signed MI terms,
 evaluated by one evaluator over a stack of joints. The cross-verification
-runs a stack of instances, each auxiliary joint with its own channel, in
-lockstep: both of its tables are evaluated on one batch, and the coding
-bounds go on the 1e-12 grid straight into the cached projection cone of
-`polytope.project_bounds`.
+has one body, `verify_fme_stack`: it takes a stack of auxiliary joints and
+a stack of channel laws of one alphabet as arrays, checks each stack once,
+evaluates both of its tables on one batch, and sends the coding bounds on
+the 1e-12 grid straight into the cached projection cone of
+`polytope.project_bounds`. `verify_fme_inner_bounds` stacks a sequence of
+validated instances per alphabet for it.
 
 Regime conditions quantify over *all* input distributions; the checkers here
 falsify by Dirichlet sampling plus a coarse deterministic simplex grid. A pass
@@ -175,15 +177,16 @@ class SearchConfig:
 # (coeffs, terms) reads coeffs . rates <= the signed sum of its terms.
 
 
-def _receiver_sets(chan: DmcChannel, strong=(), weak=()) -> dict:
-    """The receiver sets a term may name. "Y"/"Z" hold the first Y/Z output
-    (the single one of its class); "r" is set to the receiver a regime
-    condition is being checked at."""
+def _receiver_sets(outputs: Sequence[tuple[str, int]], strong=(), weak=()) -> dict:
+    """The receiver sets a term may name, for a channel's `outputs`. "Y"/"Z"
+    hold the first Y/Z output (the single one of its class); "r" is set to
+    the receiver a regime condition is being checked at."""
+    y_names, z_names = DmcChannel.y_names_of(outputs), DmcChannel.z_names_of(outputs)
     return {
-        "Y": chan.y_names[:1], "Z": chan.z_names[:1],
-        "Y*": chan.y_names, "Z*": chan.z_names,
+        "Y": y_names[:1], "Z": z_names[:1],
+        "Y*": y_names, "Z*": z_names,
         "strong": strong, "weak": weak,
-        "strong or Z*": strong or chan.z_names,
+        "strong or Z*": strong or z_names,
     }
 
 
@@ -267,19 +270,13 @@ class _Batch:
 
 
 def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
-             chan: DmcChannel | Sequence[DmcChannel]) -> _Batch:
+             outputs: tuple[tuple[str, int], ...], probs: np.ndarray) -> _Batch:
     """Batch of the joints of a stack of input distributions over `axes`
-    (which end with X1, X2) with the channel, each checked as JointDist
-    checks one joint: the same product as compose_with_channel. `chan` is
-    one channel for every joint, or one channel per joint, all with the same
-    alphabets."""
-    if isinstance(chan, DmcChannel):
-        outputs, probs = chan.outputs, chan.probs
-    else:
-        # one channel per joint, broadcast over the auxiliary axes
-        outputs = chan[0].outputs
-        probs = np.stack([c.probs for c in chan])
-        probs = probs.reshape(probs.shape[:1] + (1,) * (len(axes) - 2) + probs.shape[1:])
+    (which end with X1, X2) with a channel law, each checked as JointDist
+    checks one joint: the same product as compose_with_channel. `probs` is
+    one channel tensor (x1, x2, *outputs) for every joint, or one per joint,
+    shaped (K, 1, ..., 1, x1, x2, *outputs) to broadcast over the auxiliary
+    axes."""
     cells = inputs[0].size * prod(k for _, k in outputs)
     if cells > MAX_CELLS:
         raise AlphabetError(
@@ -294,11 +291,12 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
 
 
-def _compose_each(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> list:
-    """Each joint composed with its own channel, as compose_with_channel
-    composes one: auxiliary axes first, in their order, then X1, X2 and the
-    outputs. Joints and channels of one alphabet share a batch; returns
-    (indices, batch, channel) per alphabet, with one of its channels."""
+def _stack_by_alphabet(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> list:
+    """Joints and their channels stacked per alphabet, each joint's axes
+    ordered as compose_with_channel orders them: auxiliary axes first, in
+    their order, then X1, X2. Returns (indices, axes, inputs, outputs,
+    probs) per alphabet, with `inputs` and `probs` stacked in the order of
+    `indices`."""
     groups: dict = {}
     for k, (joint, chan) in enumerate(zip(joints, chans, strict=True)):
         x1, x2 = joint.axis_index("X1"), joint.axis_index("X2")
@@ -309,15 +307,10 @@ def _compose_each(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> l
         order = tuple(i for i in range(len(joint.axes)) if i not in (x1, x2)) + (x1, x2)
         axes = tuple(joint.axes[i] for i in order)
         groups.setdefault((axes, chan.outputs), []).append((k, order))
-    out = []
-    for (axes, outputs), members in groups.items():
-        names = [n for n, _ in axes + outputs]
-        if len(set(names)) != len(names):
-            raise AlphabetError(f"duplicate axis names in {names}")
-        inputs = np.stack([joints[k].probs.transpose(order) for k, order in members])
-        batch = _compose(axes, inputs, [chans[k] for k, _ in members])
-        out.append(([k for k, _ in members], batch, chans[members[0][0]]))
-    return out
+    return [([k for k, _ in members], axes,
+             np.stack([joints[k].probs.transpose(order) for k, order in members]),
+             outputs, np.stack([chans[k].probs for k, _ in members]))
+            for (axes, outputs), members in groups.items()]
 
 
 def _rows(batch: _Batch, sets: dict, table) -> list:
@@ -484,17 +477,18 @@ _REGIONS = {
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
     batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    return IneqSystem.build(("R1", "R2"), _rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
+    rows = _rows(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0]
+    return IneqSystem.build(("R1", "R2"), rows)
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
     batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    return _frontier(_rows(batch, _receiver_sets(chan), _INNER_BOUND)[0])
+    return _frontier(_rows(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0])
 
 
-def _check_single_pair(chan: DmcChannel) -> None:
-    if chan.n_primary != 1 or chan.n_secondary != 1:
+def _check_single_pair(outputs: Sequence[tuple[str, int]]) -> None:
+    if sorted(n[:1] for n, _ in outputs) != ["Y", "Z"]:
         raise RegimeError("constraint system is stated for exactly one Y and one Z")
 
 
@@ -505,9 +499,9 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     rate-split identities R1 = R01 + R11 and R2 = R02 + R22, and
     nonnegativity of every split/binning rate. Written for one Y and one Z.
     """
-    _check_single_pair(chan)
+    _check_single_pair(chan.outputs)
     batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    rows = _rows(batch, _receiver_sets(chan), _CODING_SYSTEM)[0] + list(_CODING_LINEAR)
+    rows = _rows(batch, _receiver_sets(chan.outputs), _CODING_SYSTEM)[0] + list(_CODING_LINEAR)
     return IneqSystem.build(_CODING_VARS, rows)
 
 
@@ -524,31 +518,79 @@ def _projected_frontier(bounds: list[int]) -> Frontier2D:
                              for (d1, d2), scale, best in projected])
 
 
+def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
+                     outputs: Sequence[tuple[str, int]], probs: np.ndarray) -> list[bool]:
+    """For each instance of a stack, True iff the exact projection of the
+    constraint system is region-equal, within 1e-9, to the direct
+    11-inequality evaluation.
+
+    `inputs` (K, *sizes of `axes`) holds the auxiliary joints over `axes`,
+    which name Q1, Q, U, V and end with X1, X2; `probs` (K, x1, x2, *sizes of
+    `outputs`) holds each instance's channel law, for one Y and one Z
+    output. Once per stack, the joints are checked as JointDist checks one
+    (no NaN, nothing negative, each sums to 1 within SUM_TOL) and the laws
+    as DmcChannel checks one (nothing negative, each (x1, x2) slice sums to
+    1 within SUM_TOL); either raises DistributionError.
+
+    Both tables are evaluated on one batch, so each MI term they share is
+    computed once. The coding bounds are snapped to the 1e-12 grid as
+    `rationalize` snaps them and summed against the cached projection cone
+    in integers.
+    """
+    axes, outputs = tuple(axes), tuple(outputs)
+    names = [n for n, _ in axes + outputs]
+    if len(set(names)) != len(names):
+        raise AlphabetError(f"duplicate axis names in {names}")
+    if names[len(axes) - 2:len(axes)] != ["X1", "X2"]:
+        raise AlphabetError(f"input axes {names[:len(axes)]} must end with X1, X2")
+    _check_single_pair(outputs)
+    inputs, probs = np.asarray(inputs, dtype=float), np.asarray(probs, dtype=float)
+    k = len(inputs)
+    shape = (k,) + tuple(n for _, n in axes[-2:]) + tuple(n for _, n in outputs)
+    if inputs.shape[1:] != tuple(n for _, n in axes) or probs.shape != shape:
+        raise DistributionError(
+            f"stack shapes {inputs.shape} and {probs.shape} do not match the axes")
+    # written so that NaN fails each comparison
+    if not inputs.min() >= 0:
+        raise DistributionError(f"negative or NaN input probability {inputs.min():g}")
+    worst = np.abs(inputs.reshape(k, -1).sum(axis=1) - 1.0).max()
+    if not worst <= SUM_TOL:
+        raise DistributionError(f"input joints sum to 1 only within {worst:g}")
+    if not probs.min() >= 0:
+        raise DistributionError(f"negative or NaN transition probability {probs.min():g}")
+    worst = np.abs(probs.reshape(k, shape[1], shape[2], -1).sum(axis=3) - 1.0).max()
+    if not worst <= SUM_TOL:
+        raise DistributionError(
+            f"conditional slices must sum to 1 (worst deviation {worst:g})")
+
+    # one channel per joint, broadcast over the auxiliary axes
+    batch = _compose(axes, inputs, outputs,
+                     probs.reshape((k,) + (1,) * (len(axes) - 2) + shape[1:]))
+    sets = _receiver_sets(outputs)
+    direct = [_frontier(rows) for rows in _rows(batch, sets, _INNER_BOUND)]
+    bounds = [[grid_bound(b) for b in batch.value(sets, terms).tolist()]
+              for _, terms in _CODING_SYSTEM]
+    linear = [grid_bound(b) for _, b in _CODING_LINEAR]
+    return [region_equal(region, _projected_frontier(list(mi_bounds) + linear), 1e-9)
+            for region, mi_bounds in zip(direct, zip(*bounds))]
+
+
 def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment],
                             chans: Sequence[DmcChannel]) -> list[bool]:
     """For each instance (aux, chan), True iff the exact projection of the
     constraint system is region-equal, within 1e-9, to the direct
     11-inequality evaluation.
 
-    Up to _CHUNK_CAP instances at a time are composed into one batch per
-    alphabet, and both tables are evaluated on it, so each MI term they
-    share is computed once. The coding bounds are snapped to the 1e-12 grid as `rationalize`
-    snaps them and summed against the cached projection cone in integers.
+    Up to _CHUNK_CAP instances at a time are stacked per alphabet, and each
+    stack is verified by `verify_fme_stack`.
     """
     held: list[bool] = [False] * len(auxes)
     for start in range(0, len(auxes), _CHUNK_CAP):
         chunk = slice(start, start + _CHUNK_CAP)
         joints = [aux.joint for aux in auxes[chunk]]
-        for members, batch, chan in _compose_each(joints, chans[chunk]):
-            _check_single_pair(chan)
-            sets = _receiver_sets(chan)
-            direct = [_frontier(rows) for rows in _rows(batch, sets, _INNER_BOUND)]
-            bounds = [[grid_bound(b) for b in batch.value(sets, terms).tolist()]
-                      for _, terms in _CODING_SYSTEM]
-            linear = [grid_bound(b) for _, b in _CODING_LINEAR]
-            for k, region, mi_bounds in zip(members, direct, zip(*bounds)):
-                via_fme = _projected_frontier(list(mi_bounds) + linear)
-                held[start + k] = region_equal(region, via_fme, 1e-9)
+        for members, *stack in _stack_by_alphabet(joints, chans[chunk]):
+            for k, ok in zip(members, verify_fme_stack(*stack)):
+                held[start + k] = ok
     return held
 
 
@@ -713,12 +755,13 @@ def check_regime(
         strong, weak = _partition_sets(chan, klass, partition)
     if aux_card is None:
         aux_card = default_aux_card(chan)
-    sets = _receiver_sets(chan, strong, weak)
+    sets = _receiver_sets(chan.outputs, strong, weak)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     axes = _input_axes(chan, regime, aux_card)
     checked = 0
     for rows, state in _check_dists(axes, samples, rng):
-        found = _first_violation(_compose(axes, rows, chan), sets, _CONDITIONS[klass, regime])
+        batch = _compose(axes, rows, chan.outputs, chan.probs)
+        found = _first_violation(batch, sets, _CONDITIONS[klass, regime])
         if found is None:
             checked += len(rows)
             continue
@@ -743,7 +786,7 @@ def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
     """Named bounds of a multi-primary table (its "Z" is the one Z output)."""
     _check_class(chan, MULTI_PRIMARY)
     batch = _Batch.of(compose_with_channel(dist, chan))
-    sets = _receiver_sets(chan, strong, weak)
+    sets = _receiver_sets(chan.outputs, strong, weak)
     bounds = {name: float(batch.value(sets, terms)[0]) for name, (_, terms) in table.items()}
     return {name: bound for name, bound in bounds.items() if bound < np.inf}
 
@@ -806,11 +849,11 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
             f"{report.witness.receiver} by {report.witness.margin:g}"
         )
     chan = report.chan
-    sets = _receiver_sets(chan, *report.partition)
+    sets = _receiver_sets(chan.outputs, *report.partition)
     axes = _input_axes(chan, report.regime, report.aux_card)
     pieces = []
     for rows, _ in _check_dists(axes, search.samples, np.random.default_rng(search.seed)):
-        batch = _compose(axes, rows, chan)
+        batch = _compose(axes, rows, chan.outputs, chan.probs)
         pieces += [_frontier(r) for r in _rows(batch, sets, _REGIONS[report.klass, report.regime])]
     return concave_envelope(pieces)
 
@@ -898,7 +941,7 @@ def weak_violation_margin(chan: DmcChannel, dist: JointDist) -> tuple[str, float
     """Worst receiver and margin of I(U;Yj|X1) - I(U;Z|X1) for one joint."""
     _check_class(chan, MULTI_PRIMARY)
     batch = _Batch.of(compose_with_channel(dist, chan))
-    sets = _receiver_sets(chan)
+    sets = _receiver_sets(chan.outputs)
     best = ("", -np.inf)
     for y in chan.y_names:
         sets["r"] = (y,)

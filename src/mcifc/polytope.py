@@ -587,9 +587,16 @@ def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
     with det > 0, feasible when a*x + b*y <= c*det for every row; integer
     division rounds it to floats as `float(Fraction(x, det))` would. An
     unbounded region raises UnboundedRegionError naming a recession direction
-    divided by its gcd; an infeasible system yields the empty frontier."""
+    divided by its gcd; an infeasible system yields the empty frontier.
+
+    A row with a >= 0, b >= 0 and c < 0, the constant row 0 <= c < 0
+    included, excludes the whole quadrant: the frontier is then empty at
+    once, with no vertex enumerated and no unboundedness test, which is what
+    the enumeration would conclude."""
     # a constant row 0 <= c either holds and is dropped, or no vertex meets it
     system_rows = [(a, b, c) for a, b, c in rows if a or b or c < 0]
+    if any(a >= 0 and b >= 0 and c < 0 for a, b, c in system_rows):
+        return Frontier2D(())
     rows = system_rows + [(-1, 0, 0), (0, -1, 0)]
 
     # the quadrant rows make the region pointed, so nonempty implies a vertex;

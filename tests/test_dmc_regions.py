@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import (
+    DistributionError,
     DmcChannel,
     JointDist,
     compose_with_channel,
@@ -175,6 +176,35 @@ def test_integer_frontier_matches_rational_projection():
     assert min(kinds.values()) >= 50, kinds
 
 
+@pytest.mark.parametrize("rows, want", [
+    # r2 <= r1 - 0.5 under a sum cap, and r1 >= 0.25, r2 >= 0.5: bounded
+    ([({"R2": 1, "R1": -1}, -0.5), ({"R1": 1, "R2": 1}, 3.0)],
+     ((0.0, 3.0), (1.25, 1.75))),
+    ([({"R1": -1}, -0.25), ({"R2": -1}, -0.5), ({"R1": 1, "R2": 2}, 4.0)],
+     ((0.0, 3.0), (0.5, 3.0), (1.875, 0.25))),
+    ([({"R1": -1}, -0.25), ({"R1": 1, "R2": 1}, 1.0)], ((0.0, 1.0), (0.75, 0.25))),
+    # r1 <= r2 - 0.5 under an r1 cap: unbounded along r2
+    ([({"R1": 1, "R2": -1}, -0.5), ({"R1": 1}, 2.0)], "unbounded"),
+    ([({"R1": 1, "R2": -1}, -0.5), ({"R1": -1}, -0.75)], "unbounded"),
+    # empty: r1 <= 2 r2 - 1 with r2 <= 0.25, which only the vertices show
+    ([({"R1": 1, "R2": -2}, -1.0), ({"R2": 1}, 0.25)], ()),
+    # empty at once: 0 <= -1, and r1 + 2 r2 below zero
+    ([({}, -1.0), ({"R1": 1}, 1.0), ({"R2": 1}, 1.0)], ()),
+    ([({"R1": 1, "R2": 2}, -1e-12), ({"R1": -1}, -0.5)], ()),
+])
+def test_integer_frontier_empty_quadrant_guard(rows, want):
+    # negative bounds on rows with a coefficient of each sign leave a
+    # feasible or unbounded region, which the early empty return must not
+    # claim; a row with no negative coefficient and a negative bound (0 <= -1
+    # among them) excludes the quadrant
+    def rational(rows):
+        return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+
+    got = _outcome(dr._frontier, rows)
+    assert got == _outcome(rational, rows)
+    assert ("unbounded" in got if want == "unbounded" else got == want)
+
+
 def test_inner_bound_zero_channel_gives_origin(rng):
     probs = np.full((2, 2, 2, 2), 0.25)
     chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
@@ -274,6 +304,57 @@ def test_verify_fme_detects_corruption(rng):
         project_to_frontier(corrupted, "R1", "R2"), via_fme, 1e-9
     )
     assert dr.verify_fme_inner_bound(aux, chan)
+
+
+def test_verify_fme_compares_at_1e_9():
+    # a superposition draw with a little Dirichlet mass: both regions are
+    # nonempty, and the projection is smaller by about 1e-5, a gap that a
+    # comparison at 1e-3 would pass
+    rng = np.random.default_rng(12)
+    aux = superposition_aux(rng, 1e-2)
+    chan = random_channel(rng)
+    direct = dr.inner_bound_region(aux, chan)
+    via = project_to_frontier(
+        fme_project(dr.coding_constraint_system(aux, chan), ("R1", "R2")), "R1", "R2")
+    assert not direct.is_empty and not via.is_empty
+    assert not region_equal(direct, via, 1e-9) and region_equal(direct, via, 1e-3)
+    assert not dr.verify_fme_inner_bound(aux, chan)
+
+
+_AXES = (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2))
+_OUTPUTS = (("Y1", 2), ("Z1", 2))
+
+
+def _nan(cells):
+    cells.flat[1] = np.nan
+
+
+def _negative(cells):
+    cells.flat[1] *= -1
+
+
+def _off_by_1e_9(cells):
+    cells *= 1 + 1e-9
+
+
+@pytest.mark.parametrize("which, change, match", [
+    ("inputs", _nan, "negative or NaN input"),
+    ("inputs", _negative, "negative or NaN input"),
+    ("inputs", _off_by_1e_9, "input joints sum"),
+    ("probs", _nan, "negative or NaN transition"),
+    ("probs", _negative, "negative or NaN transition"),
+    ("probs", _off_by_1e_9, "conditional slices"),
+], ids=["input-nan", "input-negative", "input-sum", "law-nan", "law-negative", "law-sum"])
+def test_verify_fme_stack_rejects_an_invalid_row(which, change, match, rng):
+    # one bad joint, or one bad (x1, x2) slice of a channel law, in an
+    # otherwise valid stack of 5 instances
+    stack = {"inputs": rng.dirichlet(np.ones(64), size=5).reshape((5,) + (2,) * 6),
+             "probs": rng.dirichlet(np.ones(4), size=(5, 2, 2)).reshape(5, 2, 2, 2, 2)}
+    assert len(dr.verify_fme_stack(_AXES, stack["inputs"], _OUTPUTS, stack["probs"])) == 5
+    row = stack[which][3]
+    change(row if which == "inputs" else row[1, 0])
+    with pytest.raises(DistributionError, match=match):
+        dr.verify_fme_stack(_AXES, stack["inputs"], _OUTPUTS, stack["probs"])
 
 
 def test_projection_never_exceeds_inequality_region():
@@ -663,8 +744,8 @@ def test_batched_terms_equal_mutual_information_bitwise(table, zeros, rng):
     else:
         chan = random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2), ("Z2", 2)))
     stack = stack.reshape((len(stack),) + shape)
-    batch = dr._compose(axes, stack, chan)
-    receiver_keys = set(dr._receiver_sets(chan)) | {"r"}
+    batch = dr._compose(axes, stack, chan.outputs, chan.probs)
+    receiver_keys = set(dr._receiver_sets(chan.outputs)) | {"r"}
     joints = [compose_with_channel(JointDist(axes, row), chan) for row in stack]
     for _, left, right, given in sorted(terms):
         rights = ([(name,) for name, _ in chan.outputs] if right in receiver_keys
@@ -674,7 +755,8 @@ def test_batched_terms_equal_mutual_information_bitwise(table, zeros, rng):
             for k, joint in enumerate(joints):
                 want = mutual_information(joint, left.split(), r, given.split())
                 assert got[k] == want, (left, r, given, k)
-                assert dr._compose(axes, stack[k:k + 1], chan).mi(left, r, given)[0] == want
+                one = dr._compose(axes, stack[k:k + 1], chan.outputs, chan.probs)
+                assert one.mi(left, r, given)[0] == want
 
 
 def _deep_witness_channel():
