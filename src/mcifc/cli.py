@@ -109,8 +109,9 @@ def _finite(token: str) -> float:
     return value
 
 
-# validators by schema id, each built on first use; a cached validator holds
-# its schema, so the id stays that schema's
+# validators by schema id, each built on the first document its schema
+# rejects (`_accepts` passes valid ones without one); a cached validator
+# holds its schema, so the id stays that schema's
 _validators: dict[int, jsonschema.protocols.Validator] = {}
 
 
@@ -125,6 +126,62 @@ def _validator(schema: dict) -> jsonschema.protocols.Validator:
     return validator
 
 
+# the JSON types the schemas name, as jsonschema's 2020-12 validator reads
+# them: a bool is not a number, and a float with no fractional part is an
+# integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _accepts(schema: dict, doc) -> bool:
+    """True iff `doc` is valid under `schema` as jsonschema's 2020-12
+    validator judges it, for the keywords the schemas above use. Any other
+    keyword, type name or non-string constant makes it False, which only
+    sends the document on to jsonschema.
+
+    As in jsonschema, a keyword that constrains one JSON type passes every
+    value of another type; `items` covers the positions after `prefixItems`.
+    """
+    for key, want in schema.items():
+        if key == "type":
+            ok = isinstance(want, str) and want in _TYPES and _TYPES[want](doc)
+        elif key == "const":
+            ok = isinstance(want, str) and doc == want
+        elif key == "enum":
+            ok = all(isinstance(v, str) for v in want) and doc in want
+        elif key == "oneOf":
+            ok = sum(_accepts(branch, doc) for branch in want) == 1
+        elif key in ("minimum", "maximum"):
+            ok = (not _TYPES["number"](doc)
+                  or (doc >= want if key == "minimum" else doc <= want))
+        elif key in ("minItems", "maxItems"):
+            ok = (not isinstance(doc, list)
+                  or (len(doc) >= want if key == "minItems" else len(doc) <= want))
+        elif key == "prefixItems":
+            ok = not isinstance(doc, list) or all(map(_accepts, want, doc))
+        elif key == "items":
+            skip = len(schema.get("prefixItems", ()))
+            ok = not isinstance(doc, list) or all(_accepts(want, v) for v in doc[skip:])
+        elif key == "properties":
+            ok = not isinstance(doc, dict) or all(
+                _accepts(want[k], v) for k, v in doc.items() if k in want)
+        elif key == "required":
+            ok = not isinstance(doc, dict) or all(k in doc for k in want)
+        elif key == "additionalProperties" and want is False:
+            ok = not isinstance(doc, dict) or all(k in schema.get("properties", {}) for k in doc)
+        else:
+            return False
+        if not ok:
+            return False
+    return True
+
+
 def _load_json(path: str, schema: dict) -> dict:
     try:
         doc = json.loads(Path(path).read_text(), parse_float=_finite,
@@ -133,6 +190,8 @@ def _load_json(path: str, schema: dict) -> dict:
         raise CliValidationError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # malformed JSON or a non-finite number
         raise CliValidationError(f"{path} is not valid JSON: {exc}")
+    if _accepts(schema, doc):
+        return doc
     # the error jsonschema.validate would raise
     error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(doc))
     if error is not None:

@@ -582,8 +582,11 @@ def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment],
     11-inequality evaluation.
 
     Up to _CHUNK_CAP instances at a time are stacked per alphabet, and each
-    stack is verified by `verify_fme_stack`.
+    stack is verified by `verify_fme_stack`. Raises ValueError unless there
+    is one channel per auxiliary assignment.
     """
+    if len(auxes) != len(chans):
+        raise ValueError(f"{len(auxes)} auxiliary assignments for {len(chans)} channels")
     held: list[bool] = [False] * len(auxes)
     for start in range(0, len(auxes), _CHUNK_CAP):
         chunk = slice(start, start + _CHUNK_CAP)

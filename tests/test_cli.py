@@ -387,6 +387,9 @@ def test_schema_errors_match_jsonschema_validate(schema_name, argv, doc, tmp_pat
 
 
 def test_each_schema_is_checked_once(wi_chan, tmp_path, capsys, monkeypatch):
+    # valid inputs take the stdlib walk and build no validator; a schema's
+    # validator, with its one metaschema check, is built on the first
+    # document that schema rejects, and reused for every later one
     import jsonschema
 
     from mcifc import cli
@@ -402,14 +405,203 @@ def test_each_schema_is_checked_once(wi_chan, tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(cls, "check_schema", counting)
     monkeypatch.setattr(cli, "_validators", {})
-    dmc = write(tmp_path / "dmc.json", {"axes": [["X1", 2]], "probs": [1.0]})
     dpc = write(tmp_path / "dpc.json",
                 {"P1": 3.0, "P2": 1.0, "a1": 0.75, "a2": -0.5, "b": 0.1})
     out = str(tmp_path / "out.csv")
-    for _ in range(3):
-        assert run(["classify", "--in", wi_chan]) == 0
-        assert run(["region", "--in", wi_chan, "--out", out, "--grid", "5"]) == 0
-        assert run(["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI"]) == 1
-        assert run(["dpc-compare", "--in", dpc, "--out", out, "--grid", "3"]) == 0
+    valid = (["classify", "--in", wi_chan],
+             ["region", "--in", wi_chan, "--out", out, "--grid", "5"],
+             ["dpc-compare", "--in", dpc, "--out", out, "--grid", "3"])
+    for argv in valid:
+        assert run(argv) == 0
+    assert checked == [] and cli._validators == {}
+
+    rejected = [
+        ("DMC_SCHEMA", ["dmc-capacity", "--regime", "VSI", "--out", out],
+         {"axes": [["X1", 2]], "probs": [1.0]}),
+        ("GAUSSIAN_SCHEMA", ["classify"], {"class": "multi_primary", "b": []}),
+        ("DPC_SCHEMA", ["dpc-compare", "--out", out], {"P1": 3.0}),
+    ]
+    for k, (name, argv, doc) in enumerate(rejected):
+        path = write(tmp_path / f"{name}.json", doc)
+        for _ in range(3):
+            assert run([argv[0], "--in", path] + argv[1:]) == 1
+            # one check per schema rejected so far, in the order of rejection
+            assert [id(s) for s in checked] == [id(getattr(cli, n)) for n, _, _ in rejected[:k + 1]]
+            assert set(cli._validators) == set(map(id, checked))
+    for argv in valid:
+        assert run(argv) == 0
+    assert len(checked) == len(names)
     capsys.readouterr()
-    assert sorted(map(id, checked)) == sorted(id(getattr(cli, n)) for n in names)
+
+
+# the schema of each subcommand that reads an --in document
+_SCHEMA_OF = {"classify": "GAUSSIAN_SCHEMA", "region": "GAUSSIAN_SCHEMA",
+              "dmc-capacity": "DMC_SCHEMA", "dpc-compare": "DPC_SCHEMA"}
+
+
+def _catalogue_inputs() -> list[tuple[list, dict]]:
+    """(argv, input document) of every benchmark catalogue case with an --in."""
+    cases = []
+    for path in sorted(CATALOGUE.glob("*.json.gz")):
+        doc = json.loads(gzip.decompress(path.read_bytes()))
+        cases += [(case["argv"], case["input"]) for group in doc["kinds"].values()
+                  for case in group if case.get("input") is not None]
+    return cases
+
+
+def test_catalogue_inputs_take_the_stdlib_walk(tmp_path, monkeypatch):
+    from mcifc import cli
+
+    monkeypatch.setattr(cli, "_validators", {})
+    cases = _catalogue_inputs()
+    assert len(cases) == 304
+    for k, (argv, doc) in enumerate(cases):
+        schema = getattr(cli, _SCHEMA_OF[argv[0]])
+        assert cli._accepts(schema, doc), k
+        assert cli._load_json(write(tmp_path / "in.json", doc), schema) == doc
+    assert cli._validators == {}
+
+
+def _a_path(doc, rng) -> list:
+    """A random key or index path into `doc`: a top-level key, then into a
+    list with probability 1/2 at each level."""
+    path, value = [], doc
+    while not path or isinstance(value, list) and value and rng.random() < 0.5:
+        key = (rng.choice(sorted(value)) if isinstance(value, dict)
+               else int(rng.integers(len(value))))
+        path.append(key)
+        value = value[key]
+    return path
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _mutations(doc: dict, rng):
+    """Seeded edits of one valid input document, each on a fresh copy."""
+    def edited(edit, *args):
+        copy = json.loads(json.dumps(doc))
+        edit(copy, *args)
+        return copy
+
+    keys = sorted(doc)
+    key = keys[rng.integers(len(keys))]
+    yield edited(lambda d: d.pop(key))
+    yield edited(lambda d: d.update({key + "_": d.pop(key)}))
+    yield edited(lambda d: d.update({"extra": 0}))
+    for value in (True, "1", None, [1.0]):
+        yield edited(_set, _a_path(doc, rng), value)
+    if "P1" in doc:  # a Gaussian channel or a DPC configuration
+        for bound, values in (("P1", (-1, 0, -1e-9)), ("P2", (-0.5,)),
+                              ("eta", (1.5, 1, 0.0, -0.25)), ("rho", (-1, -1.5, 1.0000001))):
+            for value in values:
+                yield edited(lambda d: d.update({bound: value}))
+    if "axes" in doc:
+        i = int(rng.integers(len(doc["axes"])))
+        size = doc["axes"][i][1]
+        for value in (float(size), size + 0.5, 0, True, -1):
+            yield edited(_set, ["axes", i, 1], value)
+        yield edited(_set, ["axes", i], doc["axes"][i][:1])
+        yield edited(_set, ["axes", i], doc["axes"][i] + [2])
+        yield edited(_set, ["axes", i, 0], 7)
+        yield edited(lambda d: d.update({"axes": d["axes"][:int(rng.integers(4))]}))
+        yield edited(lambda d: d.update({"probs": []}))
+    if "class" in doc:
+        other = {"multi_primary": "multi_secondary", "multi_secondary": "multi_primary"}
+        yield edited(lambda d: d.update({"class": other[d["class"]]}))
+        yield edited(lambda d: d.update({"class": "multi"}))
+        listed = "b" if isinstance(doc["b"], list) else "a"
+        yield edited(lambda d: d.update({listed: []}))
+        yield edited(lambda d: d.update({listed: d[listed][0]}))
+    if "md_variant" in doc:
+        yield edited(lambda d: d.update({"md_variant": "cubic"}))
+        yield edited(lambda d: d.update({"md_variant": "linear"}))
+
+
+def test_stdlib_walk_agrees_with_jsonschema_on_mutated_inputs(tmp_path, capsys):
+    # every mutation is judged alike by the walk and by jsonschema, and each
+    # rejected one fails run() with the message jsonschema.validate raises:
+    # best_match of the errors of the schema's validator, whose metaschema
+    # check (the rest of jsonschema.validate) runs here once per schema
+    import jsonschema
+
+    from mcifc import cli
+
+    oracles = {}
+    for name in set(_SCHEMA_OF.values()):
+        schema = getattr(cli, name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        oracles[name] = cls(schema)
+    rng = np.random.default_rng(15)
+    cases = _catalogue_inputs()
+    path, out = tmp_path / "in.json", str(tmp_path / "out.csv")
+    verdicts = {True: 0, False: 0}
+    for k in rng.choice(len(cases), size=24, replace=False):
+        argv, doc = cases[k]
+        schema = getattr(cli, _SCHEMA_OF[argv[0]])
+        oracle = oracles[_SCHEMA_OF[argv[0]]]
+        argv = [{"{in}": str(path), "{out}": out}.get(a, a) for a in argv]
+        for mutant in _mutations(doc, rng):
+            error = jsonschema.exceptions.best_match(oracle.iter_errors(mutant))
+            valid = error is None
+            assert cli._accepts(schema, mutant) == valid, (argv[0], mutant)
+            verdicts[valid] += 1
+            if not valid:
+                write(path, mutant)
+                assert run(argv) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == json.dumps(
+                    {"error": f"{path} failed schema validation: {error.message}"}) + "\n"
+    assert not Path(out).exists()
+    assert verdicts[True] >= 30 and verdicts[False] >= 350, verdicts
+
+
+@pytest.mark.parametrize("schema, doc", [
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2),  # two branches match
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2.5),
+    ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, True),
+    ({"type": "integer"}, 3.0),
+    ({"type": "integer"}, True),
+    ({"type": "number"}, False),
+    ({"minimum": 0, "maximum": 1}, "2"),
+    ({"minimum": 0}, True),
+    ({"maximum": 1}, 1.0),
+    ({"prefixItems": [{"type": "integer"}], "items": {"type": "string"}}, [1, "a"]),
+    ({"prefixItems": [{"type": "integer"}], "items": {"type": "string"}}, ["a", "a"]),
+    ({"prefixItems": [{"type": "integer"}, {"type": "integer"}]}, [1]),
+    ({"minItems": 2, "maxItems": 2}, {"a": 1}),
+    ({"maxItems": 1}, [1, 2]),
+    ({"required": ["a"], "additionalProperties": False}, ["b"]),
+    ({"properties": {"a": {"const": "x"}}, "additionalProperties": False}, {"a": "x"}),
+    ({"properties": {"a": {"const": "x"}}, "additionalProperties": False}, {"b": "x"}),
+    ({"enum": ["x", "y"]}, ["x"]),
+    ({"const": "1"}, 1),
+])
+def test_stdlib_walk_keyword_semantics(schema, doc):
+    import jsonschema
+
+    from mcifc import cli
+
+    assert cli._accepts(schema, doc) == jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+
+@pytest.mark.parametrize("schema, doc", [
+    ({"type": "string", "maxLength": 3}, "x"),
+    ({"additionalProperties": True}, {"a": 1}),
+    ({"type": ["string", "null"]}, "x"),
+    ({"const": 1}, 1),
+    ({"enum": ["x", None]}, "x"),
+])
+def test_stdlib_walk_leaves_other_keywords_to_jsonschema(schema, doc):
+    # valid documents, under keywords and values the walk does not read
+    import jsonschema
+
+    from mcifc import cli
+
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc)
+    assert not cli._accepts(schema, doc)

@@ -499,6 +499,14 @@ def test_lockstep_verification_checks_every_channel(rng):
         dr.verify_fme_inner_bounds(aux, chans[:2])
 
 
+@pytest.mark.parametrize("n_aux, n_chan", [(3, 4), (64, 65), (65, 64)])
+def test_lockstep_verification_pairs_every_aux_with_a_channel(n_aux, n_chan, rng):
+    # a surplus past a chunk boundary (64 + 1) is rejected like one inside it
+    aux, chan = superposition_aux(rng), random_channel(rng)
+    with pytest.raises(ValueError, match=f"{n_aux} auxiliary assignments for {n_chan} channels"):
+        dr.verify_fme_inner_bounds([aux] * n_aux, [chan] * n_chan)
+
+
 def test_coding_system_projection_cone_structure(rng):
     system = dr.coding_constraint_system(superposition_aux(rng), random_channel(rng))
     _projection_cone.cache_clear()
