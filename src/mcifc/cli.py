@@ -218,14 +218,17 @@ def _parse_partition(raw: str | None, names: tuple[str, ...]):
 
 
 def _gaussian_partition(chan, raw: str | None):
-    """--partition of a multi-primary Gaussian channel as 0-based indices."""
+    """--partition of a multi-primary Gaussian channel as 0-based indices,
+    checked to split the receivers even where the regime ignores it."""
     if raw is None:
         return None
     if not isinstance(chan, gaussian.GaussianMultiPrimary):
         raise CliValidationError("--partition applies to multi_primary channels")
     names = tuple(str(j + 1) for j in range(chan.n_primary))
     strong, weak = _parse_partition(raw, names)
-    return (tuple(int(s) - 1 for s in strong), tuple(int(w) - 1 for w in weak))
+    partition = (tuple(int(s) - 1 for s in strong), tuple(int(w) - 1 for w in weak))
+    gaussian._validate_partition(chan.n_primary, partition)
+    return partition
 
 
 def _emit(doc: dict) -> None:
@@ -351,6 +354,8 @@ def _cmd_dmc_capacity(args) -> int:
         )
     names = chan.y_names if klass == dmc_regions.MULTI_PRIMARY else chan.z_names
     partition = _parse_partition(args.partition, names)
+    if partition is not None:  # checked even where the regime ignores it
+        dmc_regions._partition_sets(chan, klass, partition)
     report = dmc_regions.check_regime(
         chan, klass, args.regime, samples=args.samples, seed=args.seed,
         partition=partition,

@@ -10,8 +10,10 @@ has one body, `verify_fme_stack`: it takes a stack of auxiliary joints and
 a stack of channel laws of one alphabet as arrays, checks each stack once,
 evaluates both of its tables on one batch, and sends the coding bounds on
 the 1e-12 grid straight into the cached projection cone of
-`polytope.project_bounds`. `verify_fme_inner_bounds` stacks a sequence of
-validated instances per alphabet for it.
+`polytope.project_bounds`. `verify_fme_inner_bound` is its one-instance
+case.
+
+|U| is |X1||X2| + 1 throughout, fixed by the channel (`default_aux_card`).
 
 Regime conditions quantify over *all* input distributions; the checkers here
 falsify by Dirichlet sampling plus a coarse deterministic simplex grid. A pass
@@ -114,10 +116,10 @@ class RegimeReport:
     """Outcome of a sampled regime check of one channel.
 
     `label` is the checked regime on a pass and "none" on a failure; a pass is
-    explicitly a "no violation found" statement, not a proof. `chan`, the
-    (strong, weak) receiver names (empty outside the mixed regime) and |U|
-    say what was checked, and so what `dmc_capacity_region` computes; they
-    take no part in equality and stay out of the JSON form.
+    explicitly a "no violation found" statement, not a proof. `chan` and the
+    (strong, weak) receiver names (empty outside the mixed regime) say what
+    was checked, and so what `dmc_capacity_region` computes; they take no
+    part in equality and stay out of the JSON form.
     """
 
     klass: str
@@ -127,7 +129,6 @@ class RegimeReport:
     witness: RegimeWitness | None
     chan: DmcChannel = field(compare=False)
     partition: tuple[tuple[str, ...], tuple[str, ...]] = field(compare=False)
-    aux_card: int = field(compare=False)
 
     def __post_init__(self):
         _check_class(self.chan, self.klass)
@@ -153,7 +154,7 @@ class RegimeReport:
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget for the union over sampled input distributions (|U| is the
-    report's; the JSON form keeps its key as null)."""
+    channel's; the JSON form keeps its key as null)."""
 
     samples: int = 200
     seed: int = 0
@@ -193,7 +194,7 @@ def _receiver_sets(outputs: Sequence[tuple[str, int]], strong=(), weak=()) -> di
 # A batch holds at most this many joints, so at most _CHUNK_CAP * MAX_CELLS
 # cells. Regime checks and capacity regions take their input distributions in
 # chunks of 1, 2, 4, ... rows up to this many (a witness at depth 1 costs one
-# row); verify_fme_inner_bounds takes its instances this many at a time.
+# row); verify-fme draws and verifies its instances this many at a time.
 _CHUNK_CAP = 64
 
 
@@ -289,28 +290,6 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     if not worst <= SUM_TOL:
         raise DistributionError(f"probabilities sum to 1 only within {worst:g}")
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
-
-
-def _stack_by_alphabet(joints: Sequence[JointDist], chans: Sequence[DmcChannel]) -> list:
-    """Joints and their channels stacked per alphabet, each joint's axes
-    ordered as compose_with_channel orders them: auxiliary axes first, in
-    their order, then X1, X2. Returns (indices, axes, inputs, outputs,
-    probs) per alphabet, with `inputs` and `probs` stacked in the order of
-    `indices`."""
-    groups: dict = {}
-    for k, (joint, chan) in enumerate(zip(joints, chans, strict=True)):
-        x1, x2 = joint.axis_index("X1"), joint.axis_index("X2")
-        if joint.axes[x1][1] != chan.x1 or joint.axes[x2][1] != chan.x2:
-            raise AlphabetError(
-                f"input alphabet sizes ({joint.axes[x1][1]},{joint.axes[x2][1]}) do not "
-                f"match channel ({chan.x1},{chan.x2})")
-        order = tuple(i for i in range(len(joint.axes)) if i not in (x1, x2)) + (x1, x2)
-        axes = tuple(joint.axes[i] for i in order)
-        groups.setdefault((axes, chan.outputs), []).append((k, order))
-    return [([k for k, _ in members], axes,
-             np.stack([joints[k].probs.transpose(order) for k, order in members]),
-             outputs, np.stack([chans[k].probs for k, _ in members]))
-            for (axes, outputs), members in groups.items()]
 
 
 def _rows(batch: _Batch, sets: dict, table) -> list:
@@ -575,32 +554,21 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
             for region, mi_bounds in zip(direct, zip(*bounds))]
 
 
-def verify_fme_inner_bounds(auxes: Sequence[AuxAssignment],
-                            chans: Sequence[DmcChannel]) -> list[bool]:
-    """For each instance (aux, chan), True iff the exact projection of the
-    constraint system is region-equal, within 1e-9, to the direct
-    11-inequality evaluation.
-
-    Up to _CHUNK_CAP instances at a time are stacked per alphabet, and each
-    stack is verified by `verify_fme_stack`. Raises ValueError unless there
-    is one channel per auxiliary assignment.
-    """
-    if len(auxes) != len(chans):
-        raise ValueError(f"{len(auxes)} auxiliary assignments for {len(chans)} channels")
-    held: list[bool] = [False] * len(auxes)
-    for start in range(0, len(auxes), _CHUNK_CAP):
-        chunk = slice(start, start + _CHUNK_CAP)
-        joints = [aux.joint for aux in auxes[chunk]]
-        for members, *stack in _stack_by_alphabet(joints, chans[chunk]):
-            for k, ok in zip(members, verify_fme_stack(*stack)):
-                held[start + k] = ok
-    return held
-
-
 def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel) -> bool:
     """True iff exact FME of the constraint system is region-equal to the
-    direct 11-inequality evaluation: the one-instance verify_fme_inner_bounds."""
-    return verify_fme_inner_bounds([aux], [chan])[0]
+    direct 11-inequality evaluation: the one-instance verify_fme_stack, with
+    the joint's axes ordered as compose_with_channel orders them (auxiliary
+    axes first, in their order, then X1, X2)."""
+    joint = aux.joint
+    x1, x2 = joint.axis_index("X1"), joint.axis_index("X2")
+    if joint.axes[x1][1] != chan.x1 or joint.axes[x2][1] != chan.x2:
+        raise AlphabetError(
+            f"input alphabet sizes ({joint.axes[x1][1]},{joint.axes[x2][1]}) do not "
+            f"match channel ({chan.x1},{chan.x2})")
+    order = tuple(i for i in range(len(joint.axes)) if i not in (x1, x2)) + (x1, x2)
+    axes = tuple(joint.axes[i] for i in order)
+    return verify_fme_stack(axes, joint.probs.transpose(order)[None],
+                            chan.outputs, chan.probs[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +659,10 @@ def default_aux_card(chan: DmcChannel) -> int:
     return chan.x1 * chan.x2 + 1
 
 
-def _input_axes(chan: DmcChannel, regime: str, aux_card: int) -> tuple:
+def _input_axes(chan: DmcChannel, regime: str) -> tuple:
     """Axes of the input distributions a regime ranges over."""
     inputs = (("X1", chan.x1), ("X2", chan.x2))
-    return (("U", aux_card),) + inputs if regime in ("VWI", "mixed") else inputs
+    return (("U", default_aux_card(chan)),) + inputs if regime in ("VWI", "mixed") else inputs
 
 
 def _draw(rng: np.random.Generator, axes, n: int) -> np.ndarray:
@@ -734,7 +702,6 @@ def check_regime(
     klass: str,
     regime: str,
     samples: int = 1000,
-    aux_card: int | None = None,
     seed: int | np.random.Generator = 0,
     partition: Sequence[Sequence[str]] | None = None,
 ) -> RegimeReport:
@@ -750,17 +717,13 @@ def check_regime(
         raise RegimeError(f"unknown regime {regime!r}")
     if samples < 1:
         raise RegimeError("samples must be >= 1")
-    if aux_card is not None and aux_card < 1:
-        raise RegimeError("aux_card must be >= 1")
     strong: tuple[str, ...] = ()
     weak: tuple[str, ...] = ()
     if regime == "mixed":
         strong, weak = _partition_sets(chan, klass, partition)
-    if aux_card is None:
-        aux_card = default_aux_card(chan)
     sets = _receiver_sets(chan.outputs, strong, weak)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    axes = _input_axes(chan, regime, aux_card)
+    axes = _input_axes(chan, regime)
     checked = 0
     for rows, state in _check_dists(axes, samples, rng):
         batch = _compose(axes, rows, chan.outputs, chan.probs)
@@ -776,8 +739,8 @@ def check_regime(
             _draw(rng, axes, k + 1)
         witness = RegimeWitness(JointDist(axes, rows[k]), receiver, condition, margin)
         return RegimeReport(klass, regime, False, checked + k + 1, witness,
-                            chan, (strong, weak), aux_card)
-    return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak), aux_card)
+                            chan, (strong, weak))
+    return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak))
 
 
 # ---------------------------------------------------------------------------
@@ -841,10 +804,10 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     computed for, as the convexified union of the per-regime region over
     gridded + sampled input distributions.
 
-    The region is that of the report's class, regime, (strong, weak)
-    partition and |U|; a failing report raises RegimeError. The sample
-    stream is prefix-stable in the budget, so a larger budget yields a
-    superset.
+    The region is that of the report's class, regime and (strong, weak)
+    partition, at the channel's |U|; a failing report raises RegimeError.
+    The sample stream is prefix-stable in the budget, so a larger budget
+    yields a superset.
     """
     if not report.passed:
         raise RegimeError(
@@ -853,7 +816,7 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
         )
     chan = report.chan
     sets = _receiver_sets(chan.outputs, *report.partition)
-    axes = _input_axes(chan, report.regime, report.aux_card)
+    axes = _input_axes(chan, report.regime)
     pieces = []
     for rows, _ in _check_dists(axes, search.samples, np.random.default_rng(search.seed)):
         batch = _compose(axes, rows, chan.outputs, chan.probs)
@@ -1026,12 +989,12 @@ def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> Cou
 
 
 def verify_counterexample(witness: CounterexampleWitness,
-                          vsi_samples: int = CX_FINAL_VSI_SAMPLES, seed: int = 0) -> bool:
+                          vsi_samples: int = CX_FINAL_VSI_SAMPLES) -> bool:
     """Re-verify a stored witness: the margin must reproduce above
     CX_MIN_MARGIN and the channel must still pass the sampled very-strong
     check."""
     receiver, margin = weak_violation_margin(witness.chan, witness.dist)
     if margin < CX_MIN_MARGIN:
         return False
-    rep = check_regime(witness.chan, MULTI_PRIMARY, "VSI", samples=vsi_samples, seed=seed)
+    rep = check_regime(witness.chan, MULTI_PRIMARY, "VSI", samples=vsi_samples)
     return rep.passed

@@ -415,11 +415,11 @@ def _coherent(chan: GaussianMultiPrimary) -> bool:
 def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndarray:
     if r2_values is not None:
         qs = np.asarray(r2_values, dtype=float)
-        return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
-    qs = np.concatenate([
-        half_log2(1 + eta_like * chan.P2),
-        np.linspace(0.0, r2_cap, len(eta_like)),
-    ])
+    else:
+        qs = np.concatenate([
+            half_log2(1 + eta_like * chan.P2),
+            np.linspace(0.0, r2_cap, len(eta_like)),
+        ])
     return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
 
 

@@ -157,6 +157,46 @@ def test_dmc_capacity_replays_benchmark_catalogue(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dmc_screen_replays_benchmark_catalogue(tmp_path, capsys):
+    # every dmc-screen case of the benchmark catalogue fails its regime check
+    # with the recorded witness, at the depth the catalogue recorded
+    doc = json.loads(gzip.decompress((CATALOGUE / "dmc-screen.json.gz").read_bytes()))
+    cases = [case for group in doc["kinds"].values() for case in group]
+    assert len(cases) == 176
+    for case in cases:
+        src, out = tmp_path / f"{case['id']}.json", tmp_path / f"{case['id']}.csv"
+        src.write_text(json.dumps(case["input"]))
+        argv = [{"{in}": str(src), "{out}": str(out)}.get(a, a) for a in case["argv"]]
+        ref = case["reference"]
+        capsys.readouterr()
+        assert run(argv) == ref["exit"], case["id"]
+        report = json.loads(capsys.readouterr().out)["report"]
+        witness = report["witness"]
+        assert (witness["condition"], witness["receiver"]) == \
+            (ref["condition"], ref["receiver"]), case["id"]
+        assert report["samples_checked"] == case["props"]["depth"], case["id"]
+
+
+def test_counterexample_replays_benchmark_catalogue(tmp_path, capsys):
+    # every counterexample case of the benchmark catalogue finds what was
+    # recorded, and the witness it writes re-verifies
+    from mcifc.dmc_regions import CounterexampleWitness, verify_counterexample
+
+    doc = json.loads(gzip.decompress((CATALOGUE / "dmc-scan.json.gz").read_bytes()))
+    cases = doc["kinds"]["counterexample"]
+    assert len(cases) == 8
+    for case in cases:
+        out = tmp_path / f"{case['id']}.json"
+        argv = [str(out) if a == "{out}" else a for a in case["argv"]]
+        ref = case["reference"]
+        capsys.readouterr()
+        assert run(argv) == ref["exit"], case["id"]
+        assert json.loads(capsys.readouterr().out)["found"] == ref["found"], case["id"]
+        if ref["found"]:
+            witness = CounterexampleWitness.from_json_dict(json.loads(out.read_text()))
+            assert verify_counterexample(witness), case["id"]
+
+
 def test_gaussian_dpc_replays_benchmark_catalogue(tmp_path, capsys):
     # every region and dpc-compare case of the benchmark catalogue, against
     # the exit code and the exact files recorded with it
@@ -261,7 +301,7 @@ def test_missing_subcommand_usage(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_partition_flag_parsing(tmp_path, capsys):
+def test_partition_flag_parsing(wi_chan, tmp_path, capsys):
     mixed = write(tmp_path / "mx.json",
                   {"class": "multi_primary", "b": [0.5, 2.0], "a": 2.0,
                    "P1": 1.0, "P2": 1.0})
@@ -269,22 +309,39 @@ def test_partition_flag_parsing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["regime"] == "mixed"
     assert run(["classify", "--in", mixed, "--partition", "9|1"]) == 1
     capsys.readouterr()
+    # a partition that repeats a receiver is rejected also where the regime
+    # (here WI) ignores it, with the message of the mixed path
+    assert run(["classify", "--in", mixed, "--partition", "1|1"]) == 1
+    mixed_error = json.loads(capsys.readouterr().err)["error"]
+    assert "must split" in mixed_error
+    assert run(["classify", "--in", wi_chan, "--partition", "1|1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == mixed_error
+    out = tmp_path / "wi.csv"
+    assert run(["region", "--in", wi_chan, "--out", str(out), "--partition", "2|2"]) == 1
+    assert "must split" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+    assert run(["classify", "--in", wi_chan, "--partition", "2|1"]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "WI"
 
 
 @pytest.mark.parametrize("raw", ["1,2|3,3", "1,1,2|3"])
 def test_dmc_capacity_rejects_a_repeated_receiver(raw, tmp_path, capsys):
+    # in every regime, also those that ignore the partition
     probs = np.random.default_rng(4).dirichlet(np.ones(16), size=(2, 2))
     dmc = write(tmp_path / "mp3.json", {
         "axes": [["X1", 2], ["X2", 2], ["Y1", 2], ["Y2", 2], ["Y3", 2], ["Z1", 2]],
         "probs": list(probs.reshape(-1)),
     })
     out = tmp_path / "cap.csv"
-    assert run(["dmc-capacity", "--in", dmc, "--regime", "mixed", "--samples", "5",
-                "--partition", raw, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must split" in json.loads(captured.err)["error"]
-    assert not out.exists()
+    errors = []
+    for regime in ("mixed", "VSI", "VWI"):
+        assert run(["dmc-capacity", "--in", dmc, "--regime", regime, "--samples", "5",
+                    "--partition", raw, "--out", str(out)]) == 1, regime
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(json.loads(captured.err)["error"])
+        assert not out.exists()
+    assert "must split" in errors[0] and errors == errors[:1] * 3
 
 
 def test_region_mixed_with_partition(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import (
+    AlphabetError,
     DistributionError,
     DmcChannel,
     JointDist,
@@ -454,31 +455,40 @@ def test_fme_project_matches_imbert_oracle_on_coding_systems():
 
 
 def test_lockstep_verification_matches_exact_references():
-    # 130 instances, so the stack spans three chunks: the first 60 draws of
-    # `verify-fme --seed 3` (index 51 is a documented mismatch), 28
-    # superposition-structured draws, two with a ternary X2 (a batch of their
-    # own), and the first 40 draws of `--seed 4` (index 35 is one too)
+    # 128 binary-alphabet instances in one stack, twice the chunk verify-fme
+    # draws: the first 60 draws of `verify-fme --seed 3` (index 51 is a
+    # documented mismatch), 28 superposition-structured draws and the first
+    # 40 draws of `--seed 4` (index 35 is one too); then two with a ternary
+    # X2 in a stack of their own
     seed3, seed4 = _verify_fme_stream(3), _verify_fme_stream(4)
     draws = [next(seed3) for _ in range(60)]
     rng = np.random.default_rng(17)
     for k in range(28):
         t = 0.0 if k % 2 else 0.2 * (1.0 - rng.random())  # t in (0, 0.2]
         draws.append((superposition_aux(rng, t), random_channel(rng)))
+    draws += [next(seed4) for _ in range(40)]
+    assert len(draws) == 128 == 2 * dr._CHUNK_CAP
+    ternary = []
     for _ in range(2):
         aux = dr.AuxAssignment(sample_input_dist(
             [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 3)], rng
         ))
-        draws.append((aux, random_channel(rng, x2=3, outputs=(("Y1", 3), ("Z1", 2)))))
-    draws += [next(seed4) for _ in range(40)]
-    assert len(draws) == 130 > 2 * dr._CHUNK_CAP
+        ternary.append((aux, random_channel(rng, x2=3, outputs=(("Y1", 3), ("Z1", 2)))))
 
-    held = dr.verify_fme_inner_bounds([a for a, _ in draws], [c for _, c in draws])
+    held = []
+    for stack in (draws, ternary):
+        aux, chan = stack[0]
+        assert all(a.joint.axes == aux.joint.axes and c.outputs == chan.outputs
+                   for a, c in stack)
+        held += dr.verify_fme_stack(aux.joint.axes, np.stack([a.joint.probs for a, _ in stack]),
+                                    chan.outputs, np.stack([c.probs for _, c in stack]))
+    draws += ternary
     failures = [k for k, ok in enumerate(held) if not ok]
-    assert [k for k in failures if not 60 <= k < 90] == [51, 90 + 35]
+    assert [k for k in failures if not 60 <= k < 88] == [51, 88 + 35]
     # superposition draws with Dirichlet mass may project strictly smaller
     assert any(60 <= k < 88 for k in failures)
     nonempty = 0
-    for ok, (aux, chan) in zip(held, draws):
+    for ok, (aux, chan) in zip(held, draws, strict=True):
         assert ok == dr.verify_fme_inner_bound(aux, chan)
         direct = dr.inner_bound_region(aux, chan)
         system = dr.coding_constraint_system(aux, chan)
@@ -490,21 +500,15 @@ def test_lockstep_verification_matches_exact_references():
 
 
 def test_lockstep_verification_checks_every_channel(rng):
-    aux = [superposition_aux(rng) for _ in range(3)]
-    chans = [random_channel(rng), random_channel(rng),
-             random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2)))]
+    # a channel with two Y outputs, and one whose X2 alphabet differs from
+    # the auxiliary joint's
+    aux = superposition_aux(rng)
     with pytest.raises(dr.RegimeError):
-        dr.verify_fme_inner_bounds(aux, chans)
-    with pytest.raises(ValueError):
-        dr.verify_fme_inner_bounds(aux, chans[:2])
-
-
-@pytest.mark.parametrize("n_aux, n_chan", [(3, 4), (64, 65), (65, 64)])
-def test_lockstep_verification_pairs_every_aux_with_a_channel(n_aux, n_chan, rng):
-    # a surplus past a chunk boundary (64 + 1) is rejected like one inside it
-    aux, chan = superposition_aux(rng), random_channel(rng)
-    with pytest.raises(ValueError, match=f"{n_aux} auxiliary assignments for {n_chan} channels"):
-        dr.verify_fme_inner_bounds([aux] * n_aux, [chan] * n_chan)
+        dr.verify_fme_inner_bound(
+            aux, random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2))))
+    with pytest.raises(AlphabetError,
+                       match=r"input alphabet sizes \(2,2\) do not match channel \(2,3\)"):
+        dr.verify_fme_inner_bound(aux, random_channel(rng, x2=3))
 
 
 def test_coding_system_projection_cone_structure(rng):
@@ -784,7 +788,7 @@ DEEP_DEPTH = 119
 
 def test_regime_check_is_prefix_stable_across_chunks():
     chan = _deep_witness_channel()
-    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    axes = dr._input_axes(chan, "VWI")
     grid = len(dr._simplex_grid(int(np.prod([k for _, k in axes]))))
     failing = set()
     for samples in range(1, DEEP_DEPTH + 3):
@@ -806,7 +810,7 @@ def test_regime_check_leaves_generator_as_sequential_draws(case, rng):
         chan, regime, samples = shared_law_channel(rng), "VSI", 30
     mine = np.random.default_rng(3)
     rep = dr.check_regime(chan, dr.MULTI_PRIMARY, regime, samples=samples, seed=mine)
-    axes = dr._input_axes(chan, regime, dr.default_aux_card(chan))
+    axes = dr._input_axes(chan, regime)
     grid = len(dr._simplex_grid(int(np.prod([k for _, k in axes]))))
     assert rep.samples_checked == (DEEP_DEPTH if rep.witness else grid + samples)
     assert rep.passed == (case == "pass_after_grid")
@@ -827,9 +831,9 @@ CLASS_BOUND_CALLS = {
         d3, c, ("Y1",), ()),
     "weak_violation_margin": lambda c, d2, d3: dr.weak_violation_margin(c, d3),
     "RegimeReport-multi_primary": lambda c, d2, d3: dr.RegimeReport(
-        dr.MULTI_PRIMARY, "VSI", True, 1, None, c, ((), ()), 5),
+        dr.MULTI_PRIMARY, "VSI", True, 1, None, c, ((), ())),
     "RegimeReport-multi_secondary": lambda c, d2, d3: dr.RegimeReport(
-        dr.MULTI_SECONDARY, "VSI", True, 1, None, c, ((), ()), 5),
+        dr.MULTI_SECONDARY, "VSI", True, 1, None, c, ((), ())),
 }
 
 
@@ -939,24 +943,21 @@ def test_capacity_requires_passing_report():
         dr.dmc_capacity_region(failing, dr.SearchConfig(samples=10))
 
 
-@pytest.mark.parametrize("aux_card", [None, 3])
-def test_ms_vwi_single_secondary_matches_direct_evaluator(aux_card, rng):
+def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
     # M = 1 multi-secondary weak region vs a direct evaluation of the same
-    # formulas without the min over receivers, over the |U| the check used
+    # formulas without the min over receivers
     zlaw = rng.dirichlet(np.ones(2), size=(2, 2))
     g = rng.dirichlet(np.ones(2), size=2)
     ylaw = zlaw @ g
     probs = np.einsum("abi,abj->abij", ylaw, zlaw)
     chan = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
-    rep = dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=120, seed=6,
-                          aux_card=aux_card)
+    rep = dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=120, seed=6)
     assert rep.passed
     fr = dr.dmc_capacity_region(rep, dr.SearchConfig(samples=50, seed=6))
     pieces = []
     from mcifc.polytope import Frontier2D
 
-    axes = dr._input_axes(chan, "VWI", aux_card or dr.default_aux_card(chan))
-    assert axes[0] == ("U", rep.aux_card)
+    axes = dr._input_axes(chan, "VWI")
     dists = [JointDist(axes, row) for rows, _ in
              dr._check_dists(axes, 50, np.random.default_rng(6)) for row in rows]
     for dist in dists:
@@ -977,16 +978,12 @@ def test_search_budget_zero_returns_none():
     assert dr.vsi_vwi_counterexample_search(dr.CxSearchConfig(budget=0)) is None
 
 
-def test_negative_counts_rejected(rng):
+def test_negative_counts_rejected():
     with pytest.raises(dr.RegimeError):
         dr.CxSearchConfig(budget=-1)
     with pytest.raises(dr.RegimeError):
         dr.SearchConfig(samples=-1)
     assert dr.SearchConfig(samples=0).samples == 0
-    chan = random_channel(rng)
-    for aux_card in (0, -2):
-        with pytest.raises(dr.RegimeError, match="aux_card"):
-            dr.check_regime(chan, dr.MULTI_PRIMARY, "VWI", samples=5, aux_card=aux_card)
 
 
 def test_search_finds_and_verifies_witness():
@@ -1053,7 +1050,7 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
     from mcifc.polytope import Frontier2D, concave_envelope
 
     pieces = []
-    axes = dr._input_axes(chan, "VWI", dr.default_aux_card(chan))
+    axes = dr._input_axes(chan, "VWI")
     dists = [JointDist(axes, row) for rows, _ in
              dr._check_dists(axes, 40, np.random.default_rng(13)) for row in rows]
     for dist in dists:
