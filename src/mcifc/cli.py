@@ -199,8 +199,9 @@ def _load_json(path: str, schema: dict) -> dict:
     return doc
 
 
-def _parse_partition(raw: str | None, names: tuple[str, ...]):
-    """Parse "1,2|3" into (strong, weak) receiver-name tuples (1-based)."""
+def _parse_partition(raw: str | None, n: int):
+    """Parse "1,2|3" (1-based receivers of n) into (strong, weak) 0-based
+    index tuples."""
     if raw is None:
         return None
     try:
@@ -212,9 +213,9 @@ def _parse_partition(raw: str | None, names: tuple[str, ...]):
             f"--partition must look like '1,2|3' (strong|weak), got {raw!r}"
         )
     for i in strong + weak:
-        if not 1 <= i <= len(names):
-            raise CliValidationError(f"partition index {i} outside 1..{len(names)}")
-    return (tuple(names[i - 1] for i in strong), tuple(names[i - 1] for i in weak))
+        if not 1 <= i <= n:
+            raise CliValidationError(f"partition index {i} outside 1..{n}")
+    return (tuple(i - 1 for i in strong), tuple(i - 1 for i in weak))
 
 
 def _gaussian_partition(chan, raw: str | None):
@@ -224,9 +225,7 @@ def _gaussian_partition(chan, raw: str | None):
         return None
     if not isinstance(chan, gaussian.GaussianMultiPrimary):
         raise CliValidationError("--partition applies to multi_primary channels")
-    names = tuple(str(j + 1) for j in range(chan.n_primary))
-    strong, weak = _parse_partition(raw, names)
-    partition = (tuple(int(s) - 1 for s in strong), tuple(int(w) - 1 for w in weak))
+    partition = _parse_partition(raw, chan.n_primary)
     gaussian._validate_partition(chan.n_primary, partition)
     return partition
 
@@ -353,8 +352,9 @@ def _cmd_dmc_capacity(args) -> int:
             "(multi-secondary) output"
         )
     names = chan.y_names if klass == dmc_regions.MULTI_PRIMARY else chan.z_names
-    partition = _parse_partition(args.partition, names)
+    partition = _parse_partition(args.partition, len(names))
     if partition is not None:  # checked even where the regime ignores it
+        partition = tuple(tuple(names[i] for i in part) for part in partition)
         dmc_regions._partition_sets(chan, klass, partition)
     report = dmc_regions.check_regime(
         chan, klass, args.regime, samples=args.samples, seed=args.seed,

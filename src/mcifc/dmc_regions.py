@@ -865,8 +865,9 @@ class CounterexampleWitness:
 
 # The fixed shape of the counterexample search: alphabet sizes of the
 # proposed channels and of U, the Dirichlet concentration of their laws, the
-# sample counts of the very-strong gates, of the weak-violation probe and of
-# the final very-strong check, and the margin a violation must exceed.
+# sample counts of the very-strong gate (one check of sum(CX_GATE_SCHEDULE)
+# draws), of the weak-violation probe and of the final very-strong check, and
+# the margin a violation must exceed.
 CX_Y_CARD = 3
 CX_Z_CARD = 3
 CX_X1_CARD = 2
@@ -950,19 +951,16 @@ def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> Cou
     """Search random two-primary channels for one that passes the sampled
     very-strong check yet admits a weak-interference violation.
 
+    Each proposal gets one very-strong check of sum(CX_GATE_SCHEDULE) draws;
+    a passing channel is probed for a weak violation from the same generator.
     Returns the first verified witness (margin above CX_MIN_MARGIN and a
     fresh full-budget very-strong pass) or None when the budget is exhausted.
     """
     for idx in range(cfg.budget):
         rng = np.random.default_rng([cfg.seed, idx])
         chan = _propose_channel(rng, structured=bool(idx % 2))
-        gate_ok = True
-        for gate in CX_GATE_SCHEDULE:
-            rep = check_regime(chan, MULTI_PRIMARY, "VSI", samples=gate, seed=rng)
-            if not rep.passed:
-                gate_ok = False
-                break
-        if not gate_ok:
+        if not check_regime(chan, MULTI_PRIMARY, "VSI", samples=sum(CX_GATE_SCHEDULE),
+                            seed=rng).passed:
             continue
         found = None
         for _ in range(CX_PD_SAMPLES):
@@ -990,11 +988,12 @@ def vsi_vwi_counterexample_search(cfg: CxSearchConfig = CxSearchConfig()) -> Cou
 
 def verify_counterexample(witness: CounterexampleWitness,
                           vsi_samples: int = CX_FINAL_VSI_SAMPLES) -> bool:
-    """Re-verify a stored witness: the margin must reproduce above
-    CX_MIN_MARGIN and the channel must still pass the sampled very-strong
-    check."""
+    """Re-verify a stored witness: the receiver must reproduce, the margin
+    must reproduce within 1e-12 and lie above CX_MIN_MARGIN, and the channel
+    must still pass the sampled very-strong check."""
     receiver, margin = weak_violation_margin(witness.chan, witness.dist)
-    if margin < CX_MIN_MARGIN:
+    if receiver != witness.receiver or abs(margin - witness.margin) > 1e-12 \
+            or not margin > CX_MIN_MARGIN:
         return False
     rep = check_regime(witness.chan, MULTI_PRIMARY, "VSI", samples=vsi_samples)
     return rep.passed

@@ -294,7 +294,7 @@ def _validate_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, 
         raise GaussianModelError("mixed classification requires a partition")
     strong = tuple(int(i) for i in partition[0])
     weak = tuple(int(i) for i in partition[1])
-    if sorted(strong + weak) != list(range(n)) or set(strong) & set(weak):
+    if sorted(strong + weak) != list(range(n)):
         raise GaussianModelError(
             f"partition {partition} must split receiver indices 0..{n - 1}"
         )
@@ -342,44 +342,29 @@ def classify_gaussian(chan, partition=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def golden_section(f, a, b, iters: int, tol=0.0):
+def golden_section(f, a, b, iters: int):
     """Golden-section brackets of the maxima of unimodal functions, one per
     lane.
 
-    `a`, `b` and `tol` (or a scalar tol) hold L lanes, and f maps an array of
-    L points, one per lane, to their L values. Each lane shrinks its own
-    bracket for `iters` steps, or stops after the first step that leaves it
-    narrower than its tol; a stopped lane keeps its bracket while the others
-    go on. Returns the brackets (a, b) as arrays.
+    `a` and `b` hold L lanes, and f maps an array of L points, one per lane,
+    to their L values. Each lane shrinks its own bracket for `iters` steps.
+    Returns the brackets (a, b) as arrays.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    tol = np.broadcast_to(tol, a.shape)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    live = np.ones(a.shape, dtype=bool)
-    n_live = live.size
     for _ in range(iters):
         # fc >= fd keeps [a, d]: d moves to c and a new c is probed;
         # otherwise [c, b] stays: c moves to d and a new d is probed
         left = fc >= fd
-        na = np.where(left, a, c)
-        nb = np.where(left, d, b)
-        span = _GOLDEN * (nb - na)
-        probe = np.where(left, nb - span, na + span)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = _GOLDEN * (b - a)
+        probe = np.where(left, b - span, a + span)
         fp = f(probe)
-        new = (na, nb, np.where(left, probe, d), np.where(left, c, probe),
-               np.where(left, fp, fd), np.where(left, fc, fp))
-        if n_live == live.size:
-            a, b, c, d, fc, fd = new
-        else:
-            old = (a, b, c, d, fc, fd)
-            a, b, c, d, fc, fd = (np.where(live, n, o) for n, o in zip(new, old))
-        live &= ~(b - a < tol)
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            break
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return a, b
 
 
@@ -395,16 +380,12 @@ def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
 
 
 def _golden_max(f, lo, hi):
-    """Maxima of concave functions on [lo, hi], one per lane; also probes the
-    endpoints, so monotone objectives resolve to the exact boundary value.
-    Returns the arrays (argmax, max), taking the first of (lo, hi, mid) on
-    ties."""
-    a, b = golden_section(f, lo, hi, 44, 1e-13 * np.maximum(1.0, np.abs(hi - lo)))
-    xs = np.stack([lo, hi, 0.5 * (a + b)])
-    vals = np.stack([f(x) for x in xs])
-    k = np.argmax(vals, axis=0)
-    lanes = np.arange(xs.shape[1])
-    return xs[k, lanes], vals[k, lanes]
+    """Maxima of concave functions on [lo, hi], one per lane, after 44 golden
+    steps; also probes the endpoints, so monotone objectives resolve to the
+    exact boundary value. Takes the first of (lo, hi, mid) on ties."""
+    a, b = golden_section(f, lo, hi, 44)
+    vals = np.stack([f(x) for x in (lo, hi, 0.5 * (a + b))])
+    return vals[np.argmax(vals, axis=0), np.arange(vals.shape[1])]
 
 
 def _coherent(chan: GaussianMultiPrimary) -> bool:
@@ -450,14 +431,14 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     def sum_cap(rho):
         return _sum_cap(chan, every, rho, root)
 
-    _, r2_top = _golden_max(
+    r2_top = _golden_max(
         lambda r: lane_min([half_log2(1 + (1 - r * r) * P2), sum_cap(r)]),
         np.array([-1.0]), np.array([1.0]),
     )
     etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
     qs = _r2_samples(chan, etas, r2_values, r2_top[0])
     rho0 = np.sqrt(1.0 - _binding_etas(qs, P2))
-    _, best = _golden_max(sum_cap, -rho0, rho0)
+    best = _golden_max(sum_cap, -rho0, rho0)
     return monotone_frontier(zip(qs.tolist(), (best - qs).tolist()))
 
 
@@ -492,7 +473,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
     # grid values join the lanes for a running-maximum envelope
     lanes = eta0 if coherent else np.concatenate([eta0, etas])
     ones = np.ones(len(lanes))
-    _, g = _golden_max(lambda r: _wi_r1(chan, range(chan.n_primary), lanes, r), -ones, ones)
+    g = _golden_max(lambda r: _wi_r1(chan, range(chan.n_primary), lanes, r), -ones, ones)
     r1 = g[:len(qs)]
     if not coherent:
         suffix_max = np.maximum.accumulate(g[len(qs):][::-1])[::-1]
@@ -539,7 +520,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
         return lane_min(vals)
 
     ones = np.ones(len(lane_eta))
-    _, h = _golden_max(obj, -ones, ones)
+    h = _golden_max(obj, -ones, ones)
     r1 = h[:len(qs)]
     if not coherent:
         tried = np.full(above.shape, -np.inf)
@@ -565,7 +546,7 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
         return half_log2(1 + b**2 * P2 + P1
                          + 2 * abs(b) * np.sqrt(np.maximum(0.0, 1 - eta) * P1 * P2))
 
-    _, r2_top = _golden_max(
+    r2_top = _golden_max(
         lambda e: lane_min([half_log2(1 + e * P2), sum_cap(e)]),
         np.array([0.0]), np.array([1.0]),
     )

@@ -298,15 +298,6 @@ def mutual_information(
     return value
 
 
-def entropy(dist: JointDist, names: Iterable[str] | None = None) -> float:
-    """H(names) in bits (all axes when names is None)."""
-    if names is None:
-        sub = range(len(dist.axes))
-    else:
-        sub = [dist.axis_index(n) for n in set(names)]
-    return _subset_entropy(dist.probs, sub)
-
-
 def compose_with_channel(inputs: JointDist, chan: DmcChannel) -> JointDist:
     """Joint distribution of (aux..., X1, X2, outputs...) under the channel law.
 

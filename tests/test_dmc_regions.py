@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1000,6 +1001,16 @@ def test_fixture_reverifies():
     w = dr.CounterexampleWitness.from_json_dict(doc)
     assert w.margin > 1e-6
     assert dr.verify_counterexample(w, vsi_samples=400)
+
+
+def test_verify_rejects_an_edited_witness(monkeypatch):
+    w = dr.CounterexampleWitness.from_json_dict(json.loads(FIXTURE.read_text()))
+    other = next(y for y in w.chan.y_names if y != w.receiver)
+    assert not dr.verify_counterexample(replace(w, margin=5.0), vsi_samples=400)
+    assert not dr.verify_counterexample(replace(w, receiver=other), vsi_samples=400)
+    # the search keeps only margins strictly above the threshold
+    monkeypatch.setattr(dr, "CX_MIN_MARGIN", w.margin)
+    assert not dr.verify_counterexample(w, vsi_samples=400)
 
 
 def test_report_json_shape(rng):

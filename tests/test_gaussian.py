@@ -421,36 +421,26 @@ def _counted(f):
     return g
 
 
-def _lanes_match_scalar(fs, lo, hi, iters, tol):
+def _lanes_match_scalar(fs, lo, hi, iters):
     """Run golden_section over lanes l with f_l = fs[l] and compare each
     bracket bit for bit with the scalar loop, and the number of lockstep
     steps with the longest scalar run; returns the scalar step counts."""
     lanes_f = _counted(lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())]))
-    a, b = golden_section(lanes_f, np.array(lo), np.array(hi), iters, np.array(tol))
+    a, b = golden_section(lanes_f, np.array(lo), np.array(hi), iters)
     steps = []
     for lane, f in enumerate(fs):
         fc = _counted(f)
-        want = reference.golden_section(fc, lo[lane], hi[lane], iters, tol[lane])
+        want = reference.golden_section(fc, lo[lane], hi[lane], iters)
         assert bits([a[lane], b[lane]]) == bits(want), lane
         steps.append(fc.calls - 2)
     assert lanes_f.calls - 2 == max(steps)
     return steps
 
 
-def test_golden_section_lanes_stop_at_their_own_step():
-    centers = [0.3, -0.7, 0.1, 2.0]
-    fs = [lambda x, m=m: -(x - m) * (x - m) for m in centers]
-    lo, hi = [-1.0, -1.0, 0.0, -3.0], [1.0, 1.0, 1e-9, 5.0]
-    tol = [1e-3, 1e-8, 1e-13, 1e-5]
-    steps = _lanes_match_scalar(fs, lo, hi, 60, tol)
-    assert len(set(steps)) == len(steps) and max(steps) < 60
-
-
 def test_golden_section_fixed_step_lanes():
     fs = [lambda x: -(x - 0.25) * (x - 0.25), lambda x: x, lambda x: 1.0]
     for iters in (60, 50):
-        steps = _lanes_match_scalar(fs, [0.0, -2.0, 0.0], [1.0, 3.0, 1.0], iters,
-                                    [0.0, 0.0, 0.0])
+        steps = _lanes_match_scalar(fs, [0.0, -2.0, 0.0], [1.0, 3.0, 1.0], iters)
         assert steps == [iters] * 3
 
 
@@ -460,7 +450,7 @@ def test_golden_section_degenerate_lanes():
     assert bits(-rho0) == bits(-0.0)
     fs = [lambda x: -x * x, lambda x: x, lambda x: x * 3.0]
     lo, hi = [0.4, -rho0, -rho0], [0.4, rho0, rho0]
-    assert _lanes_match_scalar(fs, lo, hi, 44, [1e-13, 1e-13, 0.0]) == [1, 1, 44]
+    assert _lanes_match_scalar(fs, lo, hi, 44) == [44, 44, 44]
 
 
 def test_lane_min_and_max_keep_the_first_of_equal_values():
@@ -472,7 +462,7 @@ def test_lane_min_and_max_keep_the_first_of_equal_values():
 
 def test_golden_section_one_lane():
     f = lambda x: -(x - 0.1) * (x - 0.1) + 0.5 * x  # noqa: E731
-    _lanes_match_scalar([f], [-1.0], [1.0], 44, [2e-13])
+    assert _lanes_match_scalar([f], [-1.0], [1.0], 44) == [44]
     a, b = golden_section(lambda x: np.array([f(v) for v in x.tolist()]), [-1.0], [1.0], 44)
     assert a.shape == b.shape == (1,)
 
