@@ -7,6 +7,10 @@ inner-bound/constraint-system mismatch or a failed regime check).
 
 Identical (input, seed) pairs produce byte-identical artifacts: every
 computation is seeded and runs in one deterministic pass.
+
+Importing this module loads numpy and `info_theory` only. Each subcommand
+imports the layer it runs (`gaussian`, `dpc` or `dmc_regions`) on first use,
+and jsonschema is imported only to word the rejection of a document.
 """
 
 from __future__ import annotations
@@ -17,15 +21,28 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import jsonschema
 
-from . import dmc_regions, dpc, gaussian
 from .info_theory import (
     DmcChannel,
     sample_input_dist,  # noqa: F401  (perfbench/harness.py traces it here)
 )
+
+if TYPE_CHECKING:
+    import jsonschema
+
+
+def __getattr__(name: str):
+    # `cli.jsonschema` stays readable because perfbench/harness.py:229 and
+    # perfbench/test_perfbench.py:122,128 wrap `cli.jsonschema.validate`.
+    # Delete this once the tracer wraps `cli._load_json` (ROADMAP item 1).
+    if name == "jsonschema":
+        import jsonschema
+
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _NUMBER = {"type": "number"}
 _POWER = {"type": "number", "minimum": 0}
@@ -120,6 +137,8 @@ def _validator(schema: dict) -> jsonschema.protocols.Validator:
     schema checked against its metaschema once, on first use."""
     validator = _validators.get(id(schema))
     if validator is None:
+        import jsonschema
+
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
         validator = _validators[id(schema)] = cls(schema)
@@ -192,6 +211,8 @@ def _load_json(path: str, schema: dict) -> dict:
         raise CliValidationError(f"{path} is not valid JSON: {exc}")
     if _accepts(schema, doc):
         return doc
+    import jsonschema  # only a rejected document pays for this import
+
     # the error jsonschema.validate would raise
     error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(doc))
     if error is not None:
@@ -223,6 +244,8 @@ def _gaussian_partition(chan, raw: str | None):
     checked to split the receivers even where the regime ignores it."""
     if raw is None:
         return None
+    from . import gaussian
+
     if not isinstance(chan, gaussian.GaussianMultiPrimary):
         raise CliValidationError("--partition applies to multi_primary channels")
     partition = _parse_partition(raw, chan.n_primary)
@@ -244,6 +267,8 @@ def _write_artifact(path: str | Path, text: str) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from . import gaussian
+
     doc = _load_json(args.infile, GAUSSIAN_SCHEMA)
     chan = gaussian.channel_from_json_dict(doc)
     regime = gaussian.classify_gaussian(chan, _gaussian_partition(chan, args.partition))
@@ -252,6 +277,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from . import gaussian
+
     doc = _load_json(args.infile, GAUSSIAN_SCHEMA)
     chan = gaussian.channel_from_json_dict(doc)
     partition = _gaussian_partition(chan, args.partition)
@@ -282,6 +309,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_dpc_compare(args) -> int:
+    from . import dpc
+
     doc = _load_json(args.infile, DPC_SCHEMA)
     cfg = dpc.DpcConfig.from_json_dict(doc)
     rows = dpc.comparison_sweep(cfg, eta_grid=args.grid)
@@ -321,6 +350,8 @@ def _draw_fme_chunk(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nd
 
 
 def _cmd_verify_fme(args) -> int:
+    from . import dmc_regions
+
     rng = np.random.default_rng(args.seed)
     failures = []
     for start in range(0, args.samples, dmc_regions._CHUNK_CAP):
@@ -340,6 +371,8 @@ def _cmd_verify_fme(args) -> int:
 
 
 def _cmd_dmc_capacity(args) -> int:
+    from . import dmc_regions
+
     doc = _load_json(args.infile, DMC_SCHEMA)
     chan = DmcChannel.from_json_dict(doc)
     if chan.n_secondary == 1 and chan.n_primary >= 1:
@@ -379,6 +412,8 @@ def _cmd_dmc_capacity(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import dmc_regions
+
     cfg = dmc_regions.CxSearchConfig(budget=args.budget, seed=args.seed)
     witness = dmc_regions.vsi_vwi_counterexample_search(cfg)
     if witness is None:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .gaussian import (
-    CovMatrix, GaussianModelError, SingularCovarianceError, binding_eta, gaussian_mi,
-    golden_section, half_log2, lane_max, lane_min,
+    CovMatrix, GaussianModelError, SingularCovarianceError, _sorted_unique, binding_eta,
+    gaussian_mi, golden_section, half_log2, lane_max, lane_min,
 )
 from .polytope import Frontier2D, monotone_frontier
 
@@ -318,7 +318,7 @@ def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
         return half_log2(num / (b**2 * eta * P2 + 1.0))
 
     r2_top = half_log2(1.0 + P2)
-    qs = np.unique(np.concatenate([
+    qs = _sorted_unique(np.concatenate([
         np.array([half_log2(1 + e * P2) for e in np.linspace(0, 1, eta_grid)]),
         np.linspace(0.0, r2_top, eta_grid),
     ]))

@@ -393,6 +393,17 @@ def _coherent(chan: GaussianMultiPrimary) -> bool:
     return len(signs) <= 1
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D NaN-free array, bit for bit: sort, then keep the
+    first element and each one that differs from its predecessor. Unlike
+    np.unique it never imports numpy.ma or asks whether `x` is masked."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndarray:
     if r2_values is not None:
         qs = np.asarray(r2_values, dtype=float)
@@ -401,7 +412,7 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
             half_log2(1 + eta_like * chan.P2),
             np.linspace(0.0, r2_cap, len(eta_like)),
         ])
-    return np.unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
+    return _sorted_unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
 
 
 def _sum_cap(chan: GaussianMultiPrimary, subset, rho, root):

@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -662,3 +665,65 @@ def test_stdlib_walk_leaves_other_keywords_to_jsonschema(schema, doc):
 
     assert jsonschema.Draft202012Validator(schema).is_valid(doc)
     assert not cli._accepts(schema, doc)
+
+
+# the script of a fresh interpreter: import the CLI, then run each argv of
+# argv[1] (a JSON list) with its output discarded, printing the exit code and
+# which of _LAZY are loaded after the import and after each run
+_PROBE = """
+import contextlib, io, json, sys
+lazy = json.loads(sys.argv[2])
+from mcifc import cli
+print(json.dumps([None, [m for m in lazy if m in sys.modules]]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    print(json.dumps([code, [m for m in lazy if m in sys.modules]]))
+"""
+
+_LAZY = ("jsonschema", "mcifc.dmc_regions", "mcifc.gaussian", "mcifc.dpc", "numpy.ma")
+
+
+def _loaded_after(*argvs) -> list[tuple[int | None, set]]:
+    """(exit code, modules of _LAZY loaded) after `import mcifc.cli` and then
+    after each run, in a fresh process: this one already holds every module."""
+    import mcifc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mcifc.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(_LAZY)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return [(code, set(loaded)) for code, loaded in map(json.loads, out.splitlines())]
+
+
+def test_each_subcommand_imports_only_its_own_layer(wi_chan, tmp_path):
+    dmc = write(tmp_path / "dmc.json", {
+        "axes": [["X1", 2], ["X2", 2], ["Y1", 2], ["Z1", 2]],
+        "probs": [0.5, 0.0, 0.0, 0.5, 0.25, 0.25, 0.25, 0.25,
+                  0.25, 0.25, 0.25, 0.25, 0.0, 0.5, 0.5, 0.0]})
+    bad = write(tmp_path / "bad.json", {"class": "multi_primary", "b": []})
+    out = str(tmp_path / "out.csv")
+
+    (_, imported), (code, region) = _loaded_after(
+        ["region", "--in", wi_chan, "--out", out, "--grid", "11"])
+    assert imported == set()
+    assert code == 0 and region.isdisjoint({"jsonschema", "mcifc.dmc_regions", "numpy.ma"})
+
+    (_, imported), (code, capacity), (rejected, after) = _loaded_after(
+        ["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VWI",
+         "--samples", "2", "--budget", "2"],
+        ["classify", "--in", bad])
+    assert imported == set()
+    assert code == 0 and capacity.isdisjoint({"mcifc.gaussian", "mcifc.dpc"})
+    assert "jsonschema" not in capacity
+    assert rejected == 1 and "jsonschema" in after
+
+
+def test_jsonschema_attribute_resolves_and_nothing_else_does():
+    # the benchmark tracer wraps `cli.jsonschema.validate`
+    import jsonschema
+
+    from mcifc import cli
+
+    assert cli.jsonschema is jsonschema
+    with pytest.raises(AttributeError):
+        getattr(cli, "no_such_name")

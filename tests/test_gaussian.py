@@ -23,6 +23,7 @@ from mcifc.gaussian import (
     region_mp_wi,
     region_ms_vsi,
     wi_input_covariance,
+    _sorted_unique,
     _vsi_margin,
 )
 from mcifc.polytope import frontier_intersect
@@ -465,6 +466,26 @@ def test_golden_section_one_lane():
     assert _lanes_match_scalar([f], [-1.0], [1.0], 44) == [44]
     a, b = golden_section(lambda x: np.array([f(v) for v in x.tolist()]), [-1.0], [1.0], 44)
     assert a.shape == b.shape == (1,)
+
+
+def test_sorted_unique_matches_np_unique_bit_for_bit():
+    rng = np.random.default_rng(18)
+    cases = [
+        np.array([]),
+        np.array([1.5]),
+        np.array([2.0, 2.0, 2.0]),
+        np.array([0.0, -0.0]),
+        np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -0.0]),
+        np.array([1e-300, -1e-300, 0.0, -0.0, 1e-300, -1e-300]),
+    ]
+    for n in (1, 2, 7, 64, 403):
+        cases.append(rng.normal(size=n))
+        # rounded draws repeat, and signed zeros mix with the repeats
+        cases.append(np.round(rng.normal(size=n), 1) * rng.choice([-1.0, 1.0], size=n))
+        cases.append(rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5], size=n))
+    for x in cases:
+        got, want = _sorted_unique(x.copy()), np.unique(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), x
 
 
 def _gain_signs(rng, n, coherent):
