@@ -120,6 +120,12 @@ class RegimeReport:
     (strong, weak) receiver names (empty outside the mixed regime) say what
     was checked, and so what `dmc_capacity_region` computes; they take no
     part in equality and stay out of the JSON form.
+
+    A pass of a check seeded by an integer also keeps `batches`, the
+    composed batch of each checked chunk, as long as their cells total at
+    most one full batch (_KEPT_CELLS), and `stream`, the (samples, seed) they
+    were drawn from: `dmc_capacity_region` reuses them for a search of the
+    same stream. Neither takes part in equality, repr or the JSON form.
     """
 
     klass: str
@@ -129,6 +135,8 @@ class RegimeReport:
     witness: RegimeWitness | None
     chan: DmcChannel = field(compare=False)
     partition: tuple[tuple[str, ...], tuple[str, ...]] = field(compare=False)
+    batches: tuple[_Batch, ...] = field(default=(), compare=False, repr=False)
+    stream: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_class(self.chan, self.klass)
@@ -196,6 +204,9 @@ def _receiver_sets(outputs: Sequence[tuple[str, int]], strong=(), weak=()) -> di
 # chunks of 1, 2, 4, ... rows up to this many (a witness at depth 1 costs one
 # row); verify-fme draws and verifies its instances this many at a time.
 _CHUNK_CAP = 64
+
+# A passing regime report keeps its batches only up to this many cells.
+_KEPT_CELLS = _CHUNK_CAP * MAX_CELLS
 
 
 class _Batch:
@@ -439,7 +450,7 @@ _MS_SUM = ({"R1": 1, "R2": 1}, ((+1, "X1 X2", "Y", ""),))
 #: the per-regime region of one input distribution
 _REGIONS = {
     (MULTI_PRIMARY, "VSI"): (_FULL_DECODE["r2_z"], _FULL_DECODE["sum_y"]),
-    (MULTI_PRIMARY, "VWI"): (({"R1": 1}, ((+1, "X1 U", "Y*", ""),)), _MP_MIXED["r2"]),
+    (MULTI_PRIMARY, "VWI"): (({"R1": 1}, ((+1, "U X1", "Y*", ""),)), _MP_MIXED["r2"]),
     (MULTI_PRIMARY, "mixed"): (_MP_MIXED["r1"], _MP_MIXED["r2"], _MP_MIXED["sum_y"]),
     (MULTI_SECONDARY, "VSI"): (_MS_R2, _MS_SUM),
     (MULTI_SECONDARY, "VWI"): (({"R1": 1}, ((+1, "U X1", "Y", ""),)),
@@ -710,7 +721,8 @@ def check_regime(
     Returns a passing report with the number of distributions checked, or a
     failing report carrying the first witness and its violation margin. A
     Generator passed as `seed` ends advanced by exactly the Dirichlet draws
-    checked, as drawing one distribution at a time would leave it.
+    checked, as drawing one distribution at a time would leave it. A pass
+    seeded by an integer keeps the checked batches (see RegimeReport).
     """
     _check_class(chan, klass)
     if regime not in REGIMES:
@@ -724,12 +736,16 @@ def check_regime(
     sets = _receiver_sets(chan.outputs, strong, weak)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     axes = _input_axes(chan, regime)
-    checked = 0
+    keep = isinstance(seed, (int, np.integer))
+    checked, cells, kept = 0, 0, []
     for rows, state in _check_dists(axes, samples, rng):
         batch = _compose(axes, rows, chan.outputs, chan.probs)
         found = _first_violation(batch, sets, _CONDITIONS[klass, regime])
         if found is None:
             checked += len(rows)
+            cells += batch.joints.size
+            if keep and cells <= _KEPT_CELLS:
+                kept.append(batch)
             continue
         k, receiver, condition, margin = found
         if state is not None:
@@ -740,7 +756,8 @@ def check_regime(
         witness = RegimeWitness(JointDist(axes, rows[k]), receiver, condition, margin)
         return RegimeReport(klass, regime, False, checked + k + 1, witness,
                             chan, (strong, weak))
-    return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak))
+    return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak),
+                        tuple(kept), (samples, seed) if keep else None)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +824,9 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     The region is that of the report's class, regime and (strong, weak)
     partition, at the channel's |U|; a failing report raises RegimeError.
     The sample stream is prefix-stable in the budget, so a larger budget
-    yields a superset.
+    yields a superset. When `search` draws the stream the report was checked
+    on, the batches the report kept stand in for composing those chunks
+    again, with the MI values they memoized.
     """
     if not report.passed:
         raise RegimeError(
@@ -817,10 +836,13 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     chan = report.chan
     sets = _receiver_sets(chan.outputs, *report.partition)
     axes = _input_axes(chan, report.regime)
+    kept = report.batches if report.stream == (search.samples, search.seed) else ()
+    table = _REGIONS[report.klass, report.regime]
     pieces = []
-    for rows, _ in _check_dists(axes, search.samples, np.random.default_rng(search.seed)):
-        batch = _compose(axes, rows, chan.outputs, chan.probs)
-        pieces += [_frontier(r) for r in _rows(batch, sets, _REGIONS[report.klass, report.regime])]
+    chunks = _check_dists(axes, search.samples, np.random.default_rng(search.seed))
+    for i, (rows, _) in enumerate(chunks):
+        batch = kept[i] if i < len(kept) else _compose(axes, rows, chan.outputs, chan.probs)
+        pieces += [_frontier(r) for r in _rows(batch, sets, table)]
     return concave_envelope(pieces)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import (
+    MAX_CELLS,
     AlphabetError,
     DistributionError,
     DmcChannel,
@@ -970,6 +971,80 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
 
     want = concave_envelope([union_all(pieces)])
     assert region_equal(fr, want, 1e-9)
+
+
+def _passing_checks(rng):
+    """(class, regime, partition, channel, samples) of a passing check of each
+    table of _REGIONS, then a multi-primary VSI check on 2048-cell joints:
+    its 165-point grid alone exceeds the cells a report keeps."""
+    base = rng.dirichlet(np.ones(3), size=(2, 2))
+    garbled = base @ rng.dirichlet(np.ones(3), size=3)
+    outs = {dr.MULTI_PRIMARY: (("Y1", 3), ("Y2", 3), ("Z1", 3)),
+            dr.MULTI_SECONDARY: (("Y1", 3), ("Z1", 3), ("Z2", 3))}
+
+    def chan(klass, *laws):
+        return DmcChannel(2, 2, outs[klass], np.einsum("abi,abj,abk->abijk", *laws))
+
+    return [
+        (dr.MULTI_PRIMARY, "VSI", None, chan(dr.MULTI_PRIMARY, base, base, base), 40),
+        (dr.MULTI_PRIMARY, "VWI", None, weak_family_channel(rng), 40),
+        (dr.MULTI_PRIMARY, "mixed", _MP_SPLIT, chan(dr.MULTI_PRIMARY, base, garbled, base), 40),
+        (dr.MULTI_SECONDARY, "VSI", None, chan(dr.MULTI_SECONDARY, base, base, base), 40),
+        (dr.MULTI_SECONDARY, "VWI", None, chan(dr.MULTI_SECONDARY, garbled, base, base), 40),
+        (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT,
+         chan(dr.MULTI_SECONDARY, garbled, base, garbled), 40),
+        (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=8), 20),
+    ]
+
+
+def test_capacity_region_reuses_the_checked_batches(monkeypatch, rng):
+    compose, composed = dr._compose, []
+
+    def counting_compose(*args):
+        composed.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(dr, "_compose", counting_compose)
+    for seed, (klass, regime, partition, chan, samples) in enumerate(_passing_checks(rng)):
+        rep = dr.check_regime(chan, klass, regime, samples=samples, seed=seed,
+                              partition=partition)
+        assert rep.passed, (klass, regime, rep.witness)
+        assert rep.stream == (samples, seed)
+        axes = dr._input_axes(chan, regime)
+        chunks = len(list(dr._check_dists(axes, samples, np.random.default_rng(seed))))
+        bare = replace(rep, batches=())
+        for search in (dr.SearchConfig(samples, seed), dr.SearchConfig(samples + 7, seed),
+                       dr.SearchConfig(samples, seed + 1)):
+            composed.clear()
+            fr = dr.dmc_capacity_region(rep, search)
+            if search == dr.SearchConfig(samples, seed):
+                # only the chunks past the kept prefix are composed again
+                assert len(composed) == chunks - len(rep.batches)
+            assert fr.points == dr.dmc_capacity_region(bare, search).points, (klass, regime)
+    # the last check kept a strict prefix of its chunks
+    assert 0 < len(rep.batches) < chunks
+
+
+def test_kept_batches_change_nothing_visible(rng):
+    *_, (klass, regime, _, big, samples) = _passing_checks(rng)
+    rep = dr.check_regime(big, klass, regime, samples=samples, seed=5)
+    assert rep.passed and rep.batches
+    assert sum(b.joints.size for b in rep.batches) <= dr._CHUNK_CAP * MAX_CELLS
+    bare = replace(rep, batches=(), stream=None)
+    assert rep == bare
+    assert repr(rep) == repr(bare)
+    assert rep.to_json_dict() == bare.to_json_dict()
+    # a check seeded by a Generator keeps nothing, and reports the same
+    drawn = dr.check_regime(big, klass, regime, samples=samples,
+                            seed=np.random.default_rng(5))
+    assert (drawn.batches, drawn.stream) == ((), None)
+    assert drawn == rep and repr(drawn) == repr(rep)
+    assert drawn.to_json_dict() == rep.to_json_dict()
+    # nor does a failing check
+    failing = dr.check_regime(law_channel(Y1="noise", Z1="x2"), dr.MULTI_PRIMARY, "VSI",
+                              samples=50, seed=0)
+    assert not failing.passed
+    assert (failing.batches, failing.stream) == ((), None)
 
 
 # -- counterexample search ------------------------------------------------------

@@ -10,7 +10,10 @@ working tree's `perfbench/`, so the benchmark code is identical. Pair i runs
 in both roots, REV first in even pairs and the working tree first in odd
 ones. The report gives, for each end-to-end metric of `BENCHMARK.json`, each
 side's median and quartiles over the pairs and the share of pairs the working
-tree won (ties count for neither), and each side's failed ops.
+tree won (ties count for neither), and each side's failed ops. A metric
+whose tree median is worse than the rev median by more than its
+`BENCHMARK.json` bound is marked WORSE, and the exit status is 1 when any
+metric is marked, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -81,21 +84,27 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.seed + args.pairs - 1}, {SECONDS} s runs; {args.rev} vs the working tree")
     print(f"{'metric':12s} {'rev q1/median/q3':>30s} {'tree q1/median/q3':>30s} "
           f"{'change':>8s} {'tree won':>9s}")
+    worse = []
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         old = [r["metrics"][name]["value"] for r in runs["rev"]]
         new = [r["metrics"][name]["value"] for r in runs["tree"]]
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
+        if sign * (omed - nmed) / omed > m["bound"]:
+            worse.append(name)
         print(f"{name:12s} {oq1:9.4g} {omed:9.4g} {oq3:9.4g}  {nq1:9.4g} {nmed:9.4g} "
               f"{nq3:9.4g} {(nmed - omed) / omed:+8.1%} {won:4d}/{len(old)}"
-              f"  (rev IQR {oq3 - oq1:.4g}, bound {m['bound']:.0%})")
+              f"  (rev IQR {oq3 - oq1:.4g}, bound {m['bound']:.0%})"
+              + ("  WORSE" if name in worse else ""))
     for side in runs:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         correct = all(r["correct"] for r in runs[side])
         print(f"{side}: {failed} of {attempted} ops failed; correct in every run: {correct}")
-    return 0
+    if worse:
+        print(f"worse than {args.rev} beyond the bound: {', '.join(worse)}")
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
