@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .info_theory import (
+    K_LAST_MIN,
     MAX_CELLS,
     MI_CLAMP_TOL,
     SUM_TOL,
@@ -123,9 +124,13 @@ class RegimeReport:
 
     A pass of a check seeded by an integer also keeps `batches`, the
     composed batch of each checked chunk, as long as their cells total at
-    most one full batch (_KEPT_CELLS), and `stream`, the (samples, seed) they
-    were drawn from: `dmc_capacity_region` reuses them for a search of the
-    same stream. Neither takes part in equality, repr or the JSON form.
+    most one full batch (_KEPT_CELLS); `stream`, the (samples, seed) they
+    were drawn from; and `resume`, the generator state at the end of the
+    kept chunks when a chunk of draws follows them (None when nothing was
+    drawn before that chunk, or no chunk follows). `dmc_capacity_region`
+    reuses the batches for a search of the same stream and draws on from
+    `resume`. None of the three takes part in equality, repr or the JSON
+    form.
     """
 
     klass: str
@@ -137,6 +142,7 @@ class RegimeReport:
     partition: tuple[tuple[str, ...], tuple[str, ...]] = field(compare=False)
     batches: tuple[_Batch, ...] = field(default=(), compare=False, repr=False)
     stream: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    resume: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_class(self.chan, self.klass)
@@ -210,9 +216,10 @@ _KEPT_CELLS = _CHUNK_CAP * MAX_CELLS
 
 
 class _Batch:
-    """A stack of joints (K, *shape) over the axes `names`, and the one
-    evaluator of the MI tables on it. Each subset entropy and each MI term is
-    computed once per batch, for all K joints at a time."""
+    """A stack of joints (*shape, K) over the axes `names`, the joint index
+    last (see _compose for its memory layout), and the one evaluator of the
+    MI tables on it. Each subset entropy and each MI term is computed once
+    per batch, for all K joints at a time."""
 
     def __init__(self, names: Sequence[str], joints: np.ndarray):
         self.index = {n: i for i, n in enumerate(names)}
@@ -222,11 +229,12 @@ class _Batch:
 
     @classmethod
     def of(cls, joint: JointDist) -> "_Batch":
-        return cls(joint.names, joint.probs[None])
+        return cls(joint.names, joint.probs[..., None])
 
     def head(self, n: int) -> None:
-        """Keep the first n joints, with their memoized values."""
-        self.joints = self.joints[:n]
+        """Keep the first n joints, a strided view of the stack, with their
+        memoized values."""
+        self.joints = self.joints[..., :n]
         self.entropies = {key: h[:n] for key, h in self.entropies.items()}
         self.mis = {key: v[:n] for key, v in self.mis.items()}
 
@@ -268,7 +276,7 @@ class _Batch:
         for sign, left, right, given in terms:
             if right in sets:
                 if not sets[right]:
-                    return np.full(len(self.joints), np.inf)
+                    return np.full(self.joints.shape[-1], np.inf)
                 value = None
                 for r in sets[right]:
                     # np.minimum returns its second argument on a tie, as min()
@@ -283,21 +291,44 @@ class _Batch:
 
 def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
              outputs: tuple[tuple[str, int], ...], probs: np.ndarray) -> _Batch:
-    """Batch of the joints of a stack of input distributions over `axes`
-    (which end with X1, X2) with a channel law, each checked as JointDist
-    checks one joint: the same product as compose_with_channel. `probs` is
-    one channel tensor (x1, x2, *outputs) for every joint, or one per joint,
-    shaped (K, 1, ..., 1, x1, x2, *outputs) to broadcast over the auxiliary
-    axes."""
-    cells = inputs[0].size * prod(k for _, k in outputs)
+    """Batch of the joints of a stack (K, *sizes of `axes`) of input
+    distributions over `axes` (which end with X1, X2) with a channel law,
+    each checked as JointDist checks one joint: the same product as
+    compose_with_channel, viewed (*axes, *outputs, K). `probs` is one
+    channel tensor (x1, x2, *outputs) for every joint, or one per joint,
+    shaped (1, ..., 1, x1, x2, *outputs, K) to broadcast over the auxiliary
+    axes.
+
+    From K_LAST_MIN joints up the product is built with the joint index
+    innermost in memory, where stack_entropy sums over all K lanes at once;
+    a smaller stack is built joint-first, the memory stack_entropy sums it
+    in with numpy, so that neither copies it.
+    """
+    k = len(inputs)
+    cells = inputs[0].size * prod(n for _, n in outputs)
     if cells > MAX_CELLS:
         raise AlphabetError(
             f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
-    joints = inputs.reshape(inputs.shape + (1,) * len(outputs)) * probs
+    per_joint = probs.ndim > 2 + len(outputs)
+    if k < K_LAST_MIN:
+        if per_joint:
+            probs = probs.transpose((probs.ndim - 1,) + tuple(range(probs.ndim - 1)))
+        joints = inputs.reshape(inputs.shape + (1,) * len(outputs)) * probs
+        sums = joints.reshape(k, -1).sum(axis=1)
+        joints = joints.transpose(tuple(range(1, joints.ndim)) + (0,))
+    else:
+        lanes = inputs.transpose(tuple(range(1, inputs.ndim)) + (0,))
+        joints = np.multiply(lanes.reshape(lanes.shape[:-1] + (1,) * len(outputs) + (k,)),
+                             probs if per_joint else probs[..., None], order="C")
+        # each joint summed over its input cells, then over its output cells,
+        # every add over a whole row of lanes: summing at most MAX_CELLS cells
+        # in this order rather than numpy's pairwise one moves a total by far
+        # less than SUM_TOL
+        sums = joints.reshape(inputs[0].size, -1).sum(axis=0).reshape(-1, k).sum(axis=0)
     # written so that NaN fails each comparison
     if not joints.min() >= 0:
         raise DistributionError(f"negative or NaN probability {joints.min():g}")
-    worst = np.abs(joints.reshape(len(joints), -1).sum(axis=1) - 1.0).max()
+    worst = np.abs(sums - 1.0).max()
     if not worst <= SUM_TOL:
         raise DistributionError(f"probabilities sum to 1 only within {worst:g}")
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
@@ -308,7 +339,7 @@ def _rows(batch: _Batch, sets: dict, table) -> list:
     empty receiver set has bound +inf, constrains nothing and is left out."""
     bounds = [(coeffs, batch.value(sets, terms).tolist()) for coeffs, terms in table]
     return [[(coeffs, b[k]) for coeffs, b in bounds if b[k] < np.inf]
-            for k in range(len(batch.joints))]
+            for k in range(batch.joints.shape[-1])]
 
 
 def _frontier(rows) -> Frontier2D:
@@ -555,7 +586,7 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
 
     # one channel per joint, broadcast over the auxiliary axes
     batch = _compose(axes, inputs, outputs,
-                     probs.reshape((k,) + (1,) * (len(axes) - 2) + shape[1:]))
+                     np.moveaxis(probs, 0, -1).reshape((1,) * (len(axes) - 2) + shape[1:] + (k,)))
     sets = _receiver_sets(outputs)
     direct = [_frontier(rows) for rows in _rows(batch, sets, _INNER_BOUND)]
     bounds = [[grid_bound(b) for b in batch.value(sets, terms).tolist()]
@@ -683,11 +714,12 @@ def _draw(rng: np.random.Generator, axes, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(int(np.prod(shape))), size=n).reshape((n,) + shape)
 
 
-def _check_dists(axes, samples: int, rng: np.random.Generator):
+def _check_dists(axes, samples: int, rng: np.random.Generator, start: int = 0):
     """Input distributions over `axes` in chunks of 1, 2, 4, ... rows up to
     _CHUNK_CAP: the simplex grid, then `samples` Dirichlet draws from `rng`.
     Yields (rows, state): `state` is rng's state before a sampled chunk was
-    drawn, and None for a chunk of grid points."""
+    drawn, and None for a chunk of grid points. The first `start` chunks are
+    skipped without drawing them: rng must stand where their draws left it."""
     shape = tuple(k for _, k in axes)
     cells = int(np.prod(shape))
     if cells > MAX_CELLS:
@@ -695,16 +727,17 @@ def _check_dists(axes, samples: int, rng: np.random.Generator):
             f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
     grid = _simplex_grid(cells)
     grid = grid.reshape((len(grid),) + shape)
-    size, done, total = 1, 0, len(grid) + samples
+    size, done, total, chunk = 1, 0, len(grid) + samples, 0
     while done < total:
-        if done < len(grid):
-            n = min(size, len(grid) - done)
-            yield grid[done:done + n], None
-        else:
-            n = min(size, total - done)
-            state = rng.bit_generator.state
-            yield _draw(rng, axes, n), state
+        n = min(size, (len(grid) if done < len(grid) else total) - done)
+        if chunk >= start:
+            if done < len(grid):
+                yield grid[done:done + n], None
+            else:
+                state = rng.bit_generator.state
+                yield _draw(rng, axes, n), state
         done += n
+        chunk += 1
         size = min(2 * size, _CHUNK_CAP)
 
 
@@ -737,8 +770,8 @@ def check_regime(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     axes = _input_axes(chan, regime)
     keep = isinstance(seed, (int, np.integer))
-    checked, cells, kept = 0, 0, []
-    for rows, state in _check_dists(axes, samples, rng):
+    checked, cells, kept, resume = 0, 0, [], None
+    for i, (rows, state) in enumerate(_check_dists(axes, samples, rng)):
         batch = _compose(axes, rows, chan.outputs, chan.probs)
         found = _first_violation(batch, sets, _CONDITIONS[klass, regime])
         if found is None:
@@ -746,6 +779,9 @@ def check_regime(
             cells += batch.joints.size
             if keep and cells <= _KEPT_CELLS:
                 kept.append(batch)
+            elif keep and i == len(kept):
+                # the first chunk past the kept ones: rng's state before it
+                resume = state
             continue
         k, receiver, condition, margin = found
         if state is not None:
@@ -757,7 +793,7 @@ def check_regime(
         return RegimeReport(klass, regime, False, checked + k + 1, witness,
                             chan, (strong, weak))
     return RegimeReport(klass, regime, True, checked, None, chan, (strong, weak),
-                        tuple(kept), (samples, seed) if keep else None)
+                        tuple(kept), (samples, seed) if keep else None, resume)
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +861,9 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     partition, at the channel's |U|; a failing report raises RegimeError.
     The sample stream is prefix-stable in the budget, so a larger budget
     yields a superset. When `search` draws the stream the report was checked
-    on, the batches the report kept stand in for composing those chunks
-    again, with the MI values they memoized.
+    on, the batches the report kept stand in for drawing and composing those
+    chunks again, with the MI values they memoized, and the stream is drawn
+    on from the report's `resume` state.
     """
     if not report.passed:
         raise RegimeError(
@@ -837,13 +874,13 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     sets = _receiver_sets(chan.outputs, *report.partition)
     axes = _input_axes(chan, report.regime)
     kept = report.batches if report.stream == (search.samples, search.seed) else ()
+    rng = np.random.default_rng(search.seed)
+    if kept and report.resume is not None:
+        rng.bit_generator.state = report.resume
     table = _REGIONS[report.klass, report.regime]
-    pieces = []
-    chunks = _check_dists(axes, search.samples, np.random.default_rng(search.seed))
-    for i, (rows, _) in enumerate(chunks):
-        batch = kept[i] if i < len(kept) else _compose(axes, rows, chan.outputs, chan.probs)
-        pieces += [_frontier(r) for r in _rows(batch, sets, table)]
-    return concave_envelope(pieces)
+    batches = chain(kept, (_compose(axes, rows, chan.outputs, chan.probs)
+                           for rows, _ in _check_dists(axes, search.samples, rng, len(kept))))
+    return concave_envelope([_frontier(r) for batch in batches for r in _rows(batch, sets, table)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,18 +217,99 @@ def _subset_entropy(probs: np.ndarray, keep_idx: Iterable[int]) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
-    """H(variables at keep_idx) of each joint of a stack (K, *shape), in bits.
+# numpy's pairwise summation adds a run of at most this many terms with eight
+# accumulators, and splits a longer run in two.
+_PW_BLOCKSIZE = 128
 
-    Row k equals _subset_entropy(stack[k], keep_idx) bit for bit: each row
-    sums -p*log2(p) over its nonzero cells in their original order and over
+# stack_entropy sums a stack of fewer joints than this with numpy's own sum,
+# on a joint-first copy (free when the stack is joint-first in memory): below
+# it, the fixed cost of the K-last sums exceeds what they save. On the 64- to
+# 1620-cell joints of the regime checks they break even at 3 to 10 joints,
+# earliest on binary outputs.
+K_LAST_MIN = 8
+
+
+def _pairwise_sum(a: np.ndarray, n: int) -> np.ndarray:
+    """numpy's pairwise_sum of the n terms along axis -2 of `a` (..., n, K),
+    each of its adds taken over the K lanes of the last axis at once."""
+    k = a.shape[-1]
+    if n < 8:
+        # pairwise_sum adds them one at a time, as numpy's reduce does with K
+        # kept and innermost
+        return np.add.reduce(a, axis=-2)
+    if n <= _PW_BLOCKSIZE:
+        m = n - n % 8
+        # eight accumulators over the blocks of eight terms, combined as
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order
+        r = a[..., :8, :] if m == 8 else \
+            np.add.reduce(a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, k)), axis=-3)
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        out = r[..., 0, :] + r[..., 1, :]
+        for i in range(m, n):
+            out += a[..., i, :]
+        return out
+    half = n // 2 - n // 2 % 8
+    if 2 * half == n:
+        both = _pairwise_sum(a.reshape(a.shape[:-2] + (2, half, k)), half)
+        return both[..., 0, :] + both[..., 1, :]
+    return _pairwise_sum(a[..., :half, :], half) + _pairwise_sum(a[..., half:, :], n - half)
+
+
+@lru_cache(maxsize=None)  # keyed by joint shape and kept axes: at most 2**len(shape) each
+def _marginal_plan(shape: tuple[int, ...], keep: tuple[int, ...]):
+    """How to sum joints of `shape` down to the axes `keep`.
+
+    On a stack (*shape, K): axes of size 1 are left out, as numpy's iterator
+    leaves them out, and the dropped axes after the last kept one are merged
+    into one run of `run` terms, the last axis of `merged` when run > 1;
+    `outer` are the dropped axes of `merged` before it. On a joint-first copy
+    (K, *shape), made by the transpose `first`, numpy sums the axes `drop`.
+    """
+    axes = [(size, i in keep) for i, size in enumerate(shape) if size > 1]
+    last = max((j for j, (_, kept) in enumerate(axes) if kept), default=-1)
+    run = math.prod(size for size, _ in axes[last + 1:])
+    merged = tuple(size for size, _ in axes[:last + 1]) + ((run,) if run > 1 else ())
+    outer = tuple(j for j, (_, kept) in enumerate(axes[:last + 1]) if not kept)
+    first = (len(shape),) + tuple(range(len(shape)))
+    drop = tuple(i + 1 for i in range(len(shape)) if i not in keep)
+    return merged, outer, run, first, drop
+
+
+def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Marginal on the axes `keep` of each joint of a stack (*shape, K), as
+    the rows of a (K, cells) array, each summed bit for bit as numpy's sum of
+    that one joint sums it.
+
+    Below K_LAST_MIN joints that is numpy's own sum, on a joint-first copy
+    (no copy when the stack is joint-first in memory). Otherwise each add runs over the K lanes at once, in the order numpy's
+    sum takes on a stack (K, *shape): the terms of the trailing dropped run
+    by pairwise_sum, then those sums one at a time, in C order, over the
+    other dropped axes.
+    """
+    merged, outer, run, first, drop = _marginal_plan(stack.shape[:-1], keep)
+    k = stack.shape[-1]
+    if k < K_LAST_MIN:
+        joints = np.ascontiguousarray(stack.transpose(first))
+        return (np.add.reduce(joints, axis=drop) if drop else joints).reshape(k, -1)
+    marg = stack.reshape(merged + (k,))
+    if run > 1:
+        marg = _pairwise_sum(marg, run)
+    if outer:
+        marg = np.add.reduce(marg, axis=outer)
+    return np.ascontiguousarray(marg.reshape(-1, k).T)
+
+
+def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
+    """H(variables at keep_idx) of each joint of a stack (*shape, K), in bits.
+
+    Row k equals _subset_entropy(stack[..., k], keep_idx) bit for bit: its
+    marginal is summed in numpy's own order (see _marginals), then -p*log2(p)
+    is summed over its nonzero cells in their original order and over
     exactly that many of them, since a padding zero changes numpy's pairwise
     grouping of a sum of 8 or more terms.
     """
-    keep = sorted(keep_idx)
-    drop = tuple(i + 1 for i in range(stack.ndim - 1) if i not in keep)
-    marg = stack.sum(axis=drop) if drop else stack
-    flat = marg.reshape(len(stack), -1)
+    flat = _marginals(stack, tuple(sorted(keep_idx)))
     positive = flat > 0.0
     counts = positive.sum(axis=1)
     if counts.min() == flat.shape[1]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import (
+    K_LAST_MIN,
     MAX_CELLS,
     AlphabetError,
     DistributionError,
@@ -773,6 +775,39 @@ def test_batched_terms_equal_mutual_information_bitwise(table, zeros, rng):
                 assert one.mi(left, r, given)[0] == want
 
 
+def test_head_entropies_equal_a_fresh_batch_bitwise(rng):
+    # head(n) leaves a strided view of the joints: an entropy first asked for
+    # after the cut must be that of the first n joints composed on their own
+    chan = random_channel(rng, outputs=(("Y1", 3), ("Y2", 3), ("Z1", 3)))
+    shape = tuple(k for _, k in U_AXES)
+    stack = rng.dirichlet(np.ones(int(np.prod(shape))), size=64).reshape((64,) + shape)
+    names = [n for n, _ in U_AXES + chan.outputs]
+    subsets = [frozenset(c) for r in range(1, len(names) + 1)
+               for c in itertools.combinations(names, r)]
+    for n in (1, 2, 3, 5, 8, 40):
+        batch = dr._compose(U_AXES, stack, chan.outputs, chan.probs)
+        before = batch.entropy(frozenset({"U", "Y1"}))
+        batch.head(n)
+        assert not batch.joints.flags.c_contiguous
+        fresh = dr._compose(U_AXES, stack[:n], chan.outputs, chan.probs)
+        # fewer than K_LAST_MIN joints are composed joint-first in memory
+        assert np.moveaxis(fresh.joints, -1, 0).flags.c_contiguous == (n < K_LAST_MIN)
+        assert batch.entropy(frozenset({"U", "Y1"})).tolist() == before[:n].tolist()
+        for subset in subsets:
+            assert batch.entropy(subset).tolist() == fresh.entropy(subset).tolist(), (n, subset)
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_compose_rejects_a_joint_off_by_1e_9(k, rng):
+    chan = random_channel(rng, outputs=(("Y1", 3), ("Z1", 3)))
+    shape = tuple(n for _, n in U_AXES)
+    stack = rng.dirichlet(np.ones(int(np.prod(shape))), size=k).reshape((k,) + shape)
+    dr._compose(U_AXES, stack, chan.outputs, chan.probs)
+    stack[k // 2] *= 1 + 1e-9
+    with pytest.raises(DistributionError, match=r"^probabilities sum to 1 only within 1e-09$"):
+        dr._compose(U_AXES, stack, chan.outputs, chan.probs)
+
+
 def _deep_witness_channel():
     """A weak-family channel mixed with a random one at weight 10**-0.25."""
     rng = np.random.default_rng(3)
@@ -993,36 +1028,52 @@ def _passing_checks(rng):
         (dr.MULTI_SECONDARY, "VWI", None, chan(dr.MULTI_SECONDARY, garbled, base, base), 40),
         (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT,
          chan(dr.MULTI_SECONDARY, garbled, base, garbled), 40),
+        # 864-cell joints: the kept prefix ends among the draws
+        (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=6), 200),
+        # 2048-cell joints: the kept prefix ends inside the 165-point grid
         (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=8), 20),
     ]
 
 
 def test_capacity_region_reuses_the_checked_batches(monkeypatch, rng):
     compose, composed = dr._compose, []
+    draw, drawn = dr._draw, []
 
     def counting_compose(*args):
         composed.append(args)
         return compose(*args)
 
+    def counting_draw(rng, axes, n):
+        drawn.append(n)
+        return draw(rng, axes, n)
+
     monkeypatch.setattr(dr, "_compose", counting_compose)
+    monkeypatch.setattr(dr, "_draw", counting_draw)
+    cuts = []
     for seed, (klass, regime, partition, chan, samples) in enumerate(_passing_checks(rng)):
         rep = dr.check_regime(chan, klass, regime, samples=samples, seed=seed,
                               partition=partition)
         assert rep.passed, (klass, regime, rep.witness)
         assert rep.stream == (samples, seed)
         axes = dr._input_axes(chan, regime)
-        chunks = len(list(dr._check_dists(axes, samples, np.random.default_rng(seed))))
+        chunks = list(dr._check_dists(axes, samples, np.random.default_rng(seed)))
+        if len(rep.batches) < len(chunks):
+            cuts.append("grid" if chunks[len(rep.batches) - 1][1] is None else "draws")
         bare = replace(rep, batches=())
         for search in (dr.SearchConfig(samples, seed), dr.SearchConfig(samples + 7, seed),
                        dr.SearchConfig(samples, seed + 1)):
             composed.clear()
+            drawn.clear()
             fr = dr.dmc_capacity_region(rep, search)
             if search == dr.SearchConfig(samples, seed):
-                # only the chunks past the kept prefix are composed again
-                assert len(composed) == chunks - len(rep.batches)
+                # only the chunks past the kept prefix are drawn and composed again
+                rest = chunks[len(rep.batches):]
+                assert len(composed) == len(rest)
+                assert drawn == [len(rows) for rows, state in rest if state is not None]
             assert fr.points == dr.dmc_capacity_region(bare, search).points, (klass, regime)
-    # the last check kept a strict prefix of its chunks
-    assert 0 < len(rep.batches) < chunks
+    # two checks kept a strict prefix of their chunks: one ending among the
+    # draws, so the region draws on from `resume`, and one inside the grid
+    assert cuts == ["draws", "grid"]
 
 
 def test_kept_batches_change_nothing_visible(rng):
@@ -1030,21 +1081,21 @@ def test_kept_batches_change_nothing_visible(rng):
     rep = dr.check_regime(big, klass, regime, samples=samples, seed=5)
     assert rep.passed and rep.batches
     assert sum(b.joints.size for b in rep.batches) <= dr._CHUNK_CAP * MAX_CELLS
-    bare = replace(rep, batches=(), stream=None)
+    bare = replace(rep, batches=(), stream=None, resume=None)
     assert rep == bare
     assert repr(rep) == repr(bare)
     assert rep.to_json_dict() == bare.to_json_dict()
     # a check seeded by a Generator keeps nothing, and reports the same
     drawn = dr.check_regime(big, klass, regime, samples=samples,
                             seed=np.random.default_rng(5))
-    assert (drawn.batches, drawn.stream) == ((), None)
+    assert (drawn.batches, drawn.stream, drawn.resume) == ((), None, None)
     assert drawn == rep and repr(drawn) == repr(rep)
     assert drawn.to_json_dict() == rep.to_json_dict()
     # nor does a failing check
     failing = dr.check_regime(law_channel(Y1="noise", Z1="x2"), dr.MULTI_PRIMARY, "VSI",
                               samples=50, seed=0)
     assert not failing.passed
-    assert (failing.batches, failing.stream) == ((), None)
+    assert (failing.batches, failing.stream, failing.resume) == ((), None, None)
 
 
 # -- counterexample search ------------------------------------------------------

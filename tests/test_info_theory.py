@@ -167,18 +167,36 @@ def test_compose_rejects_alphabet_mismatch(rng):
         compose_with_channel(sample_input_dist([("X1", 2), ("X2", 2)], rng), chan)
 
 
+# Joint shapes whose marginals cover each branch of numpy's pairwise_sum for
+# the trailing dropped run: fewer than 8 terms; 8 to 128 with and without a
+# remainder after the blocks of 8 (8, 15, 24, 43, 45, 48, 54, 108); more than
+# 128, split evenly (2048, 4096) and unevenly (243, 540); an axis of size 1.
+STACK_SHAPES = [(2, 3, 2, 4), (3, 5, 3), (3, 43), (2, 2048), (9, 27),
+                (5, 2, 2, 3, 3, 3), (3, 1, 9)]
+
+
 def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
-    # zeros among 8 or more cells: padding them into a sum would regroup it
-    stack = rng.dirichlet(np.ones(48), size=12)
-    stack[::2] *= rng.random((6, 48)) < 0.5
-    stack[1] = 0.0
-    stack[1, 7] = 1.0
-    stack = stack.reshape(12, 2, 3, 2, 4)
-    for k in range(5):
-        for keep in itertools.combinations(range(4), k):
-            want = [_subset_entropy(row, keep) for row in stack]
-            assert stack_entropy(stack, keep).tolist() == want
-            assert [stack_entropy(row[None], keep)[0] for row in stack] == want
+    for shape, k in itertools.product(STACK_SHAPES, [1, 2, 3, 8, 9, 64]):
+        cells = int(np.prod(shape))
+        rows = rng.dirichlet(np.ones(cells), size=k)
+        # zeros among 8 or more cells: padding them into a sum would regroup it
+        rows[::2] *= rng.random(rows[::2].shape) < 0.5
+        rows[k // 2] = 0.0
+        rows[k // 2, rng.integers(cells)] = 1.0
+        rows = rows.reshape((k,) + shape)
+        stack = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+        for n in range(len(shape) + 1):
+            for keep in itertools.combinations(range(len(shape)), n):
+                want = [_subset_entropy(row, keep) for row in rows]
+                why = (f"shape {shape}, K={k}, keep {keep}: stack_entropy no longer "
+                       f"sums marginals as numpy {np.__version__}'s own sum does; if "
+                       f"numpy changed the order of its reductions (pairwise_sum or "
+                       f"the iteration order of a multi-axis sum), the K-last sums "
+                       f"of info_theory._stack_marginal must follow it")
+                assert stack_entropy(stack, keep).tolist() == want, why
+                # the same stack held joint-first in memory
+                assert stack_entropy(np.moveaxis(rows, 0, -1), keep).tolist() == want, why
+                assert [stack_entropy(row[..., None], keep)[0] for row in rows] == want, why
 
 
 def test_sample_dist_normalized_and_deterministic():

@@ -1,9 +1,11 @@
 """Profile every catalogue case of one benchmark workload under cProfile.
 
-    python3 tools/profile_workload.py WORKLOAD [--sort tottime|cumtime] [--top N]
+    python3 tools/profile_workload.py WORKLOAD [--kind KIND ...] [--sort tottime|cumtime] [--top N]
 
-Run from the repository root. Every case of `perfbench/data/WORKLOAD.json.gz`
-runs once, in this process, against `src/` of the working tree, through
+Run from the repository root. Every case of `perfbench/data/WORKLOAD.json.gz`,
+or only those of the kinds named by `--kind` (repeatable; e.g. dmc-screen's
+`screen-shallow` apart from its `screen-deep`), runs once, in this process,
+against `src/` of the working tree, through
 `perfbench.harness.materialize` and `execute` as `tools/artifact_diff.py`
 runs them. Inputs and artifacts go to the work directory `.profile-workload/`
 (git-ignored), which is removed at the end. The report gives the number of
@@ -32,6 +34,8 @@ WORKDIR = ROOT / ".profile-workload"
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("workload", choices=WORKLOADS)
+    p.add_argument("--kind", action="append", metavar="KIND",
+                   help="profile only the cases of this kind (repeatable)")
     p.add_argument("--sort", choices=("tottime", "cumtime"), default="tottime")
     p.add_argument("--top", type=int, default=25)
     args = p.parse_args(argv)
@@ -43,7 +47,13 @@ def main(argv: list[str] | None = None) -> int:
     import harness
     from mcifc import cli
 
-    cases = [c for group in gen.load_catalogue(args.workload).values() for c in group]
+    catalogue = gen.load_catalogue(args.workload)
+    kinds = args.kind or list(catalogue)
+    unknown = sorted(set(kinds) - set(catalogue))
+    if unknown:
+        p.error(f"{args.workload} has no kind {', '.join(unknown)}; "
+                f"its kinds are {', '.join(sorted(catalogue))}")
+    cases = [c for kind in catalogue if kind in kinds for c in catalogue[kind]]
     shutil.rmtree(WORKDIR, ignore_errors=True)
     profiler = cProfile.Profile()
     raised = []
@@ -59,7 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(WORKDIR, ignore_errors=True)
     wall = time.perf_counter() - t0
-    print(f"{args.workload}: {len(cases)} cases, {wall:.2f} s wall under cProfile, "
+    label = args.workload + (f" ({', '.join(args.kind)})" if args.kind else "")
+    print(f"{label}: {len(cases)} cases, {wall:.2f} s wall under cProfile, "
           f"{len(raised)} raised")
     for line in raised:
         print(f"  raised {line}")
