@@ -54,8 +54,7 @@ from .polytope import (
     concave_envelope,
     fme_project,  # noqa: F401  (perfbench/harness.py traces it here)
     frontier_union,  # noqa: F401  (perfbench/harness.py traces it here)
-    grid_bound,
-    grid_row,
+    grid_bounds,
     integer_frontier,
     project_bounds,
     project_to_frontier,  # noqa: F401  (perfbench/harness.py traces it here)
@@ -334,16 +333,17 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
 
 
-def _rows(batch: _Batch, sets: dict, table) -> list:
-    """(coeffs, bound) rows of a table for each joint of `batch`. A row over an
-    empty receiver set has bound +inf, constrains nothing and is left out."""
-    bounds = [(coeffs, batch.value(sets, terms).tolist()) for coeffs, terms in table]
-    return [[(coeffs, b[k]) for coeffs, b in bounds if b[k] < np.inf]
-            for k in range(batch.joints.shape[-1])]
-
-
-def _frontier(rows) -> Frontier2D:
-    return integer_frontier([grid_row(c.get("R2", 0), c.get("R1", 0), b) for c, b in rows])
+def _frontiers(batch: _Batch, sets: dict, table) -> list[Frontier2D]:
+    """The region of a table's rows for each joint of `batch`, its (rows, K)
+    bounds snapped to the 1e-12 grid at once. A row over an empty receiver
+    set has bound +inf at every joint, constrains nothing and is left out."""
+    rows = [(coeffs, batch.value(sets, terms)) for coeffs, terms in table]
+    rows = [(coeffs, bound) for coeffs, bound in rows if bound[0] < np.inf]
+    bounds = np.array([bound for _, bound in rows]).reshape(len(rows), batch.joints.shape[-1])
+    g = RATIONALIZE_GRAIN
+    scaled = [(c.get("R2", 0) * g, c.get("R1", 0) * g) for c, _ in rows]
+    return [integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
+            for column in grid_bounds(bounds).T.tolist()]
 
 
 _COST_V = (-1, "V", "X1 U", "Q1 Q")
@@ -497,15 +497,15 @@ _REGIONS = {
 
 def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
     """Inner-bound inequalities over (R1, R2) for one auxiliary assignment."""
-    batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    rows = _rows(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0]
-    return IneqSystem.build(("R1", "R2"), rows)
+    batch, sets = _Batch.of(compose_with_channel(aux.joint, chan)), _receiver_sets(chan.outputs)
+    return IneqSystem.build(("R1", "R2"), [(coeffs, batch.value(sets, terms)[0])
+                                           for coeffs, terms in _INNER_BOUND])
 
 
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
     batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    return _frontier(_rows(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0])
+    return _frontiers(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0]
 
 
 def _check_single_pair(outputs: Sequence[tuple[str, int]]) -> None:
@@ -521,9 +521,9 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     nonnegativity of every split/binning rate. Written for one Y and one Z.
     """
     _check_single_pair(chan.outputs)
-    batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    rows = _rows(batch, _receiver_sets(chan.outputs), _CODING_SYSTEM)[0] + list(_CODING_LINEAR)
-    return IneqSystem.build(_CODING_VARS, rows)
+    batch, sets = _Batch.of(compose_with_channel(aux.joint, chan)), _receiver_sets(chan.outputs)
+    rows = [(coeffs, batch.value(sets, terms)[0]) for coeffs, terms in _CODING_SYSTEM]
+    return IneqSystem.build(_CODING_VARS, rows + list(_CODING_LINEAR))
 
 
 def _projected_frontier(bounds: list[int]) -> Frontier2D:
@@ -588,12 +588,11 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     batch = _compose(axes, inputs, outputs,
                      np.moveaxis(probs, 0, -1).reshape((1,) * (len(axes) - 2) + shape[1:] + (k,)))
     sets = _receiver_sets(outputs)
-    direct = [_frontier(rows) for rows in _rows(batch, sets, _INNER_BOUND)]
-    bounds = [[grid_bound(b) for b in batch.value(sets, terms).tolist()]
-              for _, terms in _CODING_SYSTEM]
-    linear = [grid_bound(b) for _, b in _CODING_LINEAR]
-    return [region_equal(region, _projected_frontier(list(mi_bounds) + linear), 1e-9)
-            for region, mi_bounds in zip(direct, zip(*bounds))]
+    direct = _frontiers(batch, sets, _INNER_BOUND)
+    coding = grid_bounds(np.array([batch.value(sets, terms) for _, terms in _CODING_SYSTEM]))
+    linear = [b * RATIONALIZE_GRAIN for _, b in _CODING_LINEAR]
+    return [region_equal(region, _projected_frontier(mi_bounds + linear), 1e-9)
+            for region, mi_bounds in zip(direct, coding.T.tolist())]
 
 
 def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel) -> bool:
@@ -801,11 +800,16 @@ def check_regime(
 # ---------------------------------------------------------------------------
 
 
-def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
-    """Named bounds of a multi-primary table (its "Z" is the one Z output)."""
+def _mp_batch(dist: JointDist, chan: DmcChannel, strong=(), weak=()) -> tuple[_Batch, dict]:
+    """The batch of one joint with a multi-primary channel, whose "Z" is its
+    one Z output, and the channel's receiver sets."""
     _check_class(chan, MULTI_PRIMARY)
-    batch = _Batch.of(compose_with_channel(dist, chan))
-    sets = _receiver_sets(chan.outputs, strong, weak)
+    return _Batch.of(compose_with_channel(dist, chan)), _receiver_sets(chan.outputs, strong, weak)
+
+
+def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
+    """Named bounds of a multi-primary table."""
+    batch, sets = _mp_batch(dist, chan, strong, weak)
     bounds = {name: float(batch.value(sets, terms)[0]) for name, (_, terms) in table.items()}
     return {name: bound for name, bound in bounds.items() if bound < np.inf}
 
@@ -823,8 +827,7 @@ def full_decode_region(
     include: Iterable[str] = ("r1_y", "r2_z", "r2_y", "sum_z", "sum_y"),
 ) -> Frontier2D:
     """Frontier of the named subset of the all-decode inequalities."""
-    bounds = full_decode_bounds(dist, chan)
-    return _frontier([(_FULL_DECODE[k][0], bounds[k]) for k in include])
+    return _frontiers(*_mp_batch(dist, chan), [_FULL_DECODE[k] for k in include])[0]
 
 
 def mixed_achievable_bounds(
@@ -846,10 +849,8 @@ def mixed_achievable_region(
     weak: Sequence[str],
     include_sum_z: bool = False,
 ) -> Frontier2D:
-    bounds = mixed_achievable_bounds(dist, chan, strong, weak)
-    if not include_sum_z:
-        bounds.pop("sum_z")
-    return _frontier([(_MP_MIXED[k][0], v) for k, v in bounds.items()])
+    table = [row for name, row in _MP_MIXED.items() if include_sum_z or name != "sum_z"]
+    return _frontiers(*_mp_batch(dist, chan, strong, weak), table)[0]
 
 
 def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfig()) -> Frontier2D:
@@ -880,7 +881,7 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     table = _REGIONS[report.klass, report.regime]
     batches = chain(kept, (_compose(axes, rows, chan.outputs, chan.probs)
                            for rows, _ in _check_dists(axes, search.samples, rng, len(kept))))
-    return concave_envelope([_frontier(r) for batch in batches for r in _rows(batch, sets, table)])
+    return concave_envelope([f for batch in batches for f in _frontiers(batch, sets, table)])
 
 
 # ---------------------------------------------------------------------------
@@ -965,16 +966,9 @@ class CxSearchConfig:
 
 def weak_violation_margin(chan: DmcChannel, dist: JointDist) -> tuple[str, float]:
     """Worst receiver and margin of I(U;Yj|X1) - I(U;Z|X1) for one joint."""
-    _check_class(chan, MULTI_PRIMARY)
-    batch = _Batch.of(compose_with_channel(dist, chan))
-    sets = _receiver_sets(chan.outputs)
-    best = ("", -np.inf)
-    for y in chan.y_names:
-        sets["r"] = (y,)
-        m = float(batch.value(sets, _MP_WEAK)[0])
-        if m > best[1]:
-            best = (y, m)
-    return best
+    batch, sets = _mp_batch(dist, chan)
+    margins = [float(batch.value(dict(sets, r=(y,)), _MP_WEAK)[0]) for y in chan.y_names]
+    return max(zip(chan.y_names, margins), key=itemgetter(1))
 
 
 def _propose_channel(rng, structured: bool) -> DmcChannel:

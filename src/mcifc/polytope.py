@@ -30,6 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 # Grid used when converting float constants to exact rationals.
 RATIONALIZE_GRAIN = 10**12
 
@@ -56,12 +58,13 @@ def grid_bound(x: float) -> int:
     return round(float(x) * RATIONALIZE_GRAIN)
 
 
-def grid_row(a: int, b: int, c: float) -> tuple[int, int, int]:
-    """Integer row (a, b, c) of `integer_frontier` for a*r2 + b*r1 <= c with
-    integer a and b: the row scaled by the grain, its bound snapped to the
-    grid as `rationalize` snaps it."""
-    g = RATIONALIZE_GRAIN
-    return a * g, b * g, grid_bound(c)
+def grid_bounds(x: np.ndarray) -> np.ndarray:
+    """`grid_bound` of each element of a float array, as int64: the same IEEE
+    product, rounded half to even as round() rounds it."""
+    snapped = np.rint(x * RATIONALIZE_GRAIN)
+    if not (np.abs(snapped) < 2.0**63).all():
+        raise ValueError("bound is not finite or exceeds the int64 grid")
+    return snapped.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -283,8 +286,8 @@ class Frontier2D:
     def __post_init__(self):
         pts = [(float(x), float(y)) for x, y in self.points]
         for x, y in pts:
-            if x < -1e-9 or y < -1e-9:
-                raise FrontierError(f"negative coordinate in point ({x!r}, {y!r})")
+            if not (-1e-9 <= x < math.inf and -1e-9 <= y < math.inf):
+                raise FrontierError(f"negative or non-finite coordinate in point ({x!r}, {y!r})")
         pts = [(max(x, 0.0), max(y, 0.0)) for x, y in pts]
         cleaned: list[tuple[float, float]] = []
         for x, y in pts:

@@ -1,12 +1,16 @@
 import gzip
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcifc.cli import run
 
@@ -53,6 +57,50 @@ def test_region_regime_mismatch_is_validation_error(wi_chan, tmp_path, capsys):
                 "--regime", "VSI"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "classifies" in err["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"class": "multi_primary", "b": [0.5, 0.9], "a": 0.3, "P1": 1e155, "P2": 1e155},
+    {"class": "multi_primary", "b": [0, 1], "a": 1e300, "P1": 1e300, "P2": 1e300},
+])
+def test_region_rejects_a_non_finite_frontier(doc, tmp_path, capsys):
+    # P1 * P2 overflows to inf, and the WI frontier would hold NaN rates
+    out = tmp_path / "r.csv"
+    with np.errstate(all="ignore"):
+        code = run(["region", "--in", write(tmp_path / "big.json", doc), "--out", str(out),
+                    "--grid", "5"])
+    assert code == 1 and not out.exists()
+    assert "non-finite" in json.loads(capsys.readouterr().err)["error"]
+
+
+# finite floats over the whole range, subnormals included; gains also in
+# [-4, 4] and powers as powers of ten, so that some products overflow
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-4, 4))
+_POWER = st.one_of(_FINITE.map(abs), st.integers(-320, 308).map(lambda e: float(f"1e{e}")))
+_GAUSSIAN_DOCS = st.one_of(
+    st.fixed_dictionaries({"class": st.just("multi_primary"),
+                           "b": st.lists(_FINITE, min_size=1, max_size=4), "a": _FINITE,
+                           "P1": _POWER, "P2": _POWER}),
+    st.fixed_dictionaries({"class": st.just("multi_secondary"), "b": _FINITE,
+                           "a": st.lists(_FINITE, min_size=1, max_size=4),
+                           "P1": _POWER, "P2": _POWER}),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=_GAUSSIAN_DOCS)
+def test_gaussian_documents_never_print_a_non_finite_number(doc, tmp_path_factory):
+    # every finite document is computed or rejected, and nothing the CLI
+    # writes holds nan or inf
+    tmp = tmp_path_factory.mktemp("doc")
+    path, out = write(tmp / "doc.json", doc), tmp / "r.csv"
+    for argv in (["classify", "--in", path], ["region", "--in", path, "--out", str(out),
+                                              "--grid", "5"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with np.errstate(all="ignore"), redirect_stdout(stdout), redirect_stderr(stderr):
+            assert run(argv) in (0, 1, 2)
+        written = stdout.getvalue() + (out.read_text() if out.exists() else "")
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", written), (argv, written)
 
 
 def test_region_multi_secondary(tmp_path, capsys):

@@ -16,6 +16,8 @@ from mcifc.polytope import (
     frontier_contains,
     frontier_intersect,
     frontier_union,
+    grid_bound,
+    grid_bounds,
     project_to_frontier,
     rationalize,
     region_equal,
@@ -180,6 +182,37 @@ def test_frontier_invariants():
         Frontier2D(((1.0, 1.0), (0.5, 0.5)))  # r2 not sorted
     f = Frontier2D(((0.5, 1.0),))
     assert f.points[0] == (0.0, 1.0)  # left edge padded to r2 = 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frontier_rejects_non_finite_coordinates(bad):
+    for point in ((0.0, bad), (bad, 1.0)):
+        with pytest.raises(FrontierError, match="non-finite"):
+            Frontier2D(((0.0, 2.0), point))
+
+
+def test_grid_bounds_equal_grid_bound_elementwise():
+    g = 10**12
+    # exact ties of the grid: x * 1e12 is k + 1/2 in floating point
+    ties = [x for k in range(-60, 60)
+            for x in ((k + 0.5) / g, (100 * g + k + 0.5) / g, (k + 0.5 - 100 * g) / g)
+            if x * g % 1 == 0.5]
+    assert len(ties) >= 90 and min(ties) < -50 and max(ties) > 50
+    half = 0.5e-12
+    edges = [0.0, -0.0, 2e-12, -2e-12, half, -half, 1.5e-12, -1.5e-12, 100.0, -100.0,
+             99.9999999999995, 100.0000000000005, -99.9999999999995]
+    edges += [np.nextafter(v, d) for v in (half, -half, 100.0, -100.0) for d in (-np.inf, np.inf)]
+    rng = np.random.default_rng(7)
+    values = np.array(ties + edges + list(rng.uniform(-100, 100, 200))
+                      + list(rng.uniform(-3e-12, 3e-12, 200)))
+    for shape in ((len(values),), (len(values), 1), (1, len(values))):
+        got = grid_bounds(values.reshape(shape))
+        assert got.dtype == np.int64 and got.shape == shape
+        assert got.ravel().tolist() == [grid_bound(v) for v in values.tolist()]
+    assert {grid_bound(x) % 2 for x in ties} == {0}  # ties round half to even
+    for bad in (np.nan, np.inf, -np.inf, 1e8):
+        with pytest.raises(ValueError):
+            grid_bounds(np.array([0.5, bad]))
 
 
 def test_intersect_union_basics():
