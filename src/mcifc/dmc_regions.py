@@ -8,10 +8,11 @@ Every information expression is a row of a table of signed MI terms,
 evaluated by one evaluator over a stack of joints. The cross-verification
 has one body, `verify_fme_stack`: it takes a stack of auxiliary joints and
 a stack of channel laws of one alphabet as arrays, checks each stack once,
-evaluates both of its tables on one batch, and sends the coding bounds on
-the 1e-12 grid straight into the cached projection cone of
+evaluates both of its tables on one batch, and sends the whole (rows, K)
+array of coding bounds on the 1e-12 grid into the cached projection cone of
 `polytope.project_bounds`. `verify_fme_inner_bound` is its one-instance
-case.
+case. `polytope` owns the grid: every table's frontiers come from
+`polytope.grid_frontiers`.
 
 |U| is |X1||X2| + 1 throughout, fixed by the channel (`default_aux_card`).
 
@@ -36,26 +37,26 @@ from .info_theory import (
     K_LAST_MIN,
     MAX_CELLS,
     MI_CLAMP_TOL,
-    SUM_TOL,
     AlphabetError,
     DistributionError,
     DmcChannel,
     InternalConsistencyError,
     JointDist,
+    check_cells,
+    check_probabilities,
     compose_with_channel,
     mutual_information,  # noqa: F401  (perfbench/harness.py traces it here)
     sample_input_dist,
     stack_entropy,
 )
 from .polytope import (
-    RATIONALIZE_GRAIN,
     Frontier2D,
     IneqSystem,
     concave_envelope,
     fme_project,  # noqa: F401  (perfbench/harness.py traces it here)
     frontier_union,  # noqa: F401  (perfbench/harness.py traces it here)
     grid_bounds,
-    integer_frontier,
+    grid_frontiers,
     project_bounds,
     project_to_frontier,  # noqa: F401  (perfbench/harness.py traces it here)
     region_equal,
@@ -304,10 +305,7 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     in with numpy, so that neither copies it.
     """
     k = len(inputs)
-    cells = inputs[0].size * prod(n for _, n in outputs)
-    if cells > MAX_CELLS:
-        raise AlphabetError(
-            f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
+    check_cells(inputs[0].size * prod(n for _, n in outputs), "joint")
     per_joint = probs.ndim > 2 + len(outputs)
     if k < K_LAST_MIN:
         if per_joint:
@@ -324,12 +322,7 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
         # in this order rather than numpy's pairwise one moves a total by far
         # less than SUM_TOL
         sums = joints.reshape(inputs[0].size, -1).sum(axis=0).reshape(-1, k).sum(axis=0)
-    # written so that NaN fails each comparison
-    if not joints.min() >= 0:
-        raise DistributionError(f"negative or NaN probability {joints.min():g}")
-    worst = np.abs(sums - 1.0).max()
-    if not worst <= SUM_TOL:
-        raise DistributionError(f"probabilities sum to 1 only within {worst:g}")
+    check_probabilities(joints, sums, "joint")
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
 
 
@@ -340,10 +333,7 @@ def _frontiers(batch: _Batch, sets: dict, table) -> list[Frontier2D]:
     rows = [(coeffs, batch.value(sets, terms)) for coeffs, terms in table]
     rows = [(coeffs, bound) for coeffs, bound in rows if bound[0] < np.inf]
     bounds = np.array([bound for _, bound in rows]).reshape(len(rows), batch.joints.shape[-1])
-    g = RATIONALIZE_GRAIN
-    scaled = [(c.get("R2", 0) * g, c.get("R1", 0) * g) for c, _ in rows]
-    return [integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
-            for column in grid_bounds(bounds).T.tolist()]
+    return grid_frontiers([(c.get("R2", 0), c.get("R1", 0)) for c, _ in rows], grid_bounds(bounds))
 
 
 _COST_V = (-1, "V", "X1 U", "Q1 Q")
@@ -526,19 +516,6 @@ def coding_constraint_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem
     return IneqSystem.build(_CODING_VARS, rows + list(_CODING_LINEAR))
 
 
-def _projected_frontier(bounds: list[int]) -> Frontier2D:
-    """Frontier of the constraint system projected onto (R1, R2), for its
-    bounds on the 1e-12 grid: the rows fme_project gives, each scaled to
-    integers, so that `integer_frontier` returns what project_to_frontier
-    returns for them."""
-    projected = project_bounds(_CODING_VARS, ("R1", "R2"), _CODING_MATRIX, bounds)
-    if projected is None:
-        return Frontier2D(())
-    g = RATIONALIZE_GRAIN
-    return integer_frontier([(d2 * scale * g, d1 * scale * g, best)
-                             for (d1, d2), scale, best in projected])
-
-
 def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
                      outputs: Sequence[tuple[str, int]], probs: np.ndarray) -> list[bool]:
     """For each instance of a stack, True iff the exact projection of the
@@ -549,14 +526,13 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     which name Q1, Q, U, V and end with X1, X2; `probs` (K, x1, x2, *sizes of
     `outputs`) holds each instance's channel law, for one Y and one Z
     output. Once per stack, the joints are checked as JointDist checks one
-    (no NaN, nothing negative, each sums to 1 within SUM_TOL) and the laws
-    as DmcChannel checks one (nothing negative, each (x1, x2) slice sums to
-    1 within SUM_TOL); either raises DistributionError.
+    and the laws as DmcChannel checks one, by `check_probabilities`.
 
     Both tables are evaluated on one batch, so each MI term they share is
-    computed once. The coding bounds are snapped to the 1e-12 grid as
-    `rationalize` snaps them and summed against the cached projection cone
-    in integers.
+    computed once. The (rows, K) coding bounds are snapped to the 1e-12 grid
+    as `rationalize` snaps them and projected all at once by
+    `project_bounds`; the columns it finds feasible get their frontiers from
+    `grid_frontiers`, and the others are empty.
     """
     axes, outputs = tuple(axes), tuple(outputs)
     names = [n for n, _ in axes + outputs]
@@ -571,28 +547,24 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     if inputs.shape[1:] != tuple(n for _, n in axes) or probs.shape != shape:
         raise DistributionError(
             f"stack shapes {inputs.shape} and {probs.shape} do not match the axes")
-    # written so that NaN fails each comparison
-    if not inputs.min() >= 0:
-        raise DistributionError(f"negative or NaN input probability {inputs.min():g}")
-    worst = np.abs(inputs.reshape(k, -1).sum(axis=1) - 1.0).max()
-    if not worst <= SUM_TOL:
-        raise DistributionError(f"input joints sum to 1 only within {worst:g}")
-    if not probs.min() >= 0:
-        raise DistributionError(f"negative or NaN transition probability {probs.min():g}")
-    worst = np.abs(probs.reshape(k, shape[1], shape[2], -1).sum(axis=3) - 1.0).max()
-    if not worst <= SUM_TOL:
-        raise DistributionError(
-            f"conditional slices must sum to 1 (worst deviation {worst:g})")
+    check_probabilities(inputs, inputs.reshape(k, -1).sum(axis=1), "input")
+    check_probabilities(probs, probs.reshape(k, shape[1], shape[2], -1).sum(axis=3), "transition")
 
     # one channel per joint, broadcast over the auxiliary axes
     batch = _compose(axes, inputs, outputs,
                      np.moveaxis(probs, 0, -1).reshape((1,) * (len(axes) - 2) + shape[1:] + (k,)))
     sets = _receiver_sets(outputs)
     direct = _frontiers(batch, sets, _INNER_BOUND)
-    coding = grid_bounds(np.array([batch.value(sets, terms) for _, terms in _CODING_SYSTEM]))
-    linear = [b * RATIONALIZE_GRAIN for _, b in _CODING_LINEAR]
-    return [region_equal(region, _projected_frontier(mi_bounds + linear), 1e-9)
-            for region, mi_bounds in zip(direct, coding.T.tolist())]
+    bounds = [batch.value(sets, terms) for _, terms in _CODING_SYSTEM]
+    bounds += [np.full(k, float(bound)) for _, bound in _CODING_LINEAR]
+    feasible, projected = project_bounds(_CODING_VARS, ("R1", "R2"), _CODING_MATRIX,
+                                         grid_bounds(np.array(bounds)))
+    # the rows fme_project gives, so that each feasible column's frontier is
+    # what project_to_frontier returns for them
+    via = iter(grid_frontiers([(d2 * scale, d1 * scale) for (d1, d2), scale, _ in projected],
+                              np.array([best for *_, best in projected])))
+    return [region_equal(region, next(via) if ok else Frontier2D(()), 1e-9)
+            for region, ok in zip(direct, feasible)]
 
 
 def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel) -> bool:
@@ -720,10 +692,8 @@ def _check_dists(axes, samples: int, rng: np.random.Generator, start: int = 0):
     drawn, and None for a chunk of grid points. The first `start` chunks are
     skipped without drawing them: rng must stand where their draws left it."""
     shape = tuple(k for _, k in axes)
-    cells = int(np.prod(shape))
-    if cells > MAX_CELLS:
-        raise AlphabetError(
-            f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}")
+    cells = prod(shape)
+    check_cells(cells, "joint")
     grid = _simplex_grid(cells)
     grid = grid.reshape((len(grid),) + shape)
     size, done, total, chunk = 1, 0, len(grid) + samples, 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .gaussian import (
     CovMatrix, GaussianModelError, SingularCovarianceError, _sorted_unique, binding_eta,
-    gaussian_mi, golden_section, half_log2, lane_max, lane_min,
+    check_gain, gaussian_mi, golden_section, half_log2, lane_max, lane_min,
 )
 from .polytope import Frontier2D, monotone_frontier
 
@@ -55,9 +55,8 @@ class DpcConfig:
         for p in (self.P1, self.P2):
             if not np.isfinite(p) or p < 0:
                 raise DpcConfigError(f"powers must be finite and >= 0, got {p}")
-        for g in (self.a1, self.a2, self.b):
-            if not np.isfinite(g):
-                raise DpcConfigError(f"gains must be finite, got {g}")
+        for name in ("a1", "a2", "b"):
+            check_gain(name, getattr(self, name), DpcConfigError)
         if not 0.0 <= self.eta <= 1.0:
             raise DpcConfigError(f"eta must lie in [0,1], got {self.eta}")
         if not -1.0 <= self.rho <= 1.0:

@@ -62,12 +62,21 @@ def lane_max(values):
     return acc
 
 
-def _check_gains_and_powers(chan, gains: tuple[float, ...]) -> None:
-    """Reject a non-finite gain, then a negative or non-finite power; store
-    the powers as floats."""
-    for g in gains:
-        if not np.isfinite(g):
-            raise GaussianModelError(f"gains must be finite, got {g}")
+def check_gain(name: str, g: float, error: type[ValueError]) -> None:
+    """Raise `error` when the gain `name` = g is not finite, or when its
+    square overflows a float: g**2 of a Python float then raises a bare
+    OverflowError, once |g| > 1.34e154."""
+    if not np.isfinite(g):
+        raise error(f"gains must be finite, got {g}")
+    if g * g == np.inf:
+        raise error(f"gain {name} = {g!r} is too large: its square is non-finite")
+
+
+def _check_gains_and_powers(chan, gains: dict[str, float]) -> None:
+    """Reject an invalid gain (see check_gain), then a negative or
+    non-finite power; store the powers as floats."""
+    for name, g in gains.items():
+        check_gain(name, g, GaussianModelError)
     for p in (chan.P1, chan.P2):
         if not np.isfinite(p) or p < 0:
             raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
@@ -89,7 +98,7 @@ class GaussianMultiPrimary:
         a = float(self.a)
         if not b:
             raise GaussianModelError("need at least one primary gain b_j")
-        _check_gains_and_powers(self, b + (a,))
+        _check_gains_and_powers(self, {**{f"b[{j}]": g for j, g in enumerate(b)}, "a": a})
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
@@ -119,7 +128,7 @@ class GaussianMultiSecondary:
         b = float(self.b)
         if not a:
             raise GaussianModelError("need at least one secondary gain a_k")
-        _check_gains_and_powers(self, a + (b,))
+        _check_gains_and_powers(self, {**{f"a[{k}]": g for k, g in enumerate(a)}, "b": b})
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

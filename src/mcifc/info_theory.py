@@ -40,6 +40,35 @@ class InternalConsistencyError(ArithmeticError):
     """A quantity that must be nonnegative came out significantly negative."""
 
 
+# What the validity messages call a cell, the sums that must be 1 and the
+# whole tensor, for each kind of tensor: a joint distribution, a stack of
+# input joints, a channel law.
+_KIND_WORDS = {
+    "joint": ("probability", "probabilities", "product alphabet"),
+    "input": ("input probability", "input joints", "product alphabet"),
+    "transition": ("transition probability", "conditional slices", "channel tensor"),
+}
+
+
+def check_cells(cells: int, kind: str) -> None:
+    """The cell cap: a tensor of more than MAX_CELLS cells raises AlphabetError."""
+    if cells > MAX_CELLS:
+        raise AlphabetError(
+            f"{_KIND_WORDS[kind][2]} has {cells} cells, exceeding the cap of {MAX_CELLS}")
+
+
+def check_probabilities(probs: np.ndarray, sums: np.ndarray, kind: str) -> None:
+    """The validity rule of a probability tensor: no cell negative or NaN,
+    and each of `sums`, the tensor's sums that must be 1, within SUM_TOL of
+    1. Written so that NaN fails each comparison; raises DistributionError."""
+    cell, summed, _ = _KIND_WORDS[kind]
+    if not probs.min() >= 0:
+        raise DistributionError(f"negative or NaN {cell} {probs.min():g}")
+    worst = np.abs(sums - 1.0).max()
+    if not worst <= SUM_TOL:
+        raise DistributionError(f"{summed} sum to 1 only within {worst:g}")
+
+
 def _check_axes(axes: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     axes = tuple((str(n), int(k)) for n, k in axes)
     names = [n for n, _ in axes]
@@ -48,11 +77,7 @@ def _check_axes(axes: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     for n, k in axes:
         if k < 1:
             raise AlphabetError(f"axis {n!r} has nonpositive size {k}")
-    cells = math.prod(k for _, k in axes)
-    if cells > MAX_CELLS:
-        raise AlphabetError(
-            f"product alphabet has {cells} cells, exceeding the cap of {MAX_CELLS}"
-        )
+    check_cells(math.prod(k for _, k in axes), "joint")
     return axes
 
 
@@ -81,12 +106,7 @@ class JointDist:
             raise DistributionError(
                 f"probs shape {probs.shape} does not match axes shape {shape}"
             )
-        # written so that NaN fails each comparison
-        if probs.size and not probs.min() >= 0:
-            raise DistributionError(f"negative or NaN probability {probs.min():g}")
-        total = probs.sum()
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
+        check_probabilities(probs, probs.sum(), "joint")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "probs", _frozen(probs))
 
@@ -141,27 +161,14 @@ class DmcChannel:
                 raise AlphabetError(f"output name {n!r} must start with Y or Z")
         if not self.y_names_of(outputs) or not self.z_names_of(outputs):
             raise AlphabetError("need at least one Y output and one Z output")
-        cells = self.x1 * self.x2 * math.prod(k for _, k in outputs)
-        if cells > MAX_CELLS:
-            raise AlphabetError(
-                f"channel tensor has {cells} cells, exceeding the cap of {MAX_CELLS}"
-            )
+        check_cells(self.x1 * self.x2 * math.prod(k for _, k in outputs), "transition")
         probs = np.asarray(self.probs, dtype=float)
         shape = (self.x1, self.x2) + tuple(k for _, k in outputs)
         if probs.shape != shape:
             raise DistributionError(
                 f"probs shape {probs.shape} does not match {shape}"
             )
-        # written so that NaN fails each comparison
-        if not probs.min() >= 0:
-            raise DistributionError(
-                f"negative or NaN transition probability {probs.min():g}")
-        slice_sums = probs.reshape(self.x1, self.x2, -1).sum(axis=2)
-        worst = np.abs(slice_sums - 1.0).max()
-        if not worst <= SUM_TOL:
-            raise DistributionError(
-                f"conditional slices must sum to 1 (worst deviation {worst:g})"
-            )
+        check_probabilities(probs, probs.reshape(self.x1, self.x2, -1).sum(axis=2), "transition")
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "probs", _frozen(probs))
 

@@ -10,15 +10,16 @@ extreme rays of the Farkas multipliers that cancel the eliminated variables,
 found once per integer coefficient matrix by Fourier-Motzkin elimination and
 cached. Each call then sums those rays against the system's bounds in exact
 integers (`project_bounds`), so a caller whose bounds are already integers,
-such as MI values on the 1e-12 grid, projects without building a system at
-all.
+such as a (rows, K) array of MI values on the 1e-12 grid, projects all K
+systems at once without building any of them.
 
 Frontiers are float-valued monotone polylines (r2 ascending, r1 nonincreasing)
 describing downward-closed regions in the (R2, R1) plane. A vertical step is
 encoded by two consecutive points sharing one r2 value. A two-variable system
 reaches its frontier through an exact vertex enumeration in integer
-homogeneous coordinates (Python ints). The union of regions, convexified by
-time sharing, is the upper hull of all their points.
+homogeneous coordinates (Python ints); `grid_frontiers` runs it on each
+column of a (rows, K) array of bounds on the 1e-12 grid. The union of
+regions, convexified by time sharing, is the upper hull of all their points.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _projection_cone(variables: tuple[str, ...], keep: tuple[str, ...],
     1) rows is dropped (Chernikov's rule), and so is every row whose support
     contains another row's (the minimal-support test): what is left after
     each step is exactly the extreme rays of the partial cone, each unique up
-    to scale. A ray is a sparse tuple of (row index, multiplier).
+    to scale. A ray is its tuple of multipliers, one per row.
 
     Returns (constant, directions): the rays with lam . A_keep = 0, and one
     (d, scale, rays) per gcd-reduced direction d, each of its rays scaled so
@@ -195,7 +196,7 @@ def _projection_cone(variables: tuple[str, ...], keep: tuple[str, ...],
     constant = []
     by_direction: dict[tuple[int, ...], list] = {}
     for row, _ in rows:
-        lam = tuple((i, c) for i, c in enumerate(row[n:]) if c)
+        lam = row[n:]
         k = tuple(row[j] for j in cols)
         g = math.gcd(*k)
         if g == 0:
@@ -206,28 +207,36 @@ def _projection_cone(variables: tuple[str, ...], keep: tuple[str, ...],
     for d, rays in by_direction.items():
         scale = math.lcm(*(g for g, _ in rays))
         directions.append((d, scale, tuple(
-            tuple((i, c * (scale // g)) for i, c in lam) for g, lam in rays)))
+            tuple(c * (scale // g) for c in lam) for g, lam in rays)))
     return tuple(constant), tuple(directions)
 
 
 def project_bounds(variables: Sequence[str], keep: Sequence[str],
-                   coeff_rows: Sequence[tuple[int, ...]], bounds: Sequence[int]):
-    """Projection of {A x <= b} onto `keep`, for integer coefficient rows A
-    (`coeff_rows`, one column per variable) and integer bounds b, through
-    the cached projection cone of A; `keep` lists its variables in system
-    order.
+                   coeff_rows: Sequence[tuple[int, ...]], bounds: np.ndarray):
+    """Projection of {A x <= b} onto `keep` for each column b of `bounds`,
+    for integer coefficient rows A (`coeff_rows`, one column per variable),
+    through the cached projection cone of A; `keep` lists its variables in
+    system order.
 
-    Returns None when the system is infeasible, that is when a constant ray
-    lam has lam . b < 0. Otherwise returns one (d, scale, best) per direction
-    d of the cone, meaning scale * (d . x) <= best: the tightest lam . b over
-    the rays of that direction.
+    `bounds` is a (rows, K) integer array: int64 for MI bounds on the 1e-12
+    grid, or Python ints (dtype object) for exact rationals, K = 1. The
+    int64 sums keep their headroom: an MI term is at most log2(MAX_CELLS) =
+    12 bits, 1.2e13 grid units, a coding bound sums at most two, and the
+    multipliers of a ray of the coding cone sum to at most 11 in absolute
+    value, under 3e14 in all.
+
+    Returns (feasible, projected). `feasible` is a boolean mask over the K
+    columns: a column is infeasible when some constant ray lam has
+    lam . b < 0. `projected` holds one (d, scale, best) per direction d of
+    the cone, meaning scale * (d . x) <= best, with `best` the tightest
+    lam . b over the rays of that direction at each feasible column.
     """
     constant, directions = _projection_cone(tuple(variables), tuple(keep), tuple(coeff_rows))
-    for lam in constant:
-        if sum(bounds[i] * c for i, c in lam) < 0:
-            return None
-    return [(d, scale, min(sum(bounds[i] * c for i, c in lam) for lam in rays))
-            for d, scale, rays in directions]
+    feasible = (np.array(constant, dtype=bounds.dtype).reshape(len(constant), len(bounds))
+                @ bounds >= 0).all(axis=0)
+    bounds = bounds[:, feasible]
+    return feasible, [(d, scale, (np.array(rays, dtype=bounds.dtype) @ bounds).min(axis=0))
+                      for d, scale, rays in directions]
 
 
 def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
@@ -256,12 +265,12 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
         bounds.append((iq.bound.numerator * k, iq.bound.denominator))
     variables = tuple(v for v in sys.variables if v in keep_set)
     den = math.lcm(*(q for _, q in bounds))
-    projected = project_bounds(sys.variables, variables, coeff_rows,
-                               [p * (den // q) for p, q in bounds])
-    if projected is None:
+    column = np.array([p * (den // q) for p, q in bounds], dtype=object).reshape(-1, 1)
+    feasible, projected = project_bounds(sys.variables, variables, coeff_rows, column)
+    if not feasible[0]:
         return IneqSystem(variables, (LinIneq((), Fraction(-1)),))
     return IneqSystem(variables, tuple(
-        LinIneq(tuple(zip(variables, d)), Fraction(best, scale * den))
+        LinIneq(tuple(zip(variables, d)), Fraction(best[0], scale * den))
         for d, scale, best in projected))
 
 
@@ -653,3 +662,12 @@ def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
     while len(hull) >= 2 and hull[0][1] < hull[1][1] - 1e-15:
         hull.pop(0)
     return Frontier2D(tuple(hull))
+
+
+def grid_frontiers(coeff_rows: Sequence[tuple[int, int]], bounds: np.ndarray) -> list[Frontier2D]:
+    """The frontier of each column of a (rows, K) integer array of bounds on
+    the 1e-12 grid, for small integer rows (a, b) meaning a*r2 + b*r1 <= c:
+    one `integer_frontier` per column, each row scaled to the grid."""
+    scaled = [(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN) for a, b in coeff_rows]
+    return [integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
+            for column in bounds.T.tolist()]

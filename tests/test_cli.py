@@ -87,20 +87,92 @@ _GAUSSIAN_DOCS = st.one_of(
 )
 
 
+def _no_non_finite_output(argv, out):
+    """Run argv: every finite document is computed or rejected (exit 0, 1 or
+    2, no exception escapes), and neither stdout nor the artifacts at `out`
+    and `out`.json hold nan or inf."""
+    stdout = io.StringIO()
+    with np.errstate(all="ignore"), redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)
+    written = stdout.getvalue() + "".join(
+        path.read_text() for path in (out, out.with_name(out.name + ".json")) if path.exists())
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", written), (argv, written)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(doc=_GAUSSIAN_DOCS)
 def test_gaussian_documents_never_print_a_non_finite_number(doc, tmp_path_factory):
-    # every finite document is computed or rejected, and nothing the CLI
-    # writes holds nan or inf
     tmp = tmp_path_factory.mktemp("doc")
     path, out = write(tmp / "doc.json", doc), tmp / "r.csv"
     for argv in (["classify", "--in", path], ["region", "--in", path, "--out", str(out),
                                               "--grid", "5"]):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with np.errstate(all="ignore"), redirect_stdout(stdout), redirect_stderr(stderr):
-            assert run(argv) in (0, 1, 2)
-        written = stdout.getvalue() + (out.read_text() if out.exists() else "")
-        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", written), (argv, written)
+        _no_non_finite_output(argv, out)
+
+
+_HUGE_B = {"class": "multi_primary", "P1": 1e-63, "P2": 1e59, "a": -1.194e174,
+           "b": [4.84e40, -2.30e16, 3.05, 2.47e181]}
+
+
+@pytest.mark.parametrize("doc, argv, field", [
+    (_HUGE_B, ["classify"], "b[3] = 2.47e+181"),
+    (_HUGE_B, ["region", "--out", "{out}", "--grid", "5"], "b[3] = 2.47e+181"),
+    ({"P1": 1, "P2": 1, "a1": 2e160, "a2": 0.5, "b": 0.3},
+     ["dpc-compare", "--out", "{out}", "--grid", "3"], "a1 = 2e+160"),
+], ids=["classify", "region", "dpc-compare"])
+def test_a_gain_whose_square_overflows_is_named(doc, argv, field, tmp_path, capsys):
+    # Python's float g**2 raises OverflowError once |g| > 1.34e154
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in argv] + ["--in", write(tmp_path / "doc.json", doc)]
+    assert run(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"gain {field} is too large" in error and "OverflowError" not in error
+    assert not out.exists()
+
+
+# cells of 0, subnormals and 1e-300 beside ordinary weights, each (x1, x2)
+# slice normalized (or left all zero, which is rejected)
+_CELL = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]), st.floats(0, 1))
+
+
+@st.composite
+def _dmc_documents(draw):
+    x1, x2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    outputs = draw(st.sampled_from([("Y1", "Z1"), ("Y1", "Y2", "Z1"), ("Y1", "Z1", "Z2")]))
+    probs = []
+    for _ in range(x1 * x2):
+        cells = draw(st.lists(_CELL, min_size=2 ** len(outputs), max_size=2 ** len(outputs)))
+        total = sum(cells)
+        probs += [c / total for c in cells] if total > 0 else cells
+    axes = [["X1", x1], ["X2", x2]] + [[name, 2] for name in outputs]
+    return {"axes": axes, "probs": probs}, draw(st.sampled_from(["VSI", "VWI"]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=_dmc_documents())
+def test_dmc_documents_never_print_a_non_finite_number(case, tmp_path_factory):
+    doc, regime = case
+    tmp = tmp_path_factory.mktemp("dmc")
+    out = tmp / "frontier.csv"
+    _no_non_finite_output(["dmc-capacity", "--in", write(tmp / "dmc.json", doc), "--out", str(out),
+                           "--regime", regime, "--samples", "2", "--budget", "2"], out)
+
+
+# finite floats up to 1e308, also in [-4, 4] so that most sweeps run
+_DPC_NUMBER = st.one_of(st.floats(-1e308, 1e308), st.floats(-4, 4))
+_DPC_DOCS = st.fixed_dictionaries(
+    {"P1": _DPC_NUMBER.map(abs), "P2": _DPC_NUMBER.map(abs), "a1": _DPC_NUMBER,
+     "a2": _DPC_NUMBER, "b": _DPC_NUMBER},
+    optional={"eta": st.floats(0, 1), "rho": st.floats(-1, 1), "x": _DPC_NUMBER.map(abs),
+              "md_variant": st.sampled_from(["sqrt", "linear"])})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=_DPC_DOCS)
+def test_dpc_documents_never_print_a_non_finite_number(doc, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("dpc")
+    out = tmp / "sweep.csv"
+    _no_non_finite_output(["dpc-compare", "--in", write(tmp / "dpc.json", doc), "--out", str(out),
+                           "--grid", "3"], out)
 
 
 def test_region_multi_secondary(tmp_path, capsys):

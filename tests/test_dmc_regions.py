@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -376,6 +377,81 @@ def test_verify_fme_stack_rejects_an_invalid_row(which, change, match, rng):
     change(row if which == "inputs" else row[1, 0])
     with pytest.raises(DistributionError, match=match):
         dr.verify_fme_stack(_AXES, stack["inputs"], _OUTPUTS, stack["probs"])
+
+
+def _scale_off_by_1e_9(cells):
+    cells *= 1 + 1e-9
+
+
+def _laws(rng, *stack, side=2):
+    """Dirichlet(1) channel laws (*stack, x1 = 2, x2 = 2, side, side)."""
+    size = stack + (2, 2)
+    return rng.dirichlet(np.ones(side * side), size=size).reshape(size + (side, side))
+
+
+def _message(error, call):
+    with pytest.raises(error) as caught:
+        call()
+    return str(caught.value)
+
+
+def _check_regime_with(law, outputs):
+    """check_regime on a channel holding `law` unchecked, so that the joints
+    it composes carry whatever `law` carries."""
+    chan = DmcChannel(2, 2, outputs, np.full(law.shape, 1 / law[0, 0].size))
+    object.__setattr__(chan, "probs", law)
+    dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=2)
+
+
+# what the rules call a cell, the sums that must be 1 and the whole tensor,
+# for each kind of tensor
+_KIND_WORDS = {"joint": ("probability", "probabilities", "product alphabet"),
+               "input": ("input probability", "input joints", "product alphabet"),
+               "transition": ("transition probability", "conditional slices", "channel tensor")}
+
+
+@pytest.mark.parametrize("defect, wording", [
+    (_nan, "negative or NaN {0} nan"),
+    (_negative, r"negative or NaN {0} -0\.\d+"),
+    (_scale_off_by_1e_9, "{1} sum to 1 only within 1e-09"),
+], ids=["nan", "negative", "sum"])
+def test_every_entry_point_applies_the_one_validity_rule(defect, wording, rng):
+    joint, law = rng.dirichlet(np.ones(12)).reshape(3, 2, 2), _laws(rng)
+    inputs, laws = rng.dirichlet(np.ones(64), size=3).reshape((3,) + (2,) * 6), _laws(rng, 3)
+    valid_inputs, valid_laws = inputs.copy(), laws.copy()
+    for cells in (joint, law, inputs[1], laws[1, 0, 1]):
+        defect(cells)
+    err = DistributionError
+    messages = {
+        "joint": [_message(err, lambda: JointDist((("U", 3), ("X1", 2), ("X2", 2)), joint)),
+                  _message(err, lambda: _check_regime_with(law, _OUTPUTS))],
+        "input": [_message(err, lambda: dr.verify_fme_stack(_AXES, inputs, _OUTPUTS, valid_laws))],
+        "transition": [
+            _message(err, lambda: DmcChannel(2, 2, _OUTPUTS, law)),
+            _message(err, lambda: dr.verify_fme_stack(_AXES, valid_inputs, _OUTPUTS, laws))],
+    }
+    for kind, texts in messages.items():
+        for text in texts:
+            assert re.fullmatch(wording.format(*_KIND_WORDS[kind]), text), (kind, text)
+
+
+def test_every_entry_point_applies_the_one_cell_cap(rng):
+    wide = (("Y1", 16), ("Z1", 16))  # 1024 cells of a law, 256 per (x1, x2)
+    texts = [
+        ("joint", _message(AlphabetError,
+                           lambda: JointDist((("U", 4097),), np.full(4097, 1 / 4097)))),
+        ("transition", _message(AlphabetError, lambda: DmcChannel(
+            2, 2, (("Y1", 64), ("Z1", 32)), np.full((2, 2, 64, 32), 1 / 2048)))),
+        # composed with (U, X1, X2) of 20 cells
+        ("joint", _message(AlphabetError, lambda: _check_regime_with(_laws(rng, side=16), wide))),
+        # composed with inputs of 64 cells
+        ("joint", _message(AlphabetError, lambda: dr.verify_fme_stack(
+            _AXES, rng.dirichlet(np.ones(64), size=3).reshape((3,) + (2,) * 6), wide,
+            _laws(rng, 3, side=16)))),
+    ]
+    cells = [4097, 8192, 5120, 16384]
+    for (kind, text), n in zip(texts, cells):
+        assert text == f"{_KIND_WORDS[kind][2]} has {n} cells, exceeding the cap of {MAX_CELLS}"
 
 
 def test_projection_never_exceeds_inequality_region():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcifc.polytope import (
+    RATIONALIZE_GRAIN,
     Frontier2D,
     FrontierError,
     IneqSystem,
@@ -18,6 +19,9 @@ from mcifc.polytope import (
     frontier_union,
     grid_bound,
     grid_bounds,
+    grid_frontiers,
+    integer_frontier,
+    project_bounds,
     project_to_frontier,
     rationalize,
     region_equal,
@@ -606,6 +610,66 @@ def test_fme_project_contract():
     # with nothing to eliminate, rows keep their tightest bound per direction
     kept = fme_project(IneqSystem.build(["x"], [({"x": 2}, 3), ({"x": 1}, 2), ({}, 1)]), ["x"])
     assert kept == IneqSystem(("x",), (LinIneq.of({"x": 1}, Fraction(3, 2)),))
+    # a system with no rows projects to no rows
+    assert fme_project(IneqSystem(("x", "s"), ()), ["x"]) == IneqSystem(("x",), ())
+
+
+def _coding_system():
+    from mcifc.dmc_regions import _CODING_MATRIX, _CODING_VARS
+    return _CODING_VARS, ("R1", "R2"), _CODING_MATRIX
+
+
+def _small_random_system():
+    rng = np.random.default_rng(44)
+    coeffs = rng.integers(-2, 3, size=(7, 4))
+    coeffs[:, 2:][(coeffs[:, 2:] == 0).all(axis=1)] = 1  # each row meets an eliminated one
+    # s + t <= b and -s - t <= b' make the system infeasible when b + b' < 0
+    rows = tuple(map(tuple, coeffs.tolist())) + ((-1, 0, 0, 0), (0, -1, 0, 0),
+                                                 (0, 0, 1, 1), (0, 0, -1, -1))
+    return ("r1", "r2", "s", "t"), ("r1", "r2"), rows
+
+
+@pytest.mark.parametrize("system", [_coding_system, _small_random_system],
+                         ids=["coding", "small-random"])
+def test_stacked_project_bounds_equal_one_column_calls(system):
+    # a (rows, K) int64 stack projects as K one-column calls in Python ints
+    variables, keep, rows = system()
+    rng = np.random.default_rng(45)
+    grain = RATIONALIZE_GRAIN
+    bounds = rng.integers(-grain, 3 * grain, size=(len(rows), 300))
+    bounds[:, :20] = rng.integers(0, 3 * grain, size=(len(rows), 20))  # x = 0 is feasible
+    feasible, projected = project_bounds(variables, keep, rows, bounds)
+    assert feasible.shape == (300,) and 0 < feasible.sum() < 300
+    seen = 0
+    for k in range(300):
+        column = np.array(bounds[:, k].tolist(), dtype=object).reshape(-1, 1)
+        one_feasible, one = project_bounds(variables, keep, rows, column)
+        assert one_feasible.tolist() == [feasible[k]]
+        assert [(d, scale) for d, scale, _ in one] == [(d, scale) for d, scale, _ in projected]
+        if feasible[k]:
+            assert [best.tolist() for *_, best in one] == \
+                [[best[seen].item()] for *_, best in projected]
+            seen += 1
+        else:
+            assert all(best.size == 0 for *_, best in one)
+    assert all(best.shape == (seen,) for *_, best in projected)
+
+
+def test_grid_frontiers_equal_integer_frontier_per_column():
+    rng = np.random.default_rng(46)
+    shapes = [(0, 1), (1, 0), (1, 1), (2, 1), (-1, 1), (1, -2)]
+    kinds = set()
+    for _ in range(40):
+        # caps on r1 and r2 keep every column bounded
+        rows = [(1, 0), (0, 1)] + [shapes[k] for k in rng.integers(len(shapes), size=3)]
+        bounds = rng.integers(-10**12, 3 * 10**12, size=(len(rows), 8))
+        got = grid_frontiers(rows, bounds)
+        want = [integer_frontier([(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN, c)
+                                  for (a, b), c in zip(rows, column)])
+                for column in bounds.T.tolist()]
+        assert got == want
+        kinds |= {f.is_empty for f in got}
+    assert kinds == {False, True}
 
 
 def _reference_value(f, q):
