@@ -23,8 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .info_theory import (
     DmcChannel,
     sample_input_dist,  # noqa: F401  (perfbench/harness.py traces it here)
@@ -220,9 +218,9 @@ def _load_json(path: str, schema: dict) -> dict:
     return doc
 
 
-def _parse_partition(raw: str | None, n: int):
-    """Parse "1,2|3" (1-based receivers of n) into (strong, weak) 0-based
-    index tuples."""
+def _parse_partition(raw: str | None, receivers):
+    """Parse "1,2|3" (1-based positions in the sequence `receivers`) into
+    (strong, weak) tuples of those receivers."""
     if raw is None:
         return None
     try:
@@ -234,23 +232,20 @@ def _parse_partition(raw: str | None, n: int):
             f"--partition must look like '1,2|3' (strong|weak), got {raw!r}"
         )
     for i in strong + weak:
-        if not 1 <= i <= n:
-            raise CliValidationError(f"partition index {i} outside 1..{n}")
-    return (tuple(i - 1 for i in strong), tuple(i - 1 for i in weak))
+        if not 1 <= i <= len(receivers):
+            raise CliValidationError(f"partition index {i} outside 1..{len(receivers)}")
+    return (tuple(receivers[i - 1] for i in strong), tuple(receivers[i - 1] for i in weak))
 
 
 def _gaussian_partition(chan, raw: str | None):
-    """--partition of a multi-primary Gaussian channel as 0-based indices,
-    checked to split the receivers even where the regime ignores it."""
+    """--partition of a multi-primary Gaussian channel as 0-based indices."""
     if raw is None:
         return None
     from . import gaussian
 
     if not isinstance(chan, gaussian.GaussianMultiPrimary):
         raise CliValidationError("--partition applies to multi_primary channels")
-    partition = _parse_partition(raw, chan.n_primary)
-    gaussian._validate_partition(chan.n_primary, partition)
-    return partition
+    return _parse_partition(raw, range(chan.n_primary))
 
 
 def _emit(doc: dict) -> None:
@@ -287,22 +282,7 @@ def _cmd_region(args) -> int:
         raise CliValidationError(
             f"channel classifies as {regime!r}, not {args.regime!r}"
         )
-    grid = args.grid
-    if not isinstance(chan, gaussian.GaussianMultiPrimary):
-        if regime != "VSI":
-            raise CliValidationError(
-                "only the very-strong regime region is available for "
-                "multi_secondary channels"
-            )
-        frontier = gaussian.region_ms_vsi(chan, eta_grid=grid)
-    elif regime == "VSI":
-        frontier = gaussian.region_mp_vsi(chan, rho_grid=grid)
-    elif regime == "WI":
-        frontier = gaussian.region_mp_wi(chan, eta_grid=grid)
-    elif regime == "mixed":
-        frontier = gaussian.region_mp_mixed(chan, partition, eta_grid=grid)
-    else:
-        raise CliValidationError("channel is outside every covered regime")
+    frontier = gaussian.region(chan, regime, partition, args.grid)
     _write_artifact(args.out, frontier.to_csv_text())
     _emit({"regime": regime, "points": len(frontier.points), "out": args.out})
     return 0
@@ -329,35 +309,10 @@ def _cmd_dpc_compare(args) -> int:
     return 0
 
 
-# the alphabets of a verify-fme instance: its auxiliary joint, then its channel
-_FME_AXES = (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2))
-_FME_OUTPUTS = (("Y1", 2), ("Z1", 2))
-
-
-def _draw_fme_chunk(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next n verify-fme instances of `rng`, stacked: for each, its
-    Dirichlet(1) joint over _FME_AXES (the draw of sample_input_dist), then
-    the Dirichlet(1) law of each of its channel's (x1, x2) slices."""
-    shape = tuple(k for _, k in _FME_AXES)
-    slices, laws = shape[-2:], tuple(k for _, k in _FME_OUTPUTS)
-    inputs = np.empty((n, math.prod(shape)))
-    probs = np.empty((n,) + slices + (math.prod(laws),))
-    ones_in, ones_out = np.ones(inputs.shape[1]), np.ones(probs.shape[-1])
-    for k in range(n):
-        inputs[k] = rng.dirichlet(ones_in)
-        probs[k] = rng.dirichlet(ones_out, size=slices)
-    return inputs.reshape((n,) + shape), probs.reshape((n,) + slices + laws)
-
-
 def _cmd_verify_fme(args) -> int:
     from . import dmc_regions
 
-    rng = np.random.default_rng(args.seed)
-    failures = []
-    for start in range(0, args.samples, dmc_regions._CHUNK_CAP):
-        inputs, probs = _draw_fme_chunk(rng, min(dmc_regions._CHUNK_CAP, args.samples - start))
-        held = dmc_regions.verify_fme_stack(_FME_AXES, inputs, _FME_OUTPUTS, probs)
-        failures += [start + k for k, ok in enumerate(held) if not ok]
+    failures = dmc_regions.verify_fme_failures(args.samples, args.seed)
     report = {
         "instances": args.samples,
         "passes": args.samples - len(failures),
@@ -375,20 +330,8 @@ def _cmd_dmc_capacity(args) -> int:
 
     doc = _load_json(args.infile, DMC_SCHEMA)
     chan = DmcChannel.from_json_dict(doc)
-    if chan.n_secondary == 1 and chan.n_primary >= 1:
-        klass = dmc_regions.MULTI_PRIMARY
-    elif chan.n_primary == 1:
-        klass = dmc_regions.MULTI_SECONDARY
-    else:
-        raise CliValidationError(
-            "channel must have exactly one Z (multi-primary) or one Y "
-            "(multi-secondary) output"
-        )
-    names = chan.y_names if klass == dmc_regions.MULTI_PRIMARY else chan.z_names
-    partition = _parse_partition(args.partition, len(names))
-    if partition is not None:  # checked even where the regime ignores it
-        partition = tuple(tuple(names[i] for i in part) for part in partition)
-        dmc_regions._partition_sets(chan, klass, partition)
+    klass = dmc_regions.channel_class(chan)
+    partition = _parse_partition(args.partition, dmc_regions.receivers(chan, klass))
     report = dmc_regions.check_regime(
         chan, klass, args.regime, samples=args.samples, seed=args.seed,
         partition=partition,

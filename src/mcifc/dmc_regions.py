@@ -36,7 +36,6 @@ import numpy as np
 from .info_theory import (
     K_LAST_MIN,
     MAX_CELLS,
-    MI_CLAMP_TOL,
     AlphabetError,
     DistributionError,
     DmcChannel,
@@ -44,7 +43,9 @@ from .info_theory import (
     JointDist,
     check_cells,
     check_probabilities,
+    clamp_mi,
     compose_with_channel,
+    input_order,
     mutual_information,  # noqa: F401  (perfbench/harness.py traces it here)
     sample_input_dist,
     stack_entropy,
@@ -250,8 +251,7 @@ class _Batch:
 
     def mi(self, left: str, right: tuple, given: str) -> np.ndarray:
         """I(left; right | given) of each joint, as mutual_information computes
-        it for one: H(LG) + H(RG) - H(LRG) - H(G), with rounding noise in
-        [-MI_CLAMP_TOL, 0) clamped to 0."""
+        it for one: H(LG) + H(RG) - H(LRG) - H(G), clamped by clamp_mi."""
         key = (left, right, given)
         value = self.mis.get(key)
         if value is not None:
@@ -261,12 +261,7 @@ class _Batch:
             - self.entropy(left | right | given)
         if given:
             value = value - self.entropy(given)
-        if (value < 0.0).any():
-            if value.min() < -MI_CLAMP_TOL:
-                raise InternalConsistencyError(
-                    f"mutual information came out {value.min():g} < -{MI_CLAMP_TOL:g}")
-            value = np.where(value < 0.0, 0.0, value)
-        self.mis[key] = value
+        value = self.mis[key] = clamp_mi(value, InternalConsistencyError)
         return value
 
     def value(self, sets: dict, terms) -> np.ndarray:
@@ -570,18 +565,46 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
 def verify_fme_inner_bound(aux: AuxAssignment, chan: DmcChannel) -> bool:
     """True iff exact FME of the constraint system is region-equal to the
     direct 11-inequality evaluation: the one-instance verify_fme_stack, with
-    the joint's axes ordered as compose_with_channel orders them (auxiliary
-    axes first, in their order, then X1, X2)."""
+    the joint's axes in the order of `input_order`."""
     joint = aux.joint
-    x1, x2 = joint.axis_index("X1"), joint.axis_index("X2")
-    if joint.axes[x1][1] != chan.x1 or joint.axes[x2][1] != chan.x2:
-        raise AlphabetError(
-            f"input alphabet sizes ({joint.axes[x1][1]},{joint.axes[x2][1]}) do not "
-            f"match channel ({chan.x1},{chan.x2})")
-    order = tuple(i for i in range(len(joint.axes)) if i not in (x1, x2)) + (x1, x2)
+    order = input_order(joint, chan)
     axes = tuple(joint.axes[i] for i in order)
     return verify_fme_stack(axes, joint.probs.transpose(order)[None],
                             chan.outputs, chan.probs[None])[0]
+
+
+# the alphabets of a verify-fme instance: its auxiliary joint, then its channel
+_FME_AXES = (("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2))
+_FME_OUTPUTS = (("Y1", 2), ("Z1", 2))
+
+
+def _draw_fme_chunk(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next n verify-fme instances of `rng`, stacked: for each, its
+    Dirichlet(1) joint over _FME_AXES (the draw of sample_input_dist), then
+    the Dirichlet(1) law of each of its channel's (x1, x2) slices."""
+    shape = tuple(k for _, k in _FME_AXES)
+    slices, laws = shape[-2:], tuple(k for _, k in _FME_OUTPUTS)
+    inputs = np.empty((n, prod(shape)))
+    probs = np.empty((n,) + slices + (prod(laws),))
+    ones_in, ones_out = np.ones(inputs.shape[1]), np.ones(probs.shape[-1])
+    for k in range(n):
+        inputs[k] = rng.dirichlet(ones_in)
+        probs[k] = rng.dirichlet(ones_out, size=slices)
+    return inputs.reshape((n,) + shape), probs.reshape((n,) + slices + laws)
+
+
+def verify_fme_failures(samples: int, seed: int) -> list[int]:
+    """Indices of the instances, among `samples` random ones drawn from
+    `seed`, that fail verify_fme_stack. Instance k is the k-th draw of
+    _draw_fme_chunk, whatever `samples` is; they are drawn and verified
+    _CHUNK_CAP at a time."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    for start in range(0, samples, _CHUNK_CAP):
+        inputs, probs = _draw_fme_chunk(rng, min(_CHUNK_CAP, samples - start))
+        held = verify_fme_stack(_FME_AXES, inputs, _FME_OUTPUTS, probs)
+        failures += [start + k for k, ok in enumerate(held) if not ok]
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +639,23 @@ def _simplex_grid(cells: int) -> np.ndarray:
     return grid
 
 
+def channel_class(chan: DmcChannel) -> str:
+    """MULTI_PRIMARY for a channel with one Z output, else MULTI_SECONDARY
+    for one with one Y output."""
+    if chan.n_secondary == 1:
+        return MULTI_PRIMARY
+    if chan.n_primary == 1:
+        return MULTI_SECONDARY
+    raise RegimeError("channel must have exactly one Z (multi-primary) or one Y "
+                      "(multi-secondary) output")
+
+
+def receivers(chan: DmcChannel, klass: str) -> tuple[str, ...]:
+    """The receivers a (strong, weak) partition of a `klass` channel splits:
+    its Y outputs when multi-primary, its Z outputs when multi-secondary."""
+    return chan.y_names if klass == MULTI_PRIMARY else chan.z_names
+
+
 def _check_class(chan: DmcChannel, klass: str) -> None:
     if klass not in (MULTI_PRIMARY, MULTI_SECONDARY):
         raise RegimeError(f"unknown class {klass!r}")
@@ -626,7 +666,7 @@ def _check_class(chan: DmcChannel, klass: str) -> None:
 
 
 def _partition_sets(chan: DmcChannel, klass: str, partition) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    names = chan.y_names if klass == MULTI_PRIMARY else chan.z_names
+    names = receivers(chan, klass)
     if partition is None:
         raise RegimeError("mixed regime requires a (strong, weak) partition")
     strong = tuple(partition[0])
@@ -725,16 +765,17 @@ def check_regime(
     Generator passed as `seed` ends advanced by exactly the Dirichlet draws
     checked, as drawing one distribution at a time would leave it. A pass
     seeded by an integer keeps the checked batches (see RegimeReport).
+    `partition` is checked in every regime and used in the mixed one.
     """
     _check_class(chan, klass)
     if regime not in REGIMES:
         raise RegimeError(f"unknown regime {regime!r}")
     if samples < 1:
         raise RegimeError("samples must be >= 1")
-    strong: tuple[str, ...] = ()
-    weak: tuple[str, ...] = ()
-    if regime == "mixed":
-        strong, weak = _partition_sets(chan, klass, partition)
+    split = ((), ())
+    if partition is not None or regime == "mixed":
+        split = _partition_sets(chan, klass, partition)
+    strong, weak = split if regime == "mixed" else ((), ())
     sets = _receiver_sets(chan.outputs, strong, weak)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     axes = _input_axes(chan, regime)

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .gaussian import (
-    CovMatrix, GaussianModelError, SingularCovarianceError, _sorted_unique, binding_eta,
-    check_gain, gaussian_mi, golden_section, half_log2, lane_max, lane_min,
+    COV_RIDGE, CovMatrix, GaussianModelError, SingularCovarianceError, binding_eta,
+    check_gain, check_power, gaussian_mi, golden_section, half_log2, lane_max, lane_min,
+    sorted_unique,
 )
 from .polytope import Frontier2D, monotone_frontier
 
@@ -52,19 +53,15 @@ class DpcConfig:
     md_variant: str = "sqrt"
 
     def __post_init__(self):
-        for p in (self.P1, self.P2):
-            if not np.isfinite(p) or p < 0:
-                raise DpcConfigError(f"powers must be finite and >= 0, got {p}")
+        for name in ("P1", "P2"):
+            check_power(name, getattr(self, name), DpcConfigError)
         for name in ("a1", "a2", "b"):
             check_gain(name, getattr(self, name), DpcConfigError)
         if not 0.0 <= self.eta <= 1.0:
             raise DpcConfigError(f"eta must lie in [0,1], got {self.eta}")
         if not -1.0 <= self.rho <= 1.0:
             raise DpcConfigError(f"rho must lie in [-1,1], got {self.rho}")
-        if not 0.0 <= self.x <= self.eta * self.P2 + 1e-12:
-            raise DpcConfigError(
-                f"x must lie in [0, eta*P2] = [0, {self.eta * self.P2}], got {self.x}"
-            )
+        _check_x(self.x, self.P_v)
         if self.md_variant not in MD_VARIANTS:
             raise DpcConfigError(f"md_variant must be one of {MD_VARIANTS}")
 
@@ -92,6 +89,13 @@ class DpcConfig:
             x=float(doc.get("x", 0.0)),
             md_variant=str(doc.get("md_variant", "sqrt")),
         )
+
+
+def _check_x(x: float, p_v: float) -> None:
+    """The domain of the private-description power: x in [0, P_v], within
+    1e-12 above."""
+    if not 0.0 <= x <= p_v + 1e-12:
+        raise DpcConfigError(f"x must lie in [0, P_v] = [0, {p_v}], got {x}")
 
 
 class _Lanes:
@@ -272,8 +276,7 @@ def md_dpc_rate(cfg: DpcConfig, x: float | None = None) -> float:
     cfg.x; x = 0 reproduces cd_dpc_rate bit for bit."""
     if x is None:
         x = cfg.x
-    if not 0.0 <= x <= cfg.P_v + 1e-12:
-        raise DpcConfigError(f"x must lie in [0, P_v] = [0, {cfg.P_v}], got {x}")
+    _check_x(x, cfg.P_v)
     return float(_one(cfg).md_rate(np.array([[x]], dtype=float))[0, 0])
 
 
@@ -317,7 +320,7 @@ def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
         return half_log2(num / (b**2 * eta * P2 + 1.0))
 
     r2_top = half_log2(1.0 + P2)
-    qs = _sorted_unique(np.concatenate([
+    qs = sorted_unique(np.concatenate([
         np.array([half_log2(1 + e * P2) for e in np.linspace(0, 1, eta_grid)]),
         np.linspace(0.0, r2_top, eta_grid),
     ]))
@@ -377,17 +380,16 @@ def numeric_dpc_oracle(cfg: DpcConfig, gamma_points: int = 201,
     alphas = np.linspace(-amax, amax, alpha_points)
     G, A = np.meshgrid(gammas, alphas, indexing="ij")
 
-    ridge = 1e-12
-    var_v = Pv + G**2 * Pu + A**2 * P1 + 2 * G * A * c1u + ridge
+    var_v = Pv + G**2 * Pu + A**2 * P1 + 2 * G * A * c1u + COV_RIDGE
     rate = None
     for ak in (cfg.a1, cfg.a2):
-        var_z = Pv + Pu + ak**2 * P1 + 2 * ak * c1u + 1.0 + ridge
+        var_z = Pv + Pu + ak**2 * P1 + 2 * ak * c1u + 1.0 + COV_RIDGE
         cov_vz = Pv + G * (Pu + ak * c1u) + A * (c1u + ak * P1)
         det = np.maximum(var_v * var_z - cov_vz**2, 1e-300)
         i_vz = 0.5 * np.log2(var_v * var_z / det)
         rate = i_vz if rate is None else np.minimum(rate, i_vz)
     # conditioning on (Xu, X1) with the same diagonal ridge
-    sxx = np.array([[Pu + ridge, c1u], [c1u, P1 + ridge]])
+    sxx = np.array([[Pu + COV_RIDGE, c1u], [c1u, P1 + COV_RIDGE]])
     det_s = sxx[0, 0] * sxx[1, 1] - sxx[0, 1] * sxx[1, 0]
     cov_v_xu = G * Pu + A * c1u
     cov_v_x1 = G * c1u + A * P1

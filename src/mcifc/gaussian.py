@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .info_theory import clamp_mi
 from .polytope import Frontier2D, frontier_intersect, monotone_frontier
 
 # Ridge added to covariance diagonals before any determinant.
@@ -72,14 +73,19 @@ def check_gain(name: str, g: float, error: type[ValueError]) -> None:
         raise error(f"gain {name} = {g!r} is too large: its square is non-finite")
 
 
+def check_power(name: str, p: float, error: type[ValueError]) -> None:
+    """Raise `error` when the power `name` = p is negative or not finite."""
+    if not np.isfinite(p) or p < 0:
+        raise error(f"power {name} must be finite and >= 0, got {p}")
+
+
 def _check_gains_and_powers(chan, gains: dict[str, float]) -> None:
-    """Reject an invalid gain (see check_gain), then a negative or
-    non-finite power; store the powers as floats."""
+    """Reject an invalid gain (see check_gain), then an invalid power (see
+    check_power); store the powers as floats."""
     for name, g in gains.items():
         check_gain(name, g, GaussianModelError)
-    for p in (chan.P1, chan.P2):
-        if not np.isfinite(p) or p < 0:
-            raise GaussianModelError(f"powers must be finite and >= 0, got {p}")
+    for name in ("P1", "P2"):
+        check_power(name, getattr(chan, name), GaussianModelError)
     object.__setattr__(chan, "P1", float(chan.P1))
     object.__setattr__(chan, "P2", float(chan.P2))
 
@@ -215,10 +221,7 @@ def gaussian_mi(cov: CovMatrix, left: Iterable[str], right: Iterable[str],
     lrg = cov._idx(left | right | given)
     g = cov._idx(given)
     nats = cov._logdet(lg) + cov._logdet(rg) - cov._logdet(g) - cov._logdet(lrg)
-    bits = 0.5 * nats / np.log(2.0)
-    if (bits < -1e-10).any():
-        raise SingularCovarianceError(f"mutual information came out {np.min(bits):g}")
-    bits = np.where(bits < 0.0, 0.0, bits)
+    bits = clamp_mi(0.5 * nats / np.log(2.0), SingularCovarianceError)
     return bits if bits.ndim else float(bits)
 
 
@@ -315,16 +318,18 @@ def classify_gaussian(chan, partition=None) -> str:
 
     The for-every-rho very-strong condition is decided in closed form (see
     _vsi_margin). Mixed classification is attempted only for a caller-supplied
-    partition (strong_indices, weak_indices).
+    partition (strong_indices, weak_indices) of a multi-primary channel, which
+    must split its receivers also where the regime ignores it.
     """
     if isinstance(chan, GaussianMultiPrimary):
+        if partition is not None:
+            strong, weak = _validate_partition(chan.n_primary, partition)
         if all(abs(bj) >= 1.0 for bj in chan.b) and \
                 _vsi_margin(chan.b, chan.a, chan.P1, chan.P2) <= REGIME_TOL:
             return "VSI"
         if all(abs(bj) <= 1.0 for bj in chan.b):
             return "WI"
         if partition is not None:
-            strong, weak = _validate_partition(chan.n_primary, partition)
             ok = all(abs(chan.b[j]) >= 1.0 for j in strong) and \
                 all(abs(chan.b[j]) <= 1.0 for j in weak)
             if ok and strong:
@@ -402,7 +407,7 @@ def _coherent(chan: GaussianMultiPrimary) -> bool:
     return len(signs) <= 1
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
+def sorted_unique(x: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D NaN-free array, bit for bit: sort, then keep the
     first element and each one that differs from its predecessor. Unlike
     np.unique it never imports numpy.ma or asks whether `x` is masked."""
@@ -421,7 +426,7 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
             half_log2(1 + eta_like * chan.P2),
             np.linspace(0.0, r2_cap, len(eta_like)),
         ])
-    return _sorted_unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
+    return sorted_unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
 
 
 def _sum_cap(chan: GaussianMultiPrimary, subset, rho, root):
@@ -575,6 +580,30 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
     return monotone_frontier(zip(qs.tolist(), (sum_cap(_binding_etas(qs, P2)) - qs).tolist()))
 
 
+def region(chan, regime: str, partition=None, grid: int = 201, r2_values=None,
+           require_regime: bool = True) -> Frontier2D:
+    """Capacity-region frontier of `chan` in `regime` ("VSI", "WI" or
+    "mixed"), from the evaluator of its class and regime, with `grid` as
+    that evaluator's rho or eta grid and `partition` for the mixed one.
+    Only the very-strong region is known for a multi-secondary channel."""
+    # each evaluator is looked up by its module-level name at call time, so
+    # a rebinding of that name (perfbench/harness.py's tracer) sees the call
+    if isinstance(chan, GaussianMultiSecondary):
+        if regime != "VSI":
+            raise GaussianModelError("only the very-strong regime region is available "
+                                     "for multi_secondary channels")
+        return region_ms_vsi(chan, grid, r2_values, require_regime)
+    if regime == "VSI":
+        return region_mp_vsi(chan, grid, r2_values, require_regime)
+    if regime == "WI":
+        return region_mp_wi(chan, grid, r2_values, require_regime)
+    if regime == "mixed":
+        return region_mp_mixed(chan, partition, grid, r2_values, require_regime)
+    if regime == "none":
+        raise GaussianModelError("channel is outside every covered regime")
+    raise GaussianModelError(f"unknown regime {regime!r}")
+
+
 def coherent_intersection_check(chan: GaussianMultiPrimary, regime: str,
                                 partition=None) -> dict:
     """Compare the multicast region against the intersection of the single-pair
@@ -587,33 +616,15 @@ def coherent_intersection_check(chan: GaussianMultiPrimary, regime: str,
     """
     if not _coherent(chan):
         raise GaussianModelError("coherent check requires gains of one sign")
-
-    def multicast(r2_values):
-        if regime == "VSI":
-            return region_mp_vsi(chan, r2_values=r2_values)
-        if regime == "WI":
-            return region_mp_wi(chan, r2_values=r2_values)
-        if regime == "mixed":
-            return region_mp_mixed(chan, partition, r2_values=r2_values)
-        raise GaussianModelError(f"unknown regime {regime!r}")
-
-    def pairwise(j: int, r2_values):
-        # single-pair regions are evaluated by formula; only the multicast
-        # channel as a whole is required to satisfy the regime conditions
-        single = chan.single(j)
-        if regime == "VSI":
-            return region_mp_vsi(single, r2_values=r2_values, require_regime=False)
-        if regime == "WI":
-            return region_mp_wi(single, r2_values=r2_values, require_regime=False)
-        strong, weak = _validate_partition(chan.n_primary, partition)
-        part = ((0,), ()) if j in strong else ((), (0,))
-        return region_mp_mixed(single, part, r2_values=r2_values, require_regime=False)
-
-    mc = multicast(None)
+    mc = region(chan, regime, partition)
     qs = np.array([p[0] for p in mc.points])
+    strong = _validate_partition(chan.n_primary, partition)[0] if regime == "mixed" else ()
     inter = None
     for j in range(chan.n_primary):
-        fr = pairwise(j, qs)
+        # single-pair regions are evaluated by formula; only the multicast
+        # channel as a whole is required to satisfy the regime conditions
+        part = ((0,), ()) if j in strong else ((), (0,))
+        fr = region(chan.single(j), regime, part, r2_values=qs, require_regime=False)
         inter = fr if inter is None else frontier_intersect(inter, fr)
     # Gap measured at the shared sample grid (where both sides are exact
     # evaluations) plus the domain ends; derived interpolation breakpoints

@@ -378,12 +378,19 @@ def mutual_information(
         - _subset_entropy(dist.probs, lrg)
         - (_subset_entropy(dist.probs, g) if g else 0.0)
     )
-    if value < 0.0:
-        if value < -MI_CLAMP_TOL:
-            raise InternalConsistencyError(
-                f"mutual information came out {value:g} < -{MI_CLAMP_TOL:g}"
-            )
-        value = 0.0
+    return float(clamp_mi(np.float64(value), InternalConsistencyError))
+
+
+def clamp_mi(value, error: type[Exception]):
+    """`value`, mutual information in bits (a numpy float or array), with its
+    rounding noise in [-MI_CLAMP_TOL, 0) set to 0. An entry below
+    -MI_CLAMP_TOL raises `error`. A value with no negative entry is returned
+    as it is, not copied."""
+    if (value < 0.0).any():
+        low = np.nanmin(value)
+        if low < -MI_CLAMP_TOL:
+            raise error(f"mutual information came out {low:g} < -{MI_CLAMP_TOL:g}")
+        value = np.where(value < 0.0, 0.0, value)
     return value
 
 
@@ -394,26 +401,28 @@ def compose_with_channel(inputs: JointDist, chan: DmcChannel) -> JointDist:
     (X1, X2), which realizes the Markov constraint aux -> (X1,X2) -> outputs.
     Auxiliary axes keep their relative order and are moved in front of X1, X2.
     """
-    for name in ("X1", "X2"):
-        if name not in inputs.names:
-            raise AlphabetError(f"input distribution lacks axis {name!r}")
-    if inputs.size_of("X1") != chan.x1 or inputs.size_of("X2") != chan.x2:
-        raise AlphabetError(
-            "input alphabet sizes "
-            f"({inputs.size_of('X1')},{inputs.size_of('X2')}) do not match "
-            f"channel ({chan.x1},{chan.x2})"
-        )
-    aux_idx = [i for i, (n, _) in enumerate(inputs.axes) if n not in ("X1", "X2")]
-    order = aux_idx + [inputs.axis_index("X1"), inputs.axis_index("X2")]
+    order = input_order(inputs, chan)
     base = np.transpose(inputs.probs, order)
     n_out = len(chan.outputs)
     expanded = base.reshape(base.shape + (1,) * n_out)
     joint = expanded * chan.probs  # broadcasts over the auxiliary axes
-    axes = tuple(inputs.axes[i] for i in aux_idx) + (
-        ("X1", chan.x1),
-        ("X2", chan.x2),
-    ) + chan.outputs
-    return JointDist(axes, joint)
+    return JointDist(tuple(inputs.axes[i] for i in order) + chan.outputs, joint)
+
+
+def input_order(inputs: JointDist, chan: DmcChannel) -> tuple[int, ...]:
+    """The axes of `inputs` in the order a joint with `chan` takes them: the
+    auxiliary axes in their relative order, then X1, X2. Raises
+    AlphabetError when `inputs` lacks X1 or X2, or when their sizes are not
+    the channel's."""
+    for name in ("X1", "X2"):
+        if name not in inputs.names:
+            raise AlphabetError(f"input distribution lacks axis {name!r}")
+    x1, x2 = inputs.axis_index("X1"), inputs.axis_index("X2")
+    if inputs.axes[x1][1] != chan.x1 or inputs.axes[x2][1] != chan.x2:
+        raise AlphabetError(
+            f"input alphabet sizes ({inputs.axes[x1][1]},{inputs.axes[x2][1]}) do not "
+            f"match channel ({chan.x1},{chan.x2})")
+    return tuple(i for i in range(len(inputs.axes)) if i not in (x1, x2)) + (x1, x2)
 
 
 def sample_input_dist(

@@ -212,35 +212,6 @@ def test_verify_fme_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("samples", [1, 64, 130])
-def test_verify_fme_draws_the_per_instance_stream(samples, seed):
-    # the chunks `verify-fme` stacks hold, bit for bit, the joints and channel
-    # laws of drawing each instance as a JointDist and a DmcChannel, and leave
-    # the generator where that loop leaves it; 130 samples span three chunks
-    from mcifc import cli, dmc_regions
-    from mcifc.info_theory import DmcChannel, sample_input_dist
-
-    rng = np.random.default_rng(seed)
-    joints, laws = [], []
-    for _ in range(samples):
-        joints.append(sample_input_dist(
-            [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng).probs)
-        probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
-        laws.append(DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs).probs)
-
-    stacked = np.random.default_rng(seed)
-    inputs, probs = [], []
-    for start in range(0, samples, dmc_regions._CHUNK_CAP):
-        chunk = cli._draw_fme_chunk(stacked, min(dmc_regions._CHUNK_CAP, samples - start))
-        inputs += list(chunk[0])
-        probs += list(chunk[1])
-    assert len(inputs) == len(probs) == samples
-    for got, want in zip(inputs + probs, joints + laws):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert stacked.bit_generator.state == rng.bit_generator.state
-
-
 def test_verify_fme_replays_benchmark_catalogue(tmp_path, capsys):
     # every verify-fme case of the benchmark catalogue, against the exit code
     # and failure list recorded with it

@@ -533,6 +533,41 @@ def _verify_fme_stream(seed):
         yield aux, DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("samples", [1, 64, 130])
+def test_verify_fme_draws_the_per_instance_stream(samples, seed):
+    # the chunks verify_fme_failures stacks hold, bit for bit, the joints and
+    # channel laws of drawing each instance as a JointDist and a DmcChannel,
+    # and leave the generator where that loop leaves it; 130 samples span
+    # three chunks
+    rng = np.random.default_rng(seed)
+    joints, laws = [], []
+    for _ in range(samples):
+        joints.append(sample_input_dist(
+            [("Q1", 2), ("Q", 2), ("U", 2), ("V", 2), ("X1", 2), ("X2", 2)], rng).probs)
+        probs = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
+        laws.append(DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs).probs)
+
+    stacked = np.random.default_rng(seed)
+    inputs, probs = [], []
+    for start in range(0, samples, dr._CHUNK_CAP):
+        chunk = dr._draw_fme_chunk(stacked, min(dr._CHUNK_CAP, samples - start))
+        inputs += list(chunk[0])
+        probs += list(chunk[1])
+    assert len(inputs) == len(probs) == samples
+    for got, want in zip(inputs + probs, joints + laws):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert stacked.bit_generator.state == rng.bit_generator.state
+
+
+def test_verify_fme_failures_are_prefix_stable():
+    # instance k is the same draw whatever the sample count: seed 3 fails at
+    # index 51 only, in one chunk or across three
+    assert dr.verify_fme_failures(60, 3) == [51]
+    assert dr.verify_fme_failures(51, 3) == []
+    assert dr.verify_fme_failures(130, 3)[:1] == [51]
+
+
 def test_fme_project_matches_imbert_oracle_on_coding_systems():
     stream = _verify_fme_stream(0)
     draws = [next(stream) for _ in range(200)]
@@ -758,6 +793,34 @@ def test_mixed_partition_validated(rng):
     for partition in ((("Y1",), ("Y2", "Y2")), (("Y1", "Y1"), ("Y2",)), (("Y1",), (2,))):
         with pytest.raises(dr.RegimeError, match="must split"):
             dr.check_regime(chan, dr.MULTI_PRIMARY, "mixed", samples=5, partition=partition)
+
+
+def test_partition_checked_in_every_regime(rng):
+    # also in the regimes that ignore the partition, with the mixed message
+    chan = random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2)))
+    for regime in ("VSI", "VWI"):
+        with pytest.raises(dr.RegimeError, match="must split"):
+            dr.check_regime(chan, dr.MULTI_PRIMARY, regime, samples=5,
+                            partition=(("Y1",), ("Y1",)))
+        split = dr.check_regime(chan, dr.MULTI_PRIMARY, regime, samples=5,
+                                partition=(("Y2",), ("Y1",)))
+        assert split.partition == ((), ())
+        unsplit = dr.check_regime(chan, dr.MULTI_PRIMARY, regime, samples=5)
+        assert split.to_json_dict() == unsplit.to_json_dict()
+
+
+def test_channel_class_and_receivers(rng):
+    mp = random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2)))
+    ms = random_channel(rng, outputs=(("Y1", 2), ("Z1", 2), ("Z2", 2)))
+    both = random_channel(rng, outputs=(("Y1", 2), ("Z1", 2)))
+    assert dr.channel_class(mp) == dr.MULTI_PRIMARY
+    assert dr.receivers(mp, dr.MULTI_PRIMARY) == ("Y1", "Y2")
+    assert dr.channel_class(ms) == dr.MULTI_SECONDARY
+    assert dr.receivers(ms, dr.MULTI_SECONDARY) == ("Z1", "Z2")
+    # one Y and one Z: multi-primary, as the CLI has always read it
+    assert dr.channel_class(both) == dr.MULTI_PRIMARY
+    with pytest.raises(dr.RegimeError, match="exactly one Z"):
+        dr.channel_class(random_channel(rng, outputs=(("Y1", 2), ("Y2", 2), ("Z1", 2), ("Z2", 2))))
 
 
 def test_mixed_pass_on_constructed_family(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,13 @@ from mcifc.gaussian import (
     half_log2,
     lane_max,
     lane_min,
+    region,
     region_mp_mixed,
     region_mp_vsi,
     region_mp_wi,
     region_ms_vsi,
+    sorted_unique,
     wi_input_covariance,
-    _sorted_unique,
     _vsi_margin,
 )
 from mcifc.polytope import frontier_intersect
@@ -248,6 +251,63 @@ def test_region_requires_matching_regime():
         region_mp_wi(GaussianMultiPrimary((2.0,), 2.0, 1, 1))
     with pytest.raises(GaussianModelError):
         region_ms_vsi(GaussianMultiSecondary(0.5, (0.5,), 1, 1))
+
+
+_MP_VSI = GaussianMultiPrimary((2.0, 2.0), 2.0, 1, 1)
+_MP_WI = GaussianMultiPrimary((0.5, 0.9), 0.3, 1, 2)
+_MP_MIXED = GaussianMultiPrimary((0.5, 2.0), 2.0, 1, 1)
+_MS_VSI = GaussianMultiSecondary(2.0, (2.0, 2.0), 1, 1)
+
+
+@pytest.mark.parametrize("chan, regime, partition, direct", [
+    (_MP_VSI, "VSI", None, lambda c, p, **kw: region_mp_vsi(c, rho_grid=31, **kw)),
+    (_MP_WI, "WI", None, lambda c, p, **kw: region_mp_wi(c, eta_grid=31, **kw)),
+    (_MP_MIXED, "mixed", ((1,), (0,)), lambda c, p, **kw: region_mp_mixed(c, p, eta_grid=31, **kw)),
+    (_MS_VSI, "VSI", None, lambda c, p, **kw: region_ms_vsi(c, eta_grid=31, **kw)),
+], ids=["mp-VSI", "mp-WI", "mp-mixed", "ms-VSI"])
+def test_region_is_its_evaluator_bit_for_bit(chan, regime, partition, direct):
+    assert classify_gaussian(chan, partition) == regime
+    got = region(chan, regime, partition, 31)
+    assert got.points == direct(chan, partition).points
+    # r2_values and require_regime reach the evaluator
+    qs = np.linspace(0.0, 0.4, 9)
+    got = region(chan, regime, partition, 31, r2_values=qs, require_regime=False)
+    assert got.points == direct(chan, partition, r2_values=qs, require_regime=False).points
+
+
+@pytest.mark.parametrize("chan, regime, message", [
+    (GaussianMultiSecondary(0.5, (0.5,), 1, 1), "WI",
+     "only the very-strong regime region is available for multi_secondary channels"),
+    (GaussianMultiPrimary((0.5, 2.0), 0.0, 1, 1), "none",
+     "channel is outside every covered regime"),
+    (_MP_WI, "VWI", "unknown regime 'VWI'"),
+], ids=["ms-WI", "none", "unknown"])
+def test_region_rejects_an_uncovered_regime(chan, regime, message):
+    with pytest.raises(GaussianModelError, match=f"^{re.escape(message)}$"):
+        region(chan, regime)
+
+
+def test_region_looks_its_evaluator_up_when_called(monkeypatch):
+    # the benchmark tracer rebinds `gaussian.region_mp_wi` and must see the call
+    from mcifc import gaussian
+
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(args[0])
+        return region_mp_wi(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "region_mp_wi", traced)
+    assert region(_MP_WI, "WI", grid=11).points == region_mp_wi(_MP_WI, 11).points
+    assert calls == [_MP_WI]
+
+
+def test_classify_checks_a_partition_in_every_regime():
+    # also where the regime (here WI) ignores the partition
+    assert classify_gaussian(_MP_WI, ((1,), (0,))) == "WI"
+    for partition in (((0,), (0,)), ((0, 1), (1,)), ((0,), (2,))):
+        with pytest.raises(GaussianModelError, match="must split"):
+            classify_gaussian(_MP_WI, partition)
 
 
 def test_ms_vsi_region_slices_and_dense_oracle():
@@ -484,7 +544,7 @@ def test_sorted_unique_matches_np_unique_bit_for_bit():
         cases.append(np.round(rng.normal(size=n), 1) * rng.choice([-1.0, 1.0], size=n))
         cases.append(rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5], size=n))
     for x in cases:
-        got, want = _sorted_unique(x.copy()), np.unique(x)
+        got, want = sorted_unique(x.copy()), np.unique(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), x
 
 

@@ -8,7 +8,9 @@ from mcifc.info_theory import (
     AlphabetError,
     DistributionError,
     DmcChannel,
+    InternalConsistencyError,
     JointDist,
+    clamp_mi,
     compose_with_channel,
     marginalize,
     _subset_entropy,
@@ -276,3 +278,16 @@ def test_marginalize_preserves_mi(d):
     assert abs(
         mutual_information(sub, {"A"}, {"B"}) - mutual_information(d, {"A"}, {"B"})
     ) <= 1e-10
+
+
+def test_clamp_mi_rounds_noise_to_zero_and_raises_below_tolerance():
+    # one rule for every mutual information, with the caller's error class
+    clean = np.array([0.0, 0.25, 1.0])
+    assert clamp_mi(clean, InternalConsistencyError) is clean  # not copied
+    noisy = np.array([0.5, -1e-12, -0.0, -1e-10])
+    got = clamp_mi(noisy, InternalConsistencyError)
+    assert got.tobytes() == np.array([0.5, 0.0, -0.0, 0.0]).tobytes()
+    assert float(clamp_mi(np.float64(-1e-11), ArithmeticError)) == 0.0
+    for value in (np.array([0.5, -2e-10]), np.float64(-1e-9), np.array([np.nan, -1.0])):
+        with pytest.raises(OverflowError, match="mutual information came out"):
+            clamp_mi(value, OverflowError)
