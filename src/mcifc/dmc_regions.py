@@ -818,39 +818,16 @@ def _mp_batch(dist: JointDist, chan: DmcChannel, strong=(), weak=()) -> tuple[_B
     return _Batch.of(compose_with_channel(dist, chan)), _receiver_sets(chan.outputs, strong, weak)
 
 
-def _named_bounds(dist: JointDist, chan: DmcChannel, table, strong=(), weak=()):
-    """Named bounds of a multi-primary table."""
-    batch, sets = _mp_batch(dist, chan, strong, weak)
-    bounds = {name: float(batch.value(sets, terms)[0]) for name, (_, terms) in table.items()}
-    return {name: bound for name, bound in bounds.items() if bound < np.inf}
-
-
-def full_decode_bounds(dist: JointDist, chan: DmcChannel) -> dict[str, float]:
-    """Named bounds of the all-receivers-decode-everything evaluation of the
-    inner bound (the substitution that collapses all auxiliaries onto the
-    inputs), for a distribution over (X1, X2)."""
-    return _named_bounds(dist, chan, _FULL_DECODE)
-
-
 def full_decode_region(
     dist: JointDist,
     chan: DmcChannel,
     include: Iterable[str] = ("r1_y", "r2_z", "r2_y", "sum_z", "sum_y"),
 ) -> Frontier2D:
-    """Frontier of the named subset of the all-decode inequalities."""
+    """Frontier of the named subset of the all-decode inequalities: the inner
+    bound with every receiver decoding everything (the substitution that
+    collapses all auxiliaries onto the inputs), for a distribution over
+    (X1, X2)."""
     return _frontiers(*_mp_batch(dist, chan), [_FULL_DECODE[k] for k in include])[0]
-
-
-def mixed_achievable_bounds(
-    dist: JointDist,
-    chan: DmcChannel,
-    strong: Sequence[str],
-    weak: Sequence[str],
-) -> dict[str, float]:
-    """Named bounds of the differentiated-decoding achievable set for the
-    multi-primary mixed regime, before redundancy removal (the extra sum-rate
-    at Z is the row the regime conditions make redundant)."""
-    return _named_bounds(dist, chan, _MP_MIXED, strong, weak)
 
 
 def mixed_achievable_region(
@@ -860,6 +837,9 @@ def mixed_achievable_region(
     weak: Sequence[str],
     include_sum_z: bool = False,
 ) -> Frontier2D:
+    """Frontier of the differentiated-decoding achievable set of the
+    multi-primary mixed regime; the extra sum-rate at Z, the row the regime
+    conditions make redundant, only with include_sum_z."""
     table = [row for name, row in _MP_MIXED.items() if include_sum_z or name != "sum_z"]
     return _frontiers(*_mp_batch(dist, chan, strong, weak), table)[0]
 

@@ -181,6 +181,8 @@ class CovMatrix:
         if not np.allclose(m, mt, atol=1e-9):
             raise GaussianModelError("covariance must be symmetric")
         sym = 0.5 * (m + mt)
+        if not np.isfinite(sym).all():
+            raise GaussianModelError("covariance entries must be finite")
         if np.linalg.eigvalsh(sym).min() < -1e-9:
             raise GaussianModelError("covariance must be positive semidefinite")
         object.__setattr__(self, "names", names)
@@ -313,6 +315,12 @@ def _validate_partition(n: int, partition) -> tuple[tuple[int, ...], tuple[int, 
     return strong, weak
 
 
+def _no_partition(partition) -> None:
+    """A multi-secondary channel has one primary receiver: nothing to split."""
+    if partition is not None:
+        raise GaussianModelError("a partition applies to multi_primary channels only")
+
+
 def classify_gaussian(chan, partition=None) -> str:
     """Regime of a Gaussian channel: "VSI", "WI", "mixed" or "none".
 
@@ -339,6 +347,7 @@ def classify_gaussian(chan, partition=None) -> str:
                 return "mixed"
         return "none"
     if isinstance(chan, GaussianMultiSecondary):
+        _no_partition(partition)
         if abs(chan.b) > 1.0:
             if all(
                 _vsi_margin([chan.b], ak, chan.P1, chan.P2) <= REGIME_TOL
@@ -589,6 +598,7 @@ def region(chan, regime: str, partition=None, grid: int = 201, r2_values=None,
     # each evaluator is looked up by its module-level name at call time, so
     # a rebinding of that name (perfbench/harness.py's tracer) sees the call
     if isinstance(chan, GaussianMultiSecondary):
+        _no_partition(partition)
         if regime != "VSI":
             raise GaussianModelError("only the very-strong regime region is available "
                                      "for multi_secondary channels")

@@ -335,38 +335,30 @@ class Frontier2D:
         if self.is_empty:
             return None
         xs = [p[0] for p in self.points]
-        if q < 0 or q > xs[-1]:
+        if not 0 <= q <= xs[-1]:
             return None
+        # xs[0] == 0, so q == 0 is a hit and any other q has a point before it
         i = bisect.bisect_left(xs, q)
-        if i < len(xs) and xs[i] == q:
+        if xs[i] == q:
             return self.points[i][1]
-        if i == 0:
-            return self.points[0][1]
         x0, y0 = self.points[i - 1]
         x1, y1 = self.points[i]
         t = (q - x0) / (x1 - x0)
         return y0 + t * (y1 - y0)
 
     def _affine_on(self, u: float, v: float) -> tuple[float, float] | None:
-        """(slope, intercept) of the frontier on the open interval (u, v)."""
-        if self.is_empty:
-            return None
+        """(slope, intercept) of the nonempty frontier on the open interval
+        (u, v), for 0 <= u and v - u > 1e-12; None past r2_max. Then
+        xs[i - 1] < (u + v) / 2 <= xs[i], so the piece has width."""
         xs = [p[0] for p in self.points]
         t = 0.5 * (u + v)
-        if t < 0 or t > xs[-1]:
+        if t > xs[-1]:
             return None
         i = bisect.bisect_left(xs, t)
-        if i == 0:
-            return (0.0, self.points[0][1])
         x0, y0 = self.points[i - 1]
         x1, y1 = self.points[i]
-        if x1 == x0:
-            return None
         m = (y1 - y0) / (x1 - x0)
         return (m, y0 - m * x0)
-
-    def breakpoints(self) -> list[float]:
-        return sorted({p[0] for p in self.points})
 
     def to_csv_text(self) -> str:
         lines = ["R2,R1"]
@@ -386,10 +378,11 @@ class Frontier2D:
 
 
 def _merge_breakpoints(a: Frontier2D, b: Frontier2D, upto: float) -> list[float]:
+    """Sorted r2 values in [0, upto] at which two nonempty frontiers are
+    read: their points, clustered at the snap width, plus the crossings of
+    their affine pieces."""
     xs = {0.0, upto}
-    for f in (a, b):
-        if not f.is_empty:
-            xs.update(x for x in f.breakpoints() if x <= upto + _SNAP)
+    xs.update(x for f in (a, b) for x, _ in f.points if x <= upto + _SNAP)
     # collapse clusters within the snap width (rationalization-grain noise)
     raw = sorted(xs)
     base = [raw[0]]
@@ -419,44 +412,22 @@ def _merge_breakpoints(a: Frontier2D, b: Frontier2D, upto: float) -> list[float]
 
 
 def _combine_frontiers(a: Frontier2D, b: Frontier2D, take_max: bool) -> Frontier2D:
-    if a.is_empty:
-        return b if take_max else Frontier2D(())
-    if b.is_empty:
-        return a if take_max else Frontier2D(())
-    upto = max(a.r2_max, b.r2_max) if take_max else min(a.r2_max, b.r2_max)
-    xs = _merge_breakpoints(a, b, upto)
+    if a.is_empty or b.is_empty:
+        return (b if a.is_empty else a) if take_max else Frontier2D(())
     op = max if take_max else min
-
-    def at(q: float) -> float | None:
-        va, vb = a.value(q), b.value(q)
-        if take_max:
-            vals = [v for v in (va, vb) if v is not None]
-            return op(vals) if vals else None
-        if va is None or vb is None:
-            return None
-        return op(va, vb)
-
-    # values at breakpoints, plus right-limits where a vertical step occurs
+    xs = _merge_breakpoints(a, b, op(a.r2_max, b.r2_max))
+    # values at breakpoints, plus right-limits where a vertical step occurs,
+    # each over the frontiers whose domain reaches them: an intersection
+    # stops at the shorter domain, and a union's longer frontier reaches all
     pts: list[tuple[float, float]] = []
-    for i, q in enumerate(xs):
-        v = at(q)
-        if v is None:
-            continue
+    for q, w in zip(xs, xs[1:] + [xs[-1]]):
+        v = op(f.value(q) for f in (a, b) if q <= f.r2_max)
         pts.append((q, v))
-        if i + 1 < len(xs) and xs[i + 1] - q > _SNAP:
-            u, w = q, xs[i + 1]
-            fa = a._affine_on(u, w)
-            fb = b._affine_on(u, w)
-            limits = [m * q + c for f in (fa, fb) if f is not None for m, c in (f,)]
-            if limits:
-                if take_max:
-                    right = max(limits)
-                else:
-                    if fa is None or fb is None:
-                        continue
-                    right = min(limits)
-                if v - right > _SNAP:
-                    pts.append((q, right))
+        if w - q > _SNAP:
+            pieces = filter(None, (a._affine_on(q, w), b._affine_on(q, w)))
+            right = op(m * q + c for m, c in pieces)
+            if v - right > _SNAP:
+                pts.append((q, right))
     # drop exactly-collinear interior points to keep frontiers compact
     compact: list[tuple[float, float]] = []
     for p in pts:
@@ -484,49 +455,28 @@ def frontier_intersect(a: Frontier2D, b: Frontier2D) -> Frontier2D:
 
 
 def frontier_contains(outer: Frontier2D, inner: Frontier2D, tol: float = 0.0) -> bool:
-    """True iff every inner point is dominated by the outer region within tol."""
+    """True iff every inner point is dominated by the outer region within tol.
+
+    Both frontiers are read at every merged breakpoint up to the shorter
+    r2_max, and at both ends of each affine piece between them, so the right
+    limit of a vertical step counts."""
     if inner.is_empty:
         return True
-    if outer.is_empty:
+    if outer.is_empty or inner.r2_max > outer.r2_max + tol:
         return False
-    if inner.r2_max > outer.r2_max + tol:
+    xs = _merge_breakpoints(outer, inner, min(inner.r2_max, outer.r2_max))
+    if any(inner.value(q) > outer.value(q) + tol for q in xs):
         return False
-    upto = min(inner.r2_max, outer.r2_max)
-    xs = _merge_breakpoints(outer, inner, upto)
-    edge_cap = outer.value(outer.r2_max)
-    for q in xs:
-        vi = inner.value(q)
-        if vi is None:
-            continue
-        vo = outer.value(q) if q <= outer.r2_max else edge_cap
-        if vo is None or vi > vo + tol:
-            return False
     for u, v in zip(xs, xs[1:]):
-        if v - u <= _SNAP:
-            continue
-        fi = inner._affine_on(u, v)
-        fo = outer._affine_on(u, v)
-        if fi is None:
-            continue
-        mi, ci = fi
-        if fo is None:
-            # interval beyond outer's domain (possible only within tol of its
-            # edge): compare against the edge value
-            cap = edge_cap if edge_cap is not None else 0.0
-            if mi * u + ci > cap + tol or mi * v + ci > cap + tol:
+        if v - u > _SNAP:
+            (mi, ci), (mo, co) = inner._affine_on(u, v), outer._affine_on(u, v)
+            if any(mi * q + ci > mo * q + co + tol for q in (u, v)):
                 return False
-            continue
-        mo, co = fo
-        for q in (u, v):
-            if mi * q + ci > mo * q + co + tol:
-                return False
-    # anything of inner beyond outer's domain must sit under the edge value
-    if inner.r2_max > outer.r2_max:
-        tail = inner.value(inner.r2_max)
-        cap = edge_cap if edge_cap is not None else 0.0
-        if tail is not None and tail > cap + tol:
-            return False
-    return True
+    # inner may reach past outer within tol: its tail must sit under outer's
+    # edge value (exact arithmetic implies this; rounding of the last piece
+    # does not)
+    return not (inner.r2_max > outer.r2_max
+                and inner.value(inner.r2_max) > outer.value(outer.r2_max) + tol)
 
 
 def region_equal(a: Frontier2D, b: Frontier2D, tol: float = 1e-9) -> bool:

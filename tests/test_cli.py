@@ -129,6 +129,20 @@ def test_a_gain_whose_square_overflows_is_named(doc, argv, field, tmp_path, caps
     assert not out.exists()
 
 
+def test_a_non_finite_covariance_is_a_model_error(tmp_path, capsys):
+    # a1**2 * P1 overflows to inf in the slot covariances, which eigvalsh
+    # fails to diagonalize ("Eigenvalues did not converge")
+    out = tmp_path / "out.csv"
+    doc = {"P1": 1.6618291946883367e+133, "P2": 4, "a1": 1.6618291946883367e+133,
+           "a2": 1e-10, "b": 4}
+    with np.errstate(all="ignore"):
+        code = run(["dpc-compare", "--in", write(tmp_path / "doc.json", doc),
+                    "--out", str(out), "--grid", "3"])
+    assert code == 1 and not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "GaussianModelError: covariance entries must be finite"
+
+
 # cells of 0, subnormals and 1e-300 beside ordinary weights, each (x1, x2)
 # slice normalized (or left all zero, which is rejected)
 _CELL = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]), st.floats(0, 1))

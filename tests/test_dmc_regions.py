@@ -1015,10 +1015,7 @@ def test_regime_check_leaves_generator_as_sequential_draws(case, rng):
 # entry points (and the report constructor) bound to one channel class, and
 # a channel of the other
 CLASS_BOUND_CALLS = {
-    "full_decode_bounds": lambda c, d2, d3: dr.full_decode_bounds(d2, c),
     "full_decode_region": lambda c, d2, d3: dr.full_decode_region(d2, c),
-    "mixed_achievable_bounds": lambda c, d2, d3: dr.mixed_achievable_bounds(
-        d3, c, ("Y1",), ()),
     "mixed_achievable_region": lambda c, d2, d3: dr.mixed_achievable_region(
         d3, c, ("Y1",), ()),
     "weak_violation_margin": lambda c, d2, d3: dr.weak_violation_margin(c, d3),

@@ -150,6 +150,10 @@ def test_cov_matrix_validation():
         CovMatrix(("X", "Y"), np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(GaussianModelError):
         CovMatrix(("X", "Y"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # checked before eigvalsh, which raises LinAlgError or returns NaN on them
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(GaussianModelError, match="^covariance entries must be finite$"):
+            CovMatrix(("X", "Y"), np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 # -- regions -------------------------------------------------------------------
@@ -308,6 +312,19 @@ def test_classify_checks_a_partition_in_every_regime():
     for partition in (((0,), (0,)), ((0, 1), (1,)), ((0,), (2,))):
         with pytest.raises(GaussianModelError, match="must split"):
             classify_gaussian(_MP_WI, partition)
+
+
+def test_multi_secondary_rejects_a_partition():
+    # one primary receiver: any partition, even an empty one, is a mistake
+    chan = GaussianMultiSecondary(2.0, (2.0, 2.0), 1, 1)
+    assert classify_gaussian(chan, None) == "VSI"
+    assert len(region(chan, "VSI", None, 11).points) > 1
+    message = "^a partition applies to multi_primary channels only$"
+    for partition in (((5,), ()), ((0,), ()), ((), ())):
+        with pytest.raises(GaussianModelError, match=message):
+            classify_gaussian(chan, partition)
+        with pytest.raises(GaussianModelError, match=message):
+            region(chan, "VSI", partition, 11)
 
 
 def test_ms_vsi_region_slices_and_dense_oracle():

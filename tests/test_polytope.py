@@ -34,6 +34,7 @@ from conftest import (
     is_trivially_true,
     union_all,
 )
+import frontier_reference as ref
 
 
 def box(r2_cap, r1_cap):
@@ -310,6 +311,91 @@ def test_contains():
     assert not frontier_contains(Frontier2D(()), x, 0)
     # longer but flat tail must not hide an r2 overhang
     assert not frontier_contains(box(1, 1), Frontier2D(((0.0, 0.0), (3.0, 0.0))), 1e-9)
+
+
+def test_contains_reads_the_right_limit_of_a_step():
+    # every merged breakpoint (0, 1, 5/3, 2) passes the value check, since
+    # outer's value at its step r2 = 1 is the upper one; only the piece
+    # (1, 5/3), read at its left end, sees inner's 1.2 above outer's 1
+    outer = Frontier2D(((0, 2), (1, 2), (1, 1), (2, 1)))
+    inner = Frontier2D(((0, 1.5), (2, 0.9)))
+    for q in (0.0, 1.0, 5 / 3, 2.0):
+        assert inner.value(q) <= outer.value(q) + 1e-9
+    assert not frontier_contains(outer, inner, 1e-9)
+    assert not region_equal(outer, inner, 1e-9)
+
+
+def _random_frontier(rng):
+    """A frontier for the differential test: empty, a single point, a vertical
+    segment at r2 = 0, or 1-7 points with r2 uniform or on a 0.1 grid
+    (repeats make vertical steps), some with a second point within 1e-12 of
+    an r2 value."""
+    kind = rng.random()
+    if kind < 0.04:
+        return Frontier2D(())
+    if kind < 0.08:
+        return Frontier2D(((0.0, float(rng.uniform(0, 2))),))
+    if kind < 0.12:
+        top = float(rng.uniform(0.5, 2))
+        return Frontier2D(((0.0, top), (0.0, top / 2)))
+    n = int(rng.integers(1, 8))
+    r2s = rng.uniform(0, 2, size=n)
+    if rng.random() < 0.5:
+        r2s = np.round(r2s, 1)
+    r2s = np.sort(r2s).tolist()
+    if rng.random() < 0.3:
+        i = int(rng.integers(n))
+        r2s = sorted(r2s + [r2s[i] + float(rng.choice([1e-13, 5e-13, 1e-12, 3e-12]))])
+    r1s = np.sort(rng.uniform(0, 3, size=len(r2s)))[::-1]
+    if rng.random() < 0.3:
+        r1s = np.round(r1s, 1)
+    return Frontier2D(tuple(zip(r2s, r1s.tolist())))
+
+
+def _perturbed(rng, f):
+    """f with each coordinate moved by up to one of 1e-13 .. 1e-9, kept
+    monotone; or f shifted up or down as a whole by that much."""
+    if f.is_empty:
+        return f
+    eps = 10.0 ** rng.uniform(-13, -9)
+    pts = np.array(f.points)
+    if rng.random() < 0.3:
+        pts[:, 1] = np.maximum(pts[:, 1] + rng.choice([-eps, eps]), 0.0)
+    else:
+        pts = np.maximum(pts + rng.uniform(-eps, eps, size=pts.shape), 0.0)
+        pts[:, 0] = np.maximum.accumulate(pts[:, 0])
+        pts[:, 1] = np.minimum.accumulate(pts[:, 1])
+    return Frontier2D(tuple(map(tuple, pts.tolist())))
+
+
+def test_frontier_geometry_matches_reference():
+    """Union, intersection, containment, region equality and value against
+    the geometry as written before its one breakpoint sweep (every branch
+    kept), on 2000 seeded pairs, at tol 0, 1e-12 and 1e-9."""
+    rng = np.random.default_rng(24)
+    seen = set()
+    for k in range(2000):
+        a = _random_frontier(rng)
+        kind = k % 5
+        b = (_random_frontier(rng), _perturbed(rng, a),
+             ref.combine_frontiers(a, _random_frontier(rng), True),
+             ref.combine_frontiers(a, _random_frontier(rng), False), a)[kind]
+        for x, y in ((a, b), (b, a)):
+            assert frontier_union(x, y).points == ref.combine_frontiers(x, y, True).points
+            assert frontier_intersect(x, y).points == ref.combine_frontiers(x, y, False).points
+            for tol in (0.0, 1e-12, 1e-9):
+                got = frontier_contains(x, y, tol)
+                assert got == ref.frontier_contains(x, y, tol), (x.points, y.points, tol)
+                seen.add((kind, tol, got))
+            qs = [p[0] for p in x.points] + rng.uniform(-0.1, 2.1, size=4).tolist()
+            for q in qs:
+                assert x.value(q) == ref.value(x, q), (x.points, q)
+        for tol in (0.0, 1e-12, 1e-9):
+            assert region_equal(a, b, tol) == ref.region_equal(a, b, tol)
+    # every kind of pair but a frontier with itself gave both answers at
+    # every tolerance
+    assert seen == {(kind, tol, got) for kind in range(5) for tol in (0.0, 1e-12, 1e-9)
+                    for got in (False, True) if got or kind < 4}
 
 
 def test_concave_envelope_flattens_staircase():
@@ -708,7 +794,7 @@ def _reference_affine_on(f, u, v):
 
 def test_frontier_lookups_match_searchsorted():
     rng = np.random.default_rng(21)
-    steps = 0
+    steps = pairs = 0
     for _ in range(60):
         n = int(rng.integers(2, 9))
         r2s = np.sort(np.round(rng.uniform(0, 2, size=n), 1))  # repeats: vertical steps
@@ -724,5 +810,9 @@ def test_frontier_lookups_match_searchsorted():
         ends = qs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
         for u in ends[::2]:
             for v in ends[1::2]:
-                assert f._affine_on(u, v) == _reference_affine_on(f, u, v), (f.points, u, v)
+                # _affine_on's contract: 0 <= u and an interval wider than 1e-12
+                if 0 <= u and v - u > 1e-12:
+                    pairs += 1
+                    assert f._affine_on(u, v) == _reference_affine_on(f, u, v), (f.points, u, v)
     assert steps >= 20
+    assert pairs >= 8000
