@@ -11,8 +11,10 @@ a stack of channel laws of one alphabet as arrays, checks each stack once,
 evaluates both of its tables on one batch, and sends the whole (rows, K)
 array of coding bounds on the 1e-12 grid into the cached projection cone of
 `polytope.project_bounds`. `verify_fme_inner_bound` is its one-instance
-case. `polytope` owns the grid: every table's frontiers come from
-`polytope.grid_frontiers`.
+case. `polytope` owns the grid: `_grid_rows` snaps a table's (rows, K)
+bounds onto it, and the frontiers come from `polytope.grid_frontiers`, one
+per joint, except the capacity region's: `polytope.grid_envelope` takes the
+bounds of all its joints at once and returns their time-sharing hull.
 
 |U| is |X1||X2| + 1 throughout, fixed by the channel (`default_aux_card`).
 
@@ -53,10 +55,11 @@ from .info_theory import (
 from .polytope import (
     Frontier2D,
     IneqSystem,
-    concave_envelope,
+    concave_envelope,  # noqa: F401  (perfbench/harness.py traces it here)
     fme_project,  # noqa: F401  (perfbench/harness.py traces it here)
     frontier_union,  # noqa: F401  (perfbench/harness.py traces it here)
     grid_bounds,
+    grid_envelope,
     grid_frontiers,
     project_bounds,
     project_to_frontier,  # noqa: F401  (perfbench/harness.py traces it here)
@@ -321,14 +324,15 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
 
 
-def _frontiers(batch: _Batch, sets: dict, table) -> list[Frontier2D]:
-    """The region of a table's rows for each joint of `batch`, its (rows, K)
-    bounds snapped to the 1e-12 grid at once. A row over an empty receiver
-    set has bound +inf at every joint, constrains nothing and is left out."""
+def _grid_rows(batch: _Batch, sets: dict, table) -> tuple[list, np.ndarray]:
+    """A table's rows over `batch`: the (R2, R1) coefficients of each row and
+    the (rows, K) array of their bounds at the K joints, snapped to the
+    1e-12 grid at once. A row over an empty receiver set has bound +inf at
+    every joint, constrains nothing and is left out."""
     rows = [(coeffs, batch.value(sets, terms)) for coeffs, terms in table]
     rows = [(coeffs, bound) for coeffs, bound in rows if bound[0] < np.inf]
     bounds = np.array([bound for _, bound in rows]).reshape(len(rows), batch.joints.shape[-1])
-    return grid_frontiers([(c.get("R2", 0), c.get("R1", 0)) for c, _ in rows], grid_bounds(bounds))
+    return [(c.get("R2", 0), c.get("R1", 0)) for c, _ in rows], grid_bounds(bounds)
 
 
 _COST_V = (-1, "V", "X1 U", "Q1 Q")
@@ -490,7 +494,7 @@ def inner_bound_system(aux: AuxAssignment, chan: DmcChannel) -> IneqSystem:
 def inner_bound_region(aux: AuxAssignment, chan: DmcChannel) -> Frontier2D:
     """Frontier of the 11-inequality inner-bound region for one assignment."""
     batch = _Batch.of(compose_with_channel(aux.joint, chan))
-    return _frontiers(batch, _receiver_sets(chan.outputs), _INNER_BOUND)[0]
+    return grid_frontiers(*_grid_rows(batch, _receiver_sets(chan.outputs), _INNER_BOUND))[0]
 
 
 def _check_single_pair(outputs: Sequence[tuple[str, int]]) -> None:
@@ -549,7 +553,7 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     batch = _compose(axes, inputs, outputs,
                      np.moveaxis(probs, 0, -1).reshape((1,) * (len(axes) - 2) + shape[1:] + (k,)))
     sets = _receiver_sets(outputs)
-    direct = _frontiers(batch, sets, _INNER_BOUND)
+    direct = grid_frontiers(*_grid_rows(batch, sets, _INNER_BOUND))
     bounds = [batch.value(sets, terms) for _, terms in _CODING_SYSTEM]
     bounds += [np.full(k, float(bound)) for _, bound in _CODING_LINEAR]
     feasible, projected = project_bounds(_CODING_VARS, ("R1", "R2"), _CODING_MATRIX,
@@ -827,7 +831,8 @@ def full_decode_region(
     bound with every receiver decoding everything (the substitution that
     collapses all auxiliaries onto the inputs), for a distribution over
     (X1, X2)."""
-    return _frontiers(*_mp_batch(dist, chan), [_FULL_DECODE[k] for k in include])[0]
+    return grid_frontiers(*_grid_rows(*_mp_batch(dist, chan),
+                                      [_FULL_DECODE[k] for k in include]))[0]
 
 
 def mixed_achievable_region(
@@ -841,7 +846,7 @@ def mixed_achievable_region(
     multi-primary mixed regime; the extra sum-rate at Z, the row the regime
     conditions make redundant, only with include_sum_z."""
     table = [row for name, row in _MP_MIXED.items() if include_sum_z or name != "sum_z"]
-    return _frontiers(*_mp_batch(dist, chan, strong, weak), table)[0]
+    return grid_frontiers(*_grid_rows(*_mp_batch(dist, chan, strong, weak), table))[0]
 
 
 def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfig()) -> Frontier2D:
@@ -872,7 +877,11 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     table = _REGIONS[report.klass, report.regime]
     batches = chain(kept, (_compose(axes, rows, chan.outputs, chan.probs)
                            for rows, _ in _check_dists(axes, search.samples, rng, len(kept))))
-    return concave_envelope([f for batch in batches for f in _frontiers(batch, sets, table)])
+    grids = [_grid_rows(batch, sets, table) for batch in batches]
+    if not grids:  # no samples, and a simplex grid too large to take
+        return Frontier2D(())
+    # every batch leaves out the same rows: those over an empty receiver set
+    return grid_envelope(grids[0][0], np.concatenate([bounds for _, bounds in grids], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -470,17 +470,23 @@ def comparison_sweep(cfg: DpcConfig, eta_grid: int = 101) -> list[dict]:
     in the scan).
     """
     etas = np.linspace(0.0, 1.0, eta_grid)
-    lanes = _Lanes(cfg, etas)
-    cd = lanes.cd_rate()
-    x_star, md = lanes.best_x(64)
-    below = np.flatnonzero(md < cd - 1e-12)
-    if below.size:
-        k = below[0]
-        raise AssertionError(
-            f"MD rate fell below CD at eta={etas[k]}: {md[k]} < {cd[k]}"
-        )
-    columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(),
-               half_log2(1.0 + etas * cfg.P2))
+    # Huge powers or gains overflow the lanes' products to inf or nan. The
+    # warnings numpy would print change no value, and silencing them is safe
+    # only because the finiteness checks still reject such a sweep: CovMatrix
+    # rejects its non-finite slot covariances, and no document makes the CLI
+    # print a non-finite number (test_dpc_documents_never_print_a_non_finite_number).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lanes = _Lanes(cfg, etas)
+        cd = lanes.cd_rate()
+        x_star, md = lanes.best_x(64)
+        below = np.flatnonzero(md < cd - 1e-12)
+        if below.size:
+            k = below[0]
+            raise AssertionError(
+                f"MD rate fell below CD at eta={etas[k]}: {md[k]} < {cd[k]}"
+            )
+        columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(),
+                   half_log2(1.0 + etas * cfg.P2))
     return [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
 
 

@@ -19,7 +19,11 @@ encoded by two consecutive points sharing one r2 value. A two-variable system
 reaches its frontier through an exact vertex enumeration in integer
 homogeneous coordinates (Python ints); `grid_frontiers` runs it on each
 column of a (rows, K) array of bounds on the 1e-12 grid. The union of
-regions, convexified by time sharing, is the upper hull of all their points.
+regions, convexified by time sharing, is the upper hull of all their points
+(`concave_envelope`). `grid_envelope` gives that hull for the columns of a
+(rows, K) grid array whose rows cap R1, R2 or R1 + R2, as the DMC capacity
+regions' are: it finds every column's vertices at once in int64 numpy,
+exactly as the enumeration would, with no frontier per column.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -320,6 +324,13 @@ class Frontier2D:
             cleaned.insert(0, (0.0, cleaned[0][1]))
         object.__setattr__(self, "points", tuple(cleaned))
 
+    @cached_property
+    def _xs(self) -> tuple[float, ...]:
+        """The r2 values that `value` and `_affine_on` bisect, built on first
+        use: not a field, so equality and repr see the points only, and a
+        frontier that is never read pays nothing for it."""
+        return tuple([x for x, _ in self.points])
+
     @property
     def is_empty(self) -> bool:
         return not self.points
@@ -334,7 +345,7 @@ class Frontier2D:
         """Max achievable r1 at r2 = q (upper-semicontinuous); None outside."""
         if self.is_empty:
             return None
-        xs = [p[0] for p in self.points]
+        xs = self._xs
         if not 0 <= q <= xs[-1]:
             return None
         # xs[0] == 0, so q == 0 is a hit and any other q has a point before it
@@ -350,7 +361,7 @@ class Frontier2D:
         """(slope, intercept) of the nonempty frontier on the open interval
         (u, v), for 0 <= u and v - u > 1e-12; None past r2_max. Then
         xs[i - 1] < (u + v) / 2 <= xs[i], so the piece has width."""
-        xs = [p[0] for p in self.points]
+        xs = self._xs
         t = 0.5 * (u + v)
         if t > xs[-1]:
             return None
@@ -500,15 +511,22 @@ def _upper_hull(pts: list[tuple[float, float]], tol: float) -> list[tuple[float,
     return hull
 
 
+def _time_sharing_hull(xs: np.ndarray, ys: np.ndarray) -> Frontier2D:
+    """The frontier of the time-sharing hull of the points (xs[i], ys[i]):
+    each r2 keeps its largest r1, and the upper hull of those finishes."""
+    if not len(xs):
+        return Frontier2D(())
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    top = np.append(xs[1:] != xs[:-1], True)
+    return Frontier2D(tuple(_upper_hull(list(zip(xs[top].tolist(), ys[top].tolist())), 1e-15)))
+
+
 def concave_envelope(frontiers: Iterable[Frontier2D]) -> Frontier2D:
     """Time-sharing convexification of the union of the frontiers' regions:
     the upper hull of all their points, each r2 keeping its largest r1."""
-    top: dict[float, float] = {}
-    for f in frontiers:
-        for x, y in f.points:
-            if x not in top or y > top[x]:
-                top[x] = y
-    return Frontier2D(tuple(_upper_hull(sorted(top.items()), 1e-15)))
+    pts = np.array([p for f in frontiers for p in f.points], dtype=float).reshape(-1, 2)
+    return _time_sharing_hull(pts[:, 0], pts[:, 1])
 
 
 def monotone_frontier(pairs) -> Frontier2D:
@@ -541,6 +559,10 @@ def project_to_frontier(sys: IneqSystem, r1: str, r2: str) -> Frontier2D:
         k = math.lcm(*(v.denominator for v in row))
         rows.append(tuple(v.numerator * (k // v.denominator) for v in row))
     return integer_frontier(rows)
+
+
+def _unbounded(d2: int, d1: int) -> UnboundedRegionError:
+    return UnboundedRegionError(f"region is unbounded along direction (r2,r1)=({d2},{d1})")
 
 
 def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
@@ -602,9 +624,7 @@ def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
                 candidates.add((d2 // g, d1 // g))
     for d2, d1 in sorted(candidates):
         if all(a * d2 + b * d1 <= 0 for a, b, _ in rows):
-            raise UnboundedRegionError(
-                f"region is unbounded along direction (r2,r1)=({d2},{d1})"
-            )
+            raise _unbounded(d2, d1)
 
     # the upper concave chain of the polygon boundary
     hull = _upper_hull(sorted((x / dx, y / dy) for (x, dx), (y, dy) in top.items()), 1e-18)
@@ -621,3 +641,53 @@ def grid_frontiers(coeff_rows: Sequence[tuple[int, int]], bounds: np.ndarray) ->
     scaled = [(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN) for a, b in coeff_rows]
     return [integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
             for column in bounds.T.tolist()]
+
+
+def grid_envelope(coeff_rows: Sequence[tuple[int, int]], bounds: np.ndarray) -> Frontier2D:
+    """`concave_envelope` of the `grid_frontiers` of the columns of a (rows, K)
+    int64 array of bounds on the 1e-12 grid, for rows (a, b) meaning
+    a*r2 + b*r1 <= c, each (0, 1), (1, 0) or (1, 1): the same points, from
+    the vertices of all K columns at once, with no frontier per column.
+
+    A column's R1, R2 and sum caps are the minima A, B and C of its rows of
+    each kind, +inf for a kind with no row (with no sum row, C = A + B cuts
+    nothing off). With a = min(A, C) and b = min(B, C) the column's vertices
+    are (0, a), then (C - a, a) when C - a < b, then (b, min(a, C - b)).
+    Each coordinate is its grid value over 1e12 in float64: a grid value
+    below 2**53 is exact, so this is the correctly rounded quotient
+    `integer_frontier` takes. As there, a corner whose cross product with
+    its neighbours is >= -1e-18 is dropped (one grid unit wide and deep, it
+    is about -1e-24), a column with a negative bound is empty, and a
+    nonempty column is unbounded when a or b is +inf.
+    """
+    if not set(coeff_rows) <= {(0, 1), (1, 0), (1, 1)}:
+        raise ValueError(f"grid_envelope takes rows (0, 1), (1, 0) and (1, 1), got {coeff_rows}")
+    # a negative bound on a row without a negative coefficient excludes the
+    # quadrant
+    bounds = bounds[:, (bounds >= 0).all(axis=0)]
+    if not (bounds < 2**53).all():
+        raise ValueError("grid bound beyond 2**53: its quotient by the grid is not exact")
+    if not bounds.shape[1]:
+        return Frontier2D(())
+
+    def cap(kind):
+        picked = [i for i, row in enumerate(coeff_rows) if row == kind]
+        return bounds[picked].min(axis=0) if picked else None
+
+    r1_cap, r2_cap, c = cap((0, 1)), cap((1, 0)), cap((1, 1))
+    if r1_cap is None and c is None:
+        raise _unbounded(0, 1)
+    if r2_cap is None and c is None:
+        raise _unbounded(1, 0)
+    if c is None:
+        c = r1_cap + r2_cap
+    a = c if r1_cap is None else np.minimum(r1_cap, c)
+    b = c if r2_cap is None else np.minimum(r2_cap, c)
+    x0, y0 = 0.0, a / RATIONALIZE_GRAIN
+    x1, y1 = (c - a) / RATIONALIZE_GRAIN, y0
+    x2, y2 = b / RATIONALIZE_GRAIN, np.minimum(a, c - b) / RATIONALIZE_GRAIN
+    # _upper_hull's cross product at the corner (x1, y1)
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    corner = (c - a < b) & (cross < -1e-18)
+    return _time_sharing_hull(np.concatenate([np.zeros(len(a)), x1[corner], x2]),
+                              np.concatenate([y0, y1[corner], y2]))

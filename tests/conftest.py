@@ -6,8 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mcifc import dmc_regions as dr
 from mcifc.info_theory import DmcChannel
-from mcifc.polytope import Frontier2D, IneqSystem, LinIneq, frontier_union
+from mcifc.polytope import (
+    Frontier2D,
+    IneqSystem,
+    LinIneq,
+    concave_envelope,
+    frontier_union,
+    grid_frontiers,
+)
 
 
 def random_channel(rng, x1=2, x2=2, outputs=(("Y1", 2), ("Z1", 2)), alpha=1.0):
@@ -82,6 +90,28 @@ def union_all(frontiers):
             for i in range(0, len(items), 2)
         ]
     return items[0]
+
+
+def per_joint_envelope(coeff_rows, bounds):
+    """`polytope.grid_envelope` one joint at a time, as an oracle: the exact
+    `integer_frontier` of each column (`grid_frontiers`), then
+    `concave_envelope` of them all."""
+    return concave_envelope(grid_frontiers(coeff_rows, bounds))
+
+
+def per_joint_capacity_region(report, search):
+    """`dmc_regions.dmc_capacity_region` one joint at a time, as an oracle:
+    every chunk of the search's stream drawn and composed afresh, whatever
+    the report kept, and `per_joint_envelope` of their bounds."""
+    chan = report.chan
+    sets = dr._receiver_sets(chan.outputs, *report.partition)
+    axes = dr._input_axes(chan, report.regime)
+    table = dr._REGIONS[report.klass, report.regime]
+    frontiers = []
+    for rows, _ in dr._check_dists(axes, search.samples, np.random.default_rng(search.seed)):
+        batch = dr._compose(axes, rows, chan.outputs, chan.probs)
+        frontiers += grid_frontiers(*dr._grid_rows(batch, sets, table))
+    return concave_envelope(frontiers)
 
 
 def is_trivially_true(iq: LinIneq) -> bool:

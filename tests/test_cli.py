@@ -129,18 +129,36 @@ def test_a_gain_whose_square_overflows_is_named(doc, argv, field, tmp_path, caps
     assert not out.exists()
 
 
+# a1**2 * P1 overflows to inf in the slot covariances, which eigvalsh fails
+# to diagonalize ("Eigenvalues did not converge")
+_OVERFLOWING_DPC = {"P1": 1.6618291946883367e+133, "P2": 4, "a1": 1.6618291946883367e+133,
+                    "a2": 1e-10, "b": 4}
+
+
 def test_a_non_finite_covariance_is_a_model_error(tmp_path, capsys):
-    # a1**2 * P1 overflows to inf in the slot covariances, which eigvalsh
-    # fails to diagonalize ("Eigenvalues did not converge")
     out = tmp_path / "out.csv"
-    doc = {"P1": 1.6618291946883367e+133, "P2": 4, "a1": 1.6618291946883367e+133,
-           "a2": 1e-10, "b": 4}
     with np.errstate(all="ignore"):
-        code = run(["dpc-compare", "--in", write(tmp_path / "doc.json", doc),
+        code = run(["dpc-compare", "--in", write(tmp_path / "doc.json", _OVERFLOWING_DPC),
                     "--out", str(out), "--grid", "3"])
     assert code == 1 and not out.exists()
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == "GaussianModelError: covariance entries must be finite"
+
+
+def test_an_overflowing_sweep_prints_its_error_line_alone(tmp_path):
+    # in a fresh interpreter, where numpy's overflow and invalid-value
+    # warnings would print ahead of the error line
+    import mcifc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mcifc.__file__).resolve().parent.parent))
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcifc.cli", "dpc-compare", "--in",
+         write(tmp_path / "doc.json", _OVERFLOWING_DPC), "--out", str(out), "--grid", "3"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == '{"error": "GaussianModelError: covariance entries must be finite"}\n'
+    assert not out.exists()
 
 
 # cells of 0, subnormals and 1e-300 beside ordinary weights, each (x1, x2)

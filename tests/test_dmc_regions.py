@@ -25,13 +25,15 @@ from mcifc.polytope import (
     _projection_cone,
     fme_project,
     frontier_contains,
+    grid_frontiers,
     project_to_frontier,
     region_equal,
 )
-from mcifc import dmc_regions as dr
+from mcifc import dmc_regions as dr, polytope
 
 from conftest import (
     imbert_fme_project,
+    per_joint_capacity_region,
     random_channel,
     shared_law_channel,
     union_all,
@@ -154,7 +156,7 @@ def _outcome(project, rows):
 
 class _BoundBatch:
     """A batch of one joint whose table rows carry their bound in place of
-    MI terms, so that `dr._frontiers` snaps the rows' bounds as a (rows, 1)
+    MI terms, so that `dr._grid_rows` snaps the rows' bounds as a (rows, 1)
     array."""
 
     joints = np.empty(1)
@@ -165,7 +167,7 @@ class _BoundBatch:
 
 
 def _grid_frontier(rows):
-    return dr._frontiers(_BoundBatch(), {}, rows)[0]
+    return grid_frontiers(*dr._grid_rows(_BoundBatch(), {}, rows))[0]
 
 
 def test_integer_frontier_matches_rational_projection():
@@ -1212,8 +1214,10 @@ def test_capacity_region_reuses_the_checked_batches(monkeypatch, rng):
         if len(rep.batches) < len(chunks):
             cuts.append("grid" if chunks[len(rep.batches) - 1][1] is None else "draws")
         bare = replace(rep, batches=())
+        # a search of no samples has no input distribution at all where the
+        # simplex grid is too large to be taken (the VWI and mixed checks)
         for search in (dr.SearchConfig(samples, seed), dr.SearchConfig(samples + 7, seed),
-                       dr.SearchConfig(samples, seed + 1)):
+                       dr.SearchConfig(samples, seed + 1), dr.SearchConfig(0, seed)):
             composed.clear()
             drawn.clear()
             fr = dr.dmc_capacity_region(rep, search)
@@ -1223,9 +1227,20 @@ def test_capacity_region_reuses_the_checked_batches(monkeypatch, rng):
                 assert len(composed) == len(rest)
                 assert drawn == [len(rows) for rows, state in rest if state is not None]
             assert fr.points == dr.dmc_capacity_region(bare, search).points, (klass, regime)
+            assert fr.points == per_joint_capacity_region(rep, search).points, (klass, regime)
     # two checks kept a strict prefix of their chunks: one ending among the
     # draws, so the region draws on from `resume`, and one inside the grid
     assert cuts == ["draws", "grid"]
+
+
+def test_capacity_region_builds_no_frontier_per_joint(monkeypatch, rng):
+    def per_joint(*args):
+        raise AssertionError("a frontier per joint")
+
+    monkeypatch.setattr(polytope, "integer_frontier", per_joint)
+    monkeypatch.setattr(dr, "grid_frontiers", per_joint)
+    rep = dr.check_regime(shared_law_channel(rng), dr.MULTI_PRIMARY, "VSI", samples=40, seed=1)
+    assert not dr.dmc_capacity_region(rep, dr.SearchConfig(60, 2)).is_empty
 
 
 def test_kept_batches_change_nothing_visible(rng):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mcifc import polytope
 from mcifc.polytope import (
     RATIONALIZE_GRAIN,
     Frontier2D,
@@ -19,6 +20,7 @@ from mcifc.polytope import (
     frontier_union,
     grid_bound,
     grid_bounds,
+    grid_envelope,
     grid_frontiers,
     integer_frontier,
     project_bounds,
@@ -32,6 +34,7 @@ from conftest import (
     imbert_fme_project,
     is_infeasible,
     is_trivially_true,
+    per_joint_envelope,
     union_all,
 )
 import frontier_reference as ref
@@ -756,6 +759,109 @@ def test_grid_frontiers_equal_integer_frontier_per_column():
         assert got == want
         kinds |= {f.is_empty for f in got}
     assert kinds == {False, True}
+
+
+G = RATIONALIZE_GRAIN
+_CAPS = [(0, 1), (1, 0), (1, 1)]
+
+
+def _grid_columns(rows, columns):
+    """The (rows, K) int64 array of K columns of bounds."""
+    return np.array(columns, dtype=np.int64).reshape(len(columns), len(rows)).T
+
+
+def _envelope_outcome(envelope, rows, columns):
+    """The points, or the message of the UnboundedRegionError, of an
+    envelope of int64 grid columns."""
+    try:
+        return envelope(rows, _grid_columns(rows, columns)).points
+    except UnboundedRegionError as exc:
+        return str(exc)
+
+
+def _check_grid_envelope(monkeypatch, rows, columns):
+    """grid_envelope equals the per-joint oracle, and the points it hands to
+    the time-sharing hull are exactly those of the per-joint frontiers."""
+    want = _envelope_outcome(per_joint_envelope, rows, columns)
+    handed = []
+
+    def spy(xs, ys):
+        handed.extend(zip(xs.tolist(), ys.tolist()))
+        return hull(xs, ys)
+
+    hull = polytope._time_sharing_hull
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_time_sharing_hull", spy)
+        got = _envelope_outcome(grid_envelope, rows, columns)
+    assert got == want, (rows, columns)
+    if not isinstance(got, str):
+        bounds = _grid_columns(rows, columns)
+        assert set(handed) == {p for f in grid_frontiers(rows, bounds) for p in f.points}
+    return got
+
+
+@pytest.mark.parametrize("rows, columns, want", [
+    # a = 0, and b = 0
+    (_CAPS, [(0, 2 * G, 3 * G)], ((0.0, 0.0), (2.0, 0.0))),
+    (_CAPS, [(3 * G, 0, 5 * G)], ((0.0, 3.0),)),
+    # C - a = b: the corner is the last vertex
+    (_CAPS, [(3 * G, 2 * G, 5 * G)], ((0.0, 3.0), (2.0, 3.0))),
+    (_CAPS, [(3 * G, 2 * G, 4 * G)], ((0.0, 3.0), (1.0, 3.0), (2.0, 2.0))),
+    # a corner one grid unit wide and deep: its cross product, about -1e-24,
+    # is above -1e-18
+    (_CAPS, [(5 * 10**11, 2, 5 * 10**11 + 1)], ((0.0, 0.5), (2e-12, 0.499999999999))),
+    # no R1 row or no R2 row: the sum row bounds that rate
+    ([(1, 0), (1, 1)], [(G, 3 * G)], ((0.0, 3.0), (1.0, 2.0))),
+    ([(0, 1), (1, 1)], [(G, 3 * G)], ((0.0, 1.0), (2.0, 1.0), (3.0, 0.0))),
+    ([(1, 1)], [(2 * G,)], ((0.0, 2.0), (2.0, 0.0))),
+    # rows repeated: each kind's least bound caps
+    ([(0, 1), (1, 0), (0, 1), (1, 1), (1, 1)], [(3 * G, G, 2 * G, 9 * G, 2 * G)],
+     ((0.0, 2.0), (1.0, 1.0))),
+    # ties in r2 across columns with different r1: the largest r1 stays
+    ([(0, 1), (1, 0)], [(3 * G, 2 * G), (G, 2 * G), (2 * G, 0)], ((0.0, 3.0), (2.0, 3.0))),
+    # vertices of three columns on one line
+    (_CAPS, [(G, 2 * G, 3 * G), (3 * G, G, 3 * G), (2 * G, 2 * G, 2 * G)],
+     ((0.0, 3.0), (2.0, 1.0))),
+    # a negative bound empties its column only
+    (_CAPS, [(-1, G, G)], ()),
+    (_CAPS, [(G, -1, G), (G, G, 3 * G)], ((0.0, 1.0), (1.0, 1.0))),
+    # unbounded along r1, along r2, and along both (reported as r1), unless
+    # every column is empty
+    ([(1, 0)], [(G,)], "region is unbounded along direction (r2,r1)=(0,1)"),
+    ([(0, 1)], [(G,), (-1,)], "region is unbounded along direction (r2,r1)=(1,0)"),
+    ([], [()], "region is unbounded along direction (r2,r1)=(0,1)"),
+    ([(1, 0)], [(-1,)], ()),
+    # no column at all
+    (_CAPS, [], ()),
+])
+def test_grid_envelope_equals_the_per_joint_envelope(rows, columns, want, monkeypatch):
+    assert _check_grid_envelope(monkeypatch, rows, columns) == want
+
+
+def test_grid_envelope_equals_the_per_joint_envelope_on_random_columns(monkeypatch):
+    rng = np.random.default_rng(47)
+    kinds = set()
+    for _ in range(300):
+        rows = [_CAPS[k] for k in rng.integers(3, size=int(rng.integers(1, 5)))]
+        # bounds near a shared base, some a few grid units apart, so that
+        # columns share vertices and corners are a few units deep
+        base = int(rng.integers(0, 3 * G))
+        step = 10 ** int(rng.integers(0, 13))
+        columns = base + step * rng.integers(-3, 4, size=(int(rng.integers(1, 12)), len(rows)))
+        got = _check_grid_envelope(monkeypatch, rows, columns.tolist())
+        kinds.add("unbounded" if isinstance(got, str) else len(got))
+    assert {"unbounded", 0, 2, 3, 4} <= kinds
+
+
+@pytest.mark.parametrize("rows, columns, error", [
+    ([(0, 1), (2, 1)], [(G, G)], "grid_envelope takes rows"),
+    ([(0, 1), (-1, 1)], [(G, G)], "grid_envelope takes rows"),
+    ([(0, 1), (1, 0)], [(2**53, G)], "beyond 2\\*\\*53"),
+    ([(1, 1)], [(2**60,)], "beyond 2\\*\\*53"),
+])
+def test_grid_envelope_rejects_what_it_cannot_compute_exactly(rows, columns, error):
+    with pytest.raises(ValueError, match=error):
+        grid_envelope(rows, _grid_columns(rows, columns))
 
 
 def _reference_value(f, q):
