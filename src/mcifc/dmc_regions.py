@@ -127,14 +127,14 @@ class RegimeReport:
     part in equality and stay out of the JSON form.
 
     A pass of a check seeded by an integer also keeps `batches`, the
-    composed batch of each checked chunk, as long as their cells total at
-    most one full batch (_KEPT_CELLS); `stream`, the (samples, seed) they
-    were drawn from; and `resume`, the generator state at the end of the
-    kept chunks when a chunk of draws follows them (None when nothing was
-    drawn before that chunk, or no chunk follows). `dmc_capacity_region`
-    reuses the batches for a search of the same stream and draws on from
-    `resume`. None of the three takes part in equality, repr or the JSON
-    form.
+    composed batch of each checked chunk from the first on, as long as their
+    cells total at most _KEPT_CELLS, the most one chunk holds (so the first
+    chunk is always kept); `stream`, the (samples, seed) they were drawn
+    from; and `resume`, the generator state at the end of the kept chunks
+    when a chunk of draws follows them (None otherwise).
+    `dmc_capacity_region` reuses the batches for a search of the same stream
+    and draws on from `resume`. None of the three takes part in equality,
+    repr or the JSON form.
     """
 
     klass: str
@@ -209,13 +209,14 @@ def _receiver_sets(outputs: Sequence[tuple[str, int]], strong=(), weak=()) -> di
     }
 
 
-# A batch holds at most this many joints, so at most _CHUNK_CAP * MAX_CELLS
-# cells. Regime checks and capacity regions take their input distributions in
-# chunks of 1, 2, 4, ... rows up to this many (a witness at depth 1 costs one
-# row); verify-fme draws and verifies its instances this many at a time.
+# verify-fme draws and verifies its instances this many at a time, and regime
+# checks and capacity regions take their first chunk of input distributions
+# at this many rows (_chunk_sizes).
 _CHUNK_CAP = 64
 
-# A passing regime report keeps its batches only up to this many cells.
+# One cell budget for two uses: no chunk of input distributions holds more
+# cells than this, and a passing regime report keeps its batches only up to
+# this many cells in all. It admits _CHUNK_CAP joints of MAX_CELLS cells.
 _KEPT_CELLS = _CHUNK_CAP * MAX_CELLS
 
 
@@ -729,19 +730,35 @@ def _draw(rng: np.random.Generator, axes, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(int(np.prod(shape))), size=n).reshape((n,) + shape)
 
 
-def _check_dists(axes, samples: int, rng: np.random.Generator, start: int = 0):
-    """Input distributions over `axes` in chunks of 1, 2, 4, ... rows up to
-    _CHUNK_CAP: the simplex grid, then `samples` Dirichlet draws from `rng`.
-    Yields (rows, state): `state` is rng's state before a sampled chunk was
-    drawn, and None for a chunk of grid points. The first `start` chunks are
-    skipped without drawing them: rng must stand where their draws left it."""
+def _chunk_sizes(cells: int):
+    """The most joints of `cells` cells each chunk may hold, in order:
+    _CHUNK_CAP, then doubling, but never past _KEPT_CELLS cells (so never
+    below _CHUNK_CAP joints, as cells <= MAX_CELLS). A chunk costs nearly the
+    same at any size, and a check failing early pays only for its first."""
+    size = _CHUNK_CAP
+    while True:
+        yield size
+        size = min(2 * size, _KEPT_CELLS // cells)
+
+
+def _check_dists(axes, outputs, samples: int, rng: np.random.Generator, start: int = 0):
+    """Input distributions over `axes`, in chunks of at most _chunk_sizes rows
+    for their joints with a channel of `outputs`: the simplex grid, then
+    `samples` Dirichlet draws from `rng`; no chunk holds both. Yields (rows,
+    state): `state` is rng's state before a sampled chunk was drawn, and None
+    for a chunk of grid points. The first `start` chunks are skipped without
+    drawing them: rng must stand where their draws left it."""
     shape = tuple(k for _, k in axes)
     cells = prod(shape)
     check_cells(cells, "joint")
+    joint_cells = cells * prod(k for _, k in outputs)
+    check_cells(joint_cells, "joint")
     grid = _simplex_grid(cells)
     grid = grid.reshape((len(grid),) + shape)
-    size, done, total, chunk = 1, 0, len(grid) + samples, 0
-    while done < total:
+    done, total = 0, len(grid) + samples
+    for chunk, size in enumerate(_chunk_sizes(joint_cells)):
+        if done == total:
+            return
         n = min(size, (len(grid) if done < len(grid) else total) - done)
         if chunk >= start:
             if done < len(grid):
@@ -750,8 +767,6 @@ def _check_dists(axes, samples: int, rng: np.random.Generator, start: int = 0):
                 state = rng.bit_generator.state
                 yield _draw(rng, axes, n), state
         done += n
-        chunk += 1
-        size = min(2 * size, _CHUNK_CAP)
 
 
 def check_regime(
@@ -785,7 +800,7 @@ def check_regime(
     axes = _input_axes(chan, regime)
     keep = isinstance(seed, (int, np.integer))
     checked, cells, kept, resume = 0, 0, [], None
-    for i, (rows, state) in enumerate(_check_dists(axes, samples, rng)):
+    for i, (rows, state) in enumerate(_check_dists(axes, chan.outputs, samples, rng)):
         batch = _compose(axes, rows, chan.outputs, chan.probs)
         found = _first_violation(batch, sets, _CONDITIONS[klass, regime])
         if found is None:
@@ -855,7 +870,9 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     gridded + sampled input distributions.
 
     The region is that of the report's class, regime and (strong, weak)
-    partition, at the channel's |U|; a failing report raises RegimeError.
+    partition, at the channel's |U|. A failing report raises RegimeError, and
+    so does a search of no input distribution (no samples, and a simplex
+    grid too large to take): a capacity region holds at least the origin.
     The sample stream is prefix-stable in the budget, so a larger budget
     yields a superset. When `search` draws the stream the report was checked
     on, the batches the report kept stand in for drawing and composing those
@@ -875,11 +892,14 @@ def dmc_capacity_region(report: RegimeReport, search: SearchConfig = SearchConfi
     if kept and report.resume is not None:
         rng.bit_generator.state = report.resume
     table = _REGIONS[report.klass, report.regime]
-    batches = chain(kept, (_compose(axes, rows, chan.outputs, chan.probs)
-                           for rows, _ in _check_dists(axes, search.samples, rng, len(kept))))
+    rest = _check_dists(axes, chan.outputs, search.samples, rng, len(kept))
+    batches = chain(kept, (_compose(axes, rows, chan.outputs, chan.probs) for rows, _ in rest))
     grids = [_grid_rows(batch, sets, table) for batch in batches]
-    if not grids:  # no samples, and a simplex grid too large to take
-        return Frontier2D(())
+    if not grids:
+        raise RegimeError(
+            f"the search has no input distribution: {search.samples} samples, and "
+            f"no simplex grid over the {prod(k for _, k in axes)}-cell inputs "
+            f"(over {_GRID_CAP} points)")
     # every batch leaves out the same rows: those over an empty receiver set
     return grid_envelope(grids[0][0], np.concatenate([bounds for _, bounds in grids], axis=1))
 

@@ -108,7 +108,8 @@ def per_joint_capacity_region(report, search):
     axes = dr._input_axes(chan, report.regime)
     table = dr._REGIONS[report.klass, report.regime]
     frontiers = []
-    for rows, _ in dr._check_dists(axes, search.samples, np.random.default_rng(search.seed)):
+    rng = np.random.default_rng(search.seed)
+    for rows, _ in dr._check_dists(axes, chan.outputs, search.samples, rng):
         batch = dr._compose(axes, rows, chan.outputs, chan.probs)
         frontiers += grid_frontiers(*dr._grid_rows(batch, sets, table))
     return concave_envelope(frontiers)

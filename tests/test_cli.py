@@ -509,6 +509,26 @@ def test_zero_counts_are_rejected_not_defaulted(wi_chan, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_dmc_capacity_rejects_a_search_of_no_input_distribution(tmp_path, capsys):
+    # binary inputs: (U, X1, X2) has 20 cells, too many for a simplex grid,
+    # so a VWI or mixed search of no samples would see no input distribution
+    # and print a region without even the origin
+    dmc = write(tmp_path / "dmc.json", {
+        "axes": [["X1", 2], ["X2", 2], ["Y1", 2], ["Z1", 2]],
+        "probs": [0.25] * 16,
+    })
+    out = tmp_path / "out.csv"
+    for regime in (["VWI"], ["mixed", "--partition", "1|"]):
+        assert run(["dmc-capacity", "--in", dmc, "--out", str(out), "--regime", *regime,
+                    "--samples", "5", "--budget", "0"]) == 1
+        assert "no input distribution" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+    # the VSI search still has its simplex grid
+    assert run(["dmc-capacity", "--in", dmc, "--out", str(out), "--regime", "VSI",
+                "--samples", "5", "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] >= 1
+
+
 def test_flags_of_other_subcommands_are_rejected(wi_chan, capsys):
     assert run(["classify", "--in", wi_chan, "--grid", "5"]) == 1
     assert "--grid" in capsys.readouterr().err

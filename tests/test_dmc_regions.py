@@ -975,7 +975,7 @@ def _deep_witness_channel():
 
 
 # The VWI check of _deep_witness_channel with seed 3 first fails at this depth,
-# inside the seventh chunk of draws (rows 63-126); its 20-cell inputs have no
+# inside the second chunk of draws (rows 64-191); its 20-cell inputs have no
 # simplex grid.
 DEEP_DEPTH = 119
 
@@ -1150,7 +1150,7 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
 
     axes = dr._input_axes(chan, "VWI")
     dists = [JointDist(axes, row) for rows, _ in
-             dr._check_dists(axes, 50, np.random.default_rng(6)) for row in rows]
+             dr._check_dists(axes, chan.outputs, 50, np.random.default_rng(6)) for row in rows]
     for dist in dists:
         joint = compose_with_channel(dist, chan)
         r1 = mutual_information(joint, ["U", "X1"], ["Y1"])
@@ -1164,8 +1164,10 @@ def test_ms_vwi_single_secondary_matches_direct_evaluator(rng):
 
 def _passing_checks(rng):
     """(class, regime, partition, channel, samples) of a passing check of each
-    table of _REGIONS, then a multi-primary VSI check on 2048-cell joints:
-    its 165-point grid alone exceeds the cells a report keeps."""
+    table of _REGIONS, then two multi-primary VSI checks past the cells a
+    report keeps: one on 500-cell joints, whose 165-point grid and first
+    chunk of draws fit and whose second chunk of draws does not, and one on
+    2048-cell joints, whose 165-point grid alone exceeds them."""
     base = rng.dirichlet(np.ones(3), size=(2, 2))
     garbled = base @ rng.dirichlet(np.ones(3), size=3)
     outs = {dr.MULTI_PRIMARY: (("Y1", 3), ("Y2", 3), ("Z1", 3)),
@@ -1182,8 +1184,9 @@ def _passing_checks(rng):
         (dr.MULTI_SECONDARY, "VWI", None, chan(dr.MULTI_SECONDARY, garbled, base, base), 40),
         (dr.MULTI_SECONDARY, "mixed", _MS_SPLIT,
          chan(dr.MULTI_SECONDARY, garbled, base, garbled), 40),
-        # 864-cell joints: the kept prefix ends among the draws
-        (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=6), 200),
+        # 500-cell joints: the kept prefix ends among the draws, after the
+        # first chunk of 256 draws
+        (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=5), 400),
         # 2048-cell joints: the kept prefix ends inside the 165-point grid
         (dr.MULTI_PRIMARY, "VSI", None, shared_law_channel(rng, card=8), 20),
     ]
@@ -1210,16 +1213,21 @@ def test_capacity_region_reuses_the_checked_batches(monkeypatch, rng):
         assert rep.passed, (klass, regime, rep.witness)
         assert rep.stream == (samples, seed)
         axes = dr._input_axes(chan, regime)
-        chunks = list(dr._check_dists(axes, samples, np.random.default_rng(seed)))
+        chunks = list(dr._check_dists(axes, chan.outputs, samples, np.random.default_rng(seed)))
         if len(rep.batches) < len(chunks):
             cuts.append("grid" if chunks[len(rep.batches) - 1][1] is None else "draws")
         bare = replace(rep, batches=())
-        # a search of no samples has no input distribution at all where the
-        # simplex grid is too large to be taken (the VWI and mixed checks)
         for search in (dr.SearchConfig(samples, seed), dr.SearchConfig(samples + 7, seed),
                        dr.SearchConfig(samples, seed + 1), dr.SearchConfig(0, seed)):
             composed.clear()
             drawn.clear()
+            if search.samples == 0 and regime != "VSI":
+                # no samples, and the simplex grid of the VWI and mixed
+                # inputs is too large to be taken: no input distribution
+                for report in (rep, bare):
+                    with pytest.raises(dr.RegimeError, match="no input distribution"):
+                        dr.dmc_capacity_region(report, search)
+                continue
             fr = dr.dmc_capacity_region(rep, search)
             if search == dr.SearchConfig(samples, seed):
                 # only the chunks past the kept prefix are drawn and composed again
@@ -1263,6 +1271,107 @@ def test_kept_batches_change_nothing_visible(rng):
                               samples=50, seed=0)
     assert not failing.passed
     assert (failing.batches, failing.stream, failing.resume) == ((), None, None)
+
+
+def _doubling_to_cap(cells):
+    """The chunk schedule before chunks were sized by cells: 1, 2, 4, ... up
+    to _CHUNK_CAP joints, whatever their cells."""
+    size = 1
+    while True:
+        yield size
+        size = min(2 * size, dr._CHUNK_CAP)
+
+
+def _flat_cap(cells):
+    while True:
+        yield dr._CHUNK_CAP
+
+
+CHUNK_SCHEDULES = {"doubling to the cap": _doubling_to_cap, "flat cap": _flat_cap,
+                   "by cells": dr._chunk_sizes}
+
+# (index into _passing_checks, its rng seed, log10 of the weight): that
+# passing check's channel mixed with a random one fails the check of seed 3
+# first at depth 2 (VSI, inside the grid), 3, 64 (the last row of a 64-joint
+# chunk), 73, 118, 146 or 174 (among the draws)
+_MIXED_FAILURES = [(0, 39, -1), (1, 14, -0.25), (1, 30, -0.5), (2, 36, -0.25),
+                   (3, 39, -1), (4, 2, -0.5), (5, 23, -1), (5, 33, -0.25)]
+
+
+def _failing_checks():
+    for index, seed, exponent in _MIXED_FAILURES:
+        klass, regime, partition, chan, _ = _passing_checks(np.random.default_rng(seed))[index]
+        bad = random_channel(np.random.default_rng(100 + seed), outputs=chan.outputs)
+        w = 10 ** exponent
+        mixed = DmcChannel(2, 2, chan.outputs, (1 - w) * chan.probs + w * bad.probs)
+        yield klass, regime, partition, mixed, 300
+
+
+def _checked_under_schedule(klass, regime, partition, chan, samples):
+    """What a check of seed 3, by integer and by Generator, shows: the
+    report, its witness to the bit, the Generator's state afterwards and,
+    on a pass, the capacity region of the checked stream."""
+    shown = []
+    for seed in (3, np.random.default_rng(3)):
+        rep = dr.check_regime(chan, klass, regime, samples=samples, seed=seed,
+                              partition=partition)
+        shown.append((rep.passed, rep.samples_checked))
+        if rep.witness:
+            w = rep.witness
+            shown.append((w.receiver, w.condition, w.margin.hex(), w.dist.axes,
+                          w.dist.probs.tobytes()))
+        if isinstance(seed, np.random.Generator):
+            shown.append(seed.bit_generator.state)
+        elif rep.passed:
+            shown.append(dr.dmc_capacity_region(rep, dr.SearchConfig(samples, 3)).points)
+    return shown
+
+
+def test_chunk_schedule_changes_no_report_or_region(monkeypatch, rng):
+    checks = _passing_checks(rng) + list(_failing_checks())
+    compose, composed = dr._compose, []
+
+    def counting_compose(*args):
+        composed.append(len(args[1]))
+        return compose(*args)
+
+    monkeypatch.setattr(dr, "_compose", counting_compose)
+    shown, chunks = {}, {}
+    for name, schedule in CHUNK_SCHEDULES.items():
+        monkeypatch.setattr(dr, "_chunk_sizes", schedule)
+        composed.clear()
+        shown[name] = [_checked_under_schedule(*check) for check in checks]
+        chunks[name] = len(composed)
+    assert sum(not s[0][0] for s in shown["by cells"]) == len(_MIXED_FAILURES)
+    assert shown["doubling to the cap"] == shown["flat cap"] == shown["by cells"]
+    # each schedule did cut the same streams into chunks of its own
+    assert chunks["doubling to the cap"] > chunks["flat cap"] > chunks["by cells"]
+
+
+@pytest.mark.parametrize("axes, outputs, samples", [
+    # 108-cell joints with a 165-point grid
+    ((("X1", 2), ("X2", 2)), (("Y1", 3), ("Y2", 3), ("Z1", 3)), 3000),
+    # 4000-cell joints, near MAX_CELLS
+    ((("X1", 2), ("X2", 2)), (("Y1", 10), ("Y2", 10), ("Z1", 10)), 300),
+    # 4080-cell joints without a grid
+    ((("U", 5), ("X1", 2), ("X2", 2)), (("Y1", 2), ("Z1", 102)), 300),
+    # fewer draws than a first chunk
+    ((("U", 5), ("X1", 2), ("X2", 2)), (("Y1", 3), ("Z1", 3)), 10),
+])
+def test_chunks_start_at_the_cap_and_hold_at_most_the_kept_cells(axes, outputs, samples):
+    cells = int(np.prod([k for _, k in axes + outputs]))
+    grid = len(dr._simplex_grid(int(np.prod([k for _, k in axes]))))
+    chunks = [len(rows) for rows, _ in
+              dr._check_dists(axes, outputs, samples, np.random.default_rng(0))]
+    assert chunks[0] == min(dr._CHUNK_CAP, grid or samples)
+    assert max(chunks) * cells <= dr._KEPT_CELLS
+    assert sum(chunks) == grid + samples
+
+
+def test_chunks_of_joints_past_the_cell_cap_are_rejected():
+    outputs = (("Y1", 64), ("Z1", 64))
+    with pytest.raises(AlphabetError, match="product alphabet has 16384 cells"):
+        next(dr._check_dists((("X1", 2), ("X2", 2)), outputs, 5, np.random.default_rng(0)))
 
 
 # -- counterexample search ------------------------------------------------------
@@ -1356,7 +1465,7 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
     pieces = []
     axes = dr._input_axes(chan, "VWI")
     dists = [JointDist(axes, row) for rows, _ in
-             dr._check_dists(axes, 40, np.random.default_rng(13)) for row in rows]
+             dr._check_dists(axes, chan.outputs, 40, np.random.default_rng(13)) for row in rows]
     for dist in dists:
         joint = compose_with_channel(dist, chan)
         r1 = mutual_information(joint, ["X1", "U"], ["Y1"])
