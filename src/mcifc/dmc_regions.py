@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .info_theory import (
-    K_LAST_MIN,
     MAX_CELLS,
     AlphabetError,
     DistributionError,
@@ -222,9 +221,9 @@ _KEPT_CELLS = _CHUNK_CAP * MAX_CELLS
 
 class _Batch:
     """A stack of joints (*shape, K) over the axes `names`, the joint index
-    last (see _compose for its memory layout), and the one evaluator of the
-    MI tables on it. Each subset entropy and each MI term is computed once
-    per batch, for all K joints at a time."""
+    last and innermost in memory (as _compose builds it, at every K), and
+    the one evaluator of the MI tables on it. Each subset entropy and each
+    MI term is computed once per batch, for all K joints at a time."""
 
     def __init__(self, names: Sequence[str], joints: np.ndarray):
         self.index = {n: i for i, n in enumerate(names)}
@@ -298,29 +297,20 @@ def _compose(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     shaped (1, ..., 1, x1, x2, *outputs, K) to broadcast over the auxiliary
     axes.
 
-    From K_LAST_MIN joints up the product is built with the joint index
-    innermost in memory, where stack_entropy sums over all K lanes at once;
-    a smaller stack is built joint-first, the memory stack_entropy sums it
-    in with numpy, so that neither copies it.
+    The product is built with the joint index innermost in memory, at
+    every K, which is the layout stack_entropy sums in without a copy.
     """
     k = len(inputs)
     check_cells(inputs[0].size * prod(n for _, n in outputs), "joint")
     per_joint = probs.ndim > 2 + len(outputs)
-    if k < K_LAST_MIN:
-        if per_joint:
-            probs = probs.transpose((probs.ndim - 1,) + tuple(range(probs.ndim - 1)))
-        joints = inputs.reshape(inputs.shape + (1,) * len(outputs)) * probs
-        sums = joints.reshape(k, -1).sum(axis=1)
-        joints = joints.transpose(tuple(range(1, joints.ndim)) + (0,))
-    else:
-        lanes = inputs.transpose(tuple(range(1, inputs.ndim)) + (0,))
-        joints = np.multiply(lanes.reshape(lanes.shape[:-1] + (1,) * len(outputs) + (k,)),
-                             probs if per_joint else probs[..., None], order="C")
-        # each joint summed over its input cells, then over its output cells,
-        # every add over a whole row of lanes: summing at most MAX_CELLS cells
-        # in this order rather than numpy's pairwise one moves a total by far
-        # less than SUM_TOL
-        sums = joints.reshape(inputs[0].size, -1).sum(axis=0).reshape(-1, k).sum(axis=0)
+    lanes = inputs.transpose(tuple(range(1, inputs.ndim)) + (0,))
+    joints = np.multiply(lanes.reshape(lanes.shape[:-1] + (1,) * len(outputs) + (k,)),
+                         probs if per_joint else probs[..., None], order="C")
+    # each joint summed over its input cells, then over its output cells,
+    # every add over a whole row of lanes: summing at most MAX_CELLS cells
+    # in this order rather than numpy's pairwise one moves a total by far
+    # less than SUM_TOL
+    sums = joints.reshape(inputs[0].size, -1).sum(axis=0).reshape(-1, k).sum(axis=0)
     check_probabilities(joints, sums, "joint")
     return _Batch([n for n, _ in tuple(axes) + outputs], joints)
 

@@ -120,9 +120,6 @@ class JointDist:
         except ValueError:
             raise AlphabetError(f"unknown variable {name!r}; have {self.names}") from None
 
-    def size_of(self, name: str) -> int:
-        return self.axes[self.axis_index(name)][1]
-
     def to_json_dict(self) -> dict:
         return {
             "axes": [[n, k] for n, k in self.axes],
@@ -228,14 +225,6 @@ def _subset_entropy(probs: np.ndarray, keep_idx: Iterable[int]) -> float:
 # accumulators, and splits a longer run in two.
 _PW_BLOCKSIZE = 128
 
-# stack_entropy sums a stack of fewer joints than this with numpy's own sum,
-# on a joint-first copy (free when the stack is joint-first in memory): below
-# it, the fixed cost of the K-last sums exceeds what they save. On the 64- to
-# 1620-cell joints of the regime checks they break even at 3 to 10 joints,
-# earliest on binary outputs.
-K_LAST_MIN = 8
-
-
 def _pairwise_sum(a: np.ndarray, n: int) -> np.ndarray:
     """numpy's pairwise_sum of the n terms along axis -2 of `a` (..., n, K),
     each of its adds taken over the K lanes of the last axis at once."""
@@ -265,22 +254,19 @@ def _pairwise_sum(a: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)  # keyed by joint shape and kept axes: at most 2**len(shape) each
 def _marginal_plan(shape: tuple[int, ...], keep: tuple[int, ...]):
-    """How to sum joints of `shape` down to the axes `keep`.
+    """How to sum a stack (*shape, K) of joints down to the axes `keep`.
 
-    On a stack (*shape, K): axes of size 1 are left out, as numpy's iterator
-    leaves them out, and the dropped axes after the last kept one are merged
-    into one run of `run` terms, the last axis of `merged` when run > 1;
-    `outer` are the dropped axes of `merged` before it. On a joint-first copy
-    (K, *shape), made by the transpose `first`, numpy sums the axes `drop`.
+    Axes of size 1 are left out, as numpy's iterator leaves them out, and
+    the dropped axes after the last kept one are merged into one run of
+    `run` terms, the last axis of `merged` when run > 1; `outer` are the
+    dropped axes of `merged` before it.
     """
     axes = [(size, i in keep) for i, size in enumerate(shape) if size > 1]
     last = max((j for j, (_, kept) in enumerate(axes) if kept), default=-1)
     run = math.prod(size for size, _ in axes[last + 1:])
     merged = tuple(size for size, _ in axes[:last + 1]) + ((run,) if run > 1 else ())
     outer = tuple(j for j, (_, kept) in enumerate(axes[:last + 1]) if not kept)
-    first = (len(shape),) + tuple(range(len(shape)))
-    drop = tuple(i + 1 for i in range(len(shape)) if i not in keep)
-    return merged, outer, run, first, drop
+    return merged, outer, run
 
 
 def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -288,17 +274,13 @@ def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     the rows of a (K, cells) array, each summed bit for bit as numpy's sum of
     that one joint sums it.
 
-    Below K_LAST_MIN joints that is numpy's own sum, on a joint-first copy
-    (no copy when the stack is joint-first in memory). Otherwise each add runs over the K lanes at once, in the order numpy's
-    sum takes on a stack (K, *shape): the terms of the trailing dropped run
-    by pairwise_sum, then those sums one at a time, in C order, over the
-    other dropped axes.
+    Each add runs over the K lanes of the last axis at once, in the order
+    numpy's sum takes on a stack (K, *shape): the terms of the trailing
+    dropped run by pairwise_sum, then those sums one at a time, in C order,
+    over the other dropped axes.
     """
-    merged, outer, run, first, drop = _marginal_plan(stack.shape[:-1], keep)
+    merged, outer, run = _marginal_plan(stack.shape[:-1], keep)
     k = stack.shape[-1]
-    if k < K_LAST_MIN:
-        joints = np.ascontiguousarray(stack.transpose(first))
-        return (np.add.reduce(joints, axis=drop) if drop else joints).reshape(k, -1)
     marg = stack.reshape(merged + (k,))
     if run > 1:
         marg = _pairwise_sum(marg, run)
@@ -310,11 +292,14 @@ def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
     """H(variables at keep_idx) of each joint of a stack (*shape, K), in bits.
 
-    Row k equals _subset_entropy(stack[..., k], keep_idx) bit for bit: its
-    marginal is summed in numpy's own order (see _marginals), then -p*log2(p)
-    is summed over its nonzero cells in their original order and over
-    exactly that many of them, since a padding zero changes numpy's pairwise
-    grouping of a sum of 8 or more terms.
+    The stack is summed with the joint index innermost at every K, 1
+    included: a C-contiguous stack in place, any other after the reshape
+    that merges its axes copies it. Row k equals
+    _subset_entropy(stack[..., k], keep_idx) bit for bit: its marginal is
+    summed in numpy's own order (see _marginals), then -p*log2(p) is summed
+    over its nonzero cells in their original order and over exactly that
+    many of them, since a padding zero changes numpy's pairwise grouping of
+    a sum of 8 or more terms.
     """
     flat = _marginals(stack, tuple(sorted(keep_idx)))
     positive = flat > 0.0

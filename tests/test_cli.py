@@ -64,7 +64,8 @@ def test_region_regime_mismatch_is_validation_error(wi_chan, tmp_path, capsys):
     {"class": "multi_primary", "b": [0, 1], "a": 1e300, "P1": 1e300, "P2": 1e300},
 ])
 def test_region_rejects_a_non_finite_frontier(doc, tmp_path, capsys):
-    # P1 * P2 overflows to inf, and the WI frontier would hold NaN rates
+    # P1 * P2 overflows to inf in the first, a's square in the second, and
+    # the WI frontier would hold NaN rates: the channel record rejects both
     out = tmp_path / "r.csv"
     with np.errstate(all="ignore"):
         code = run(["region", "--in", write(tmp_path / "big.json", doc), "--out", str(out),
@@ -113,19 +114,30 @@ _HUGE_B = {"class": "multi_primary", "P1": 1e-63, "P2": 1e59, "a": -1.194e174,
            "b": [4.84e40, -2.30e16, 3.05, 2.47e181]}
 
 
-@pytest.mark.parametrize("doc, argv, field", [
-    (_HUGE_B, ["classify"], "b[3] = 2.47e+181"),
-    (_HUGE_B, ["region", "--out", "{out}", "--grid", "5"], "b[3] = 2.47e+181"),
+_SQUARE = "its square is non-finite"
+
+
+@pytest.mark.parametrize("doc, argv, field, why", [
+    (_HUGE_B, ["classify"], "b[3] = 2.47e+181", _SQUARE),
+    (_HUGE_B, ["region", "--out", "{out}", "--grid", "5"], "b[3] = 2.47e+181", _SQUARE),
     ({"P1": 1, "P2": 1, "a1": 2e160, "a2": 0.5, "b": 0.3},
-     ["dpc-compare", "--out", "{out}", "--grid", "3"], "a1 = 2e+160"),
-], ids=["classify", "region", "dpc-compare"])
-def test_a_gain_whose_square_overflows_is_named(doc, argv, field, tmp_path, capsys):
-    # Python's float g**2 raises OverflowError once |g| > 1.34e154
+     ["dpc-compare", "--out", "{out}", "--grid", "3"], "a1 = 2e+160", _SQUARE),
+    ({"class": "multi_primary", "b": [0.5, 1e150], "a": 0.3, "P1": 1e10, "P2": 1e10},
+     ["classify"], "b[1] = 1e+150",
+     "full-correlation power 1 + b[1]^2*P2 + P1 + 2|b[1]|*sqrt(P1*P2) is non-finite"),
+    ({"class": "multi_secondary", "b": 0.5, "a": [2, 1e150], "P1": 1e10, "P2": 1e10},
+     ["classify"], "a[1] = 1e+150",
+     "full-correlation power 1 + a[1]^2*P1 + P2 + 2|a[1]|*sqrt(P1*P2) is non-finite"),
+], ids=["classify", "region", "dpc-compare", "primary-power", "secondary-power"])
+def test_a_gain_whose_square_overflows_is_named(doc, argv, field, why, tmp_path, capsys):
+    # Python's float g**2 raises OverflowError once |g| > 1.34e154; a finite
+    # square can still overflow a receiver's power
     out = tmp_path / "out.csv"
     argv = [a.format(out=out) for a in argv] + ["--in", write(tmp_path / "doc.json", doc)]
     assert run(argv) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert f"gain {field} is too large" in error and "OverflowError" not in error
+    assert error.endswith(why)
     assert not out.exists()
 
 
@@ -145,20 +157,37 @@ def test_a_non_finite_covariance_is_a_model_error(tmp_path, capsys):
     assert error == "GaussianModelError: covariance entries must be finite"
 
 
-def test_an_overflowing_sweep_prints_its_error_line_alone(tmp_path):
-    # in a fresh interpreter, where numpy's overflow and invalid-value
-    # warnings would print ahead of the error line
+def _error_line_alone(argv, doc, tmp_path) -> str:
+    """Run argv on `doc` in a fresh interpreter, where numpy's overflow and
+    invalid-value warnings would print ahead of the error line: it exits 1,
+    writes no artifact and nothing to stdout, and its stderr is exactly one
+    JSON error line. Returns the error."""
     import mcifc
 
     env = dict(os.environ, PYTHONPATH=str(Path(mcifc.__file__).resolve().parent.parent))
     out = tmp_path / "out.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "mcifc.cli", "dpc-compare", "--in",
-         write(tmp_path / "doc.json", _OVERFLOWING_DPC), "--out", str(out), "--grid", "3"],
-        env=env, capture_output=True, text=True)
+        [sys.executable, "-m", "mcifc.cli", *argv, "--in", write(tmp_path / "doc.json", doc),
+         "--out", str(out)], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == '{"error": "GaussianModelError: covariance entries must be finite"}\n'
+    error = json.loads(proc.stderr)["error"]
+    assert proc.stderr == json.dumps({"error": error}) + "\n"
     assert not out.exists()
+    return error
+
+
+def test_an_overflowing_sweep_prints_its_error_line_alone(tmp_path):
+    error = _error_line_alone(["dpc-compare", "--grid", "3"], _OVERFLOWING_DPC, tmp_path)
+    assert error == "GaussianModelError: covariance entries must be finite"
+
+
+def test_overflowing_powers_print_their_error_line_alone(tmp_path):
+    # P1 * P2 overflows; it printed two numpy warnings, then a FrontierError
+    # on the point (0.0, nan)
+    doc = {"class": "multi_primary", "b": [0.5, 0.9], "a": 0.3, "P1": 1e155, "P2": 1e155}
+    error = _error_line_alone(["region", "--regime", "WI", "--grid", "5"], doc, tmp_path)
+    assert error == ("GaussianModelError: powers P1 = 1e+155 and P2 = 1e+155 are too "
+                     "large: P1*P2 is non-finite")
 
 
 # cells of 0, subnormals and 1e-300 beside ordinary weights, each (x1, x2)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mcifc.info_theory import (
-    K_LAST_MIN,
     MAX_CELLS,
     AlphabetError,
     DistributionError,
@@ -947,8 +946,8 @@ def test_head_entropies_equal_a_fresh_batch_bitwise(rng):
         batch.head(n)
         assert not batch.joints.flags.c_contiguous
         fresh = dr._compose(U_AXES, stack[:n], chan.outputs, chan.probs)
-        # fewer than K_LAST_MIN joints are composed joint-first in memory
-        assert np.moveaxis(fresh.joints, -1, 0).flags.c_contiguous == (n < K_LAST_MIN)
+        # every stack, one joint included, is composed K-last in memory
+        assert fresh.joints.flags.c_contiguous and fresh.joints.shape[-1] == n
         assert batch.entropy(frozenset({"U", "Y1"})).tolist() == before[:n].tolist()
         for subset in subsets:
             assert batch.entropy(subset).tolist() == fresh.entropy(subset).tolist(), (n, subset)

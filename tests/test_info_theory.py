@@ -183,8 +183,12 @@ def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
         rows = rng.dirichlet(np.ones(cells), size=k)
         # zeros among 8 or more cells: padding them into a sum would regroup it
         rows[::2] *= rng.random(rows[::2].shape) < 0.5
-        rows[k // 2] = 0.0
-        rows[k // 2, rng.integers(cells)] = 1.0
+        # a point mass among the rows, but not as the only row of K = 1, whose
+        # marginals must be true sums; the per-row check below still sums it
+        # as a stack of one
+        if k > 1:
+            rows[k // 2] = 0.0
+            rows[k // 2, rng.integers(cells)] = 1.0
         rows = rows.reshape((k,) + shape)
         stack = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
         for n in range(len(shape) + 1):
@@ -194,7 +198,7 @@ def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
                        f"sums marginals as numpy {np.__version__}'s own sum does; if "
                        f"numpy changed the order of its reductions (pairwise_sum or "
                        f"the iteration order of a multi-axis sum), the K-last sums "
-                       f"of info_theory._stack_marginal must follow it")
+                       f"of info_theory._marginals must follow it")
                 assert stack_entropy(stack, keep).tolist() == want, why
                 # the same stack held joint-first in memory
                 assert stack_entropy(np.moveaxis(rows, 0, -1), keep).tolist() == want, why

@@ -13,7 +13,10 @@ side's median and quartiles over the pairs and the share of pairs the working
 tree won (ties count for neither), and each side's failed ops. A metric
 whose tree median is worse than the rev median by more than its
 `BENCHMARK.json` bound is marked WORSE, and the exit status is 1 when any
-metric is marked, 0 otherwise.
+metric is marked WORSE, 0 otherwise. A metric whose rev IQR exceeds its
+bound times the rev median is marked UNRESOLVED, unless every tree run beats
+every rev run: its runs spread too widely for a change of the median to be
+read as a move.
 """
 
 from __future__ import annotations
@@ -93,10 +96,12 @@ def main(argv: list[str] | None = None) -> int:
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
         if sign * (omed - nmed) / omed > m["bound"]:
             worse.append(name)
+        unresolved = oq3 - oq1 > m["bound"] * omed \
+            and not min(sign * b for b in new) > max(sign * a for a in old)
         print(f"{name:12s} {oq1:9.4g} {omed:9.4g} {oq3:9.4g}  {nq1:9.4g} {nmed:9.4g} "
               f"{nq3:9.4g} {(nmed - omed) / omed:+8.1%} {won:4d}/{len(old)}"
               f"  (rev IQR {oq3 - oq1:.4g}, bound {m['bound']:.0%})"
-              + ("  WORSE" if name in worse else ""))
+              + ("  WORSE" if name in worse else "") + ("  UNRESOLVED" if unresolved else ""))
     for side in runs:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
