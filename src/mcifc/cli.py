@@ -296,16 +296,7 @@ def _cmd_dpc_compare(args) -> int:
     rows = dpc.comparison_sweep(cfg, eta_grid=args.grid)
     for path, text in dpc.sweep_artifacts(cfg, rows, args.out):
         _write_artifact(path, text)
-    strict = max(r["R2_md"] - r["R2_cd"] for r in rows)
-    _emit({
-        "rows": len(rows),
-        "out": args.out,
-        "max_md_minus_cd": strict,
-        "all_below_outer": bool(all(
-            r["R2_md"] <= r["R2_outer"] + 1e-9 and r["R2_cd"] <= r["R2_outer"] + 1e-9
-            for r in rows
-        )),
-    })
+    _emit({"rows": len(rows), "out": args.out, **dpc.sweep_summary(rows)})
     return 0
 
 

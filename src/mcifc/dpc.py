@@ -14,6 +14,7 @@ an error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +22,7 @@ import numpy as np
 
 from .gaussian import (
     COV_RIDGE, CovMatrix, GaussianModelError, SingularCovarianceError, binding_eta,
-    check_gains_and_powers, gaussian_mi, golden_section, half_log2, lane_max, lane_min,
-    sorted_unique,
+    check_gains_and_powers, gaussian_mi, golden_section, half_log2, sorted_unique,
 )
 from .polytope import Frontier2D, monotone_frontier
 
@@ -125,7 +125,7 @@ class _Lanes:
         cfg = self.cfg
         num = cfg.b**2 * cfg.P2 + cfg.P1 + 2 * cfg.b * cfg.rho * np.sqrt(cfg.P1 * self.P_u) + 1.0
         den = cfg.b**2 * self.eta * cfg.P2 + 1.0
-        return lane_max([0.0, half_log2(num / den)])
+        return np.fmax(0.0, half_log2(num / den))
 
     def md_objective(self):
         """The objective x -> MD rate at private-description power x[l, k] in
@@ -137,7 +137,7 @@ class _Lanes:
         def rate(x):
             sq = np.sqrt(x + 1.0)
             mismatch = scale * ((P_v - x) / sq) / spread
-            return lane_max([0.0, clean - half_log2(mismatch + (x + 1.0 if linear else sq))])
+            return np.fmax(0.0, clean - half_log2(mismatch + (x + 1.0 if linear else sq)))
         return rate
 
     def cd_rate(self) -> np.ndarray:
@@ -202,7 +202,7 @@ class _Lanes:
         to_z1 = gaussian_mi(cov, {"V"}, {"Z1"})
         shared = gaussian_mi(cov, {"V"}, {"Xu", "X1"})
         to_z2 = gaussian_mi(cov, {"V"}, {"Z2"})
-        return np.stack([lane_max([0.0, to_z - shared]) for to_z in (to_z1, to_z2)])
+        return np.fmax(0.0, np.stack([to_z1 - shared, to_z2 - shared]))
 
     def block(self) -> np.ndarray:
         """Block-expansion rate per lane (0 without precoded power), the
@@ -235,12 +235,10 @@ class _Lanes:
         ok &= (0.0 < t_cross) & (t_cross < 1.0)
         ts = np.linspace(0.0, 1.0, 201)
         t = np.concatenate([np.broadcast_to(ts, (len(d0), len(ts))), t_cross], axis=1)
-        worst = lane_min([t * r[0] + (1 - t) * r[1] for r in rate])
+        # the worse receiver's rate at each t (min over the receiver axis),
+        # -inf at a lane's missing crossing, then its max over t
+        worst = (t * rate[:, 0] + (1 - t) * rate[:, 1]).min(axis=0)
         worst[~ok[:, 0], -1] = -np.inf
-        # max() over t keeps lane_max's bits: every slot rate is clamped to a
-        # finite value >= +0.0 (slot_rates) and t, 1 - t >= 0, so each entry is
-        # finite and >= +0.0, or -inf where no crossing exists. With no NaN and
-        # no -0.0, max and lane_max's first-of-equal rule pick the same bits.
         out[on] = worst.max(axis=1)
         return out
 
@@ -254,8 +252,17 @@ def _one(cfg: DpcConfig) -> _Lanes:
 
 def _pow2(v: np.ndarray) -> np.ndarray:
     """v**2 per lane by the scalar power (libm pow): an array's ** 2
-    multiplies instead, which rounds differently in about 1 of 1200 draws."""
-    return np.array([x**2 for x in v.tolist()])
+    multiplies instead, which rounds differently in about 1 of 1200 draws.
+    A square past the float range is inf, as libm gives it, where Python's
+    float power raises OverflowError."""
+    return np.array([_square(x) for x in v.tolist()])
+
+
+def _square(x: float) -> float:
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _scan_points(stop: np.ndarray, n: int) -> np.ndarray:
@@ -420,8 +427,8 @@ def numeric_dpc_oracle(cfg: DpcConfig, gamma_points: int = 201,
         # is a min of two smooth curves; the kink sits between grid points)
         def f(alpha: np.ndarray) -> np.ndarray:
             cov = CovMatrix(_PRECODING, lanes.precoding(gammas[:1], alpha))
-            return lane_min(
-                gaussian_mi(cov, {"V"}, {z}) for z in ("Z1", "Z2")
+            return np.minimum(
+                gaussian_mi(cov, {"V"}, {"Z1"}), gaussian_mi(cov, {"V"}, {"Z2"})
             ) - gaussian_mi(cov, {"V"}, {"Xu", "X1"})
         a, b = golden_section(f, [max(-amax, alpha_star - alpha_step)],
                               [min(amax, alpha_star + alpha_step)], 50)
@@ -499,6 +506,18 @@ def comparison_sweep(cfg: DpcConfig, eta_grid: int = 101) -> list[dict]:
         columns = (etas, lanes.r1(), cd, md, x_star, lanes.block(),
                    half_log2(1.0 + etas * cfg.P2))
     return [dict(zip(SWEEP_COLUMNS, vals)) for vals in zip(*(c.tolist() for c in columns))]
+
+
+def sweep_summary(rows: list[dict]) -> dict:
+    """The summary `dpc-compare` prints of a sweep's rows: the largest gain
+    of MD over CD, and whether the CD and MD rates of every row lie below its
+    outer R2 cap (within 1e-9)."""
+    return {
+        "max_md_minus_cd": max(r["R2_md"] - r["R2_cd"] for r in rows),
+        "all_below_outer": all(
+            r["R2_md"] <= r["R2_outer"] + 1e-9 and r["R2_cd"] <= r["R2_outer"] + 1e-9
+            for r in rows),
+    }
 
 
 def sweep_artifacts(cfg: DpcConfig, rows: list[dict], out_path: str | Path) -> list:

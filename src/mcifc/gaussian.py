@@ -44,26 +44,6 @@ def half_log2(x: float) -> float:
     return 0.5 * np.log2(x)
 
 
-def lane_min(values):
-    """Lane-wise min() of a sequence of arrays (or scalars), by min()'s rule:
-    a later value replaces the running one only when strictly smaller, so the
-    first of equal values wins (0.0 against -0.0, too)."""
-    it = iter(values)
-    acc = next(it)
-    for v in it:
-        acc = np.where(v < acc, v, acc)
-    return acc
-
-
-def lane_max(values):
-    """Lane-wise max() of a sequence of arrays (or scalars), by max()'s rule."""
-    it = iter(values)
-    acc = next(it)
-    for v in it:
-        acc = np.where(v > acc, v, acc)
-    return acc
-
-
 def check_gain(name: str, g: float, error: type[ValueError]) -> None:
     """Raise `error` when the gain `name` = g is not finite, or when its
     square overflows a float: g**2 of a Python float then raises a bare
@@ -428,10 +408,9 @@ def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
 def _golden_max(f, lo, hi):
     """Maxima of concave functions on [lo, hi], one per lane, after 44 golden
     steps; also probes the endpoints, so monotone objectives resolve to the
-    exact boundary value. Takes the first of (lo, hi, mid) on ties."""
+    exact boundary value."""
     a, b = golden_section(f, lo, hi, 44)
-    vals = np.stack([f(x) for x in (lo, hi, 0.5 * (a + b))])
-    return vals[np.argmax(vals, axis=0), np.arange(vals.shape[1])]
+    return np.stack([f(x) for x in (lo, hi, 0.5 * (a + b))]).max(axis=0)
 
 
 def _coherent(chan: GaussianMultiPrimary) -> bool:
@@ -475,12 +454,12 @@ def _sum_cap(chan: GaussianMultiPrimary, subset, root):
     """The objective rho -> min over j in subset of
     1/2 log2(1 + b_j^2 P2 + P1 + 2 b_j rho root), for `root` a scalar or one
     value per lane. Its rho-free terms are computed once; each call evaluates
-    the receivers as one (N, L) array and takes their lane_min in subset
-    order."""
+    the receivers as one (N, L) array and takes its minimum over the receiver
+    axis."""
     _, base, twice = _receiver_terms(chan, subset)
 
     def cap(rho):
-        return lane_min(half_log2(base + twice * rho * root))
+        return half_log2(base + twice * rho * root).min(axis=0)
     return cap
 
 
@@ -500,7 +479,7 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     root = np.sqrt(chan.P1 * P2)
     sum_cap = _sum_cap(chan, range(chan.n_primary), root)
     r2_top = _golden_max(
-        lambda r: lane_min([half_log2(1 + (1 - r * r) * P2), sum_cap(r)]),
+        lambda r: np.minimum(half_log2(1 + (1 - r * r) * P2), sum_cap(r)),
         np.array([-1.0]), np.array([1.0]),
     )
     etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
@@ -522,7 +501,7 @@ def _wi_r1(chan: GaussianMultiPrimary, subset, eta):
     den = 1 + sq * eta * P2
 
     def r1(rho):
-        return lane_min(half_log2((base + twice * rho * root) / den))
+        return half_log2((base + twice * rho * root) / den).min(axis=0)
     return r1
 
 
@@ -553,7 +532,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
         suffix_max = np.maximum.accumulate(g[len(qs):][::-1])[::-1]
         # a sample above the last grid eta finds the -inf pad
         suffix_max = np.append(suffix_max, -np.inf)
-        r1 = lane_max([r1, suffix_max[np.searchsorted(etas, eta0)]])
+        r1 = np.maximum(r1, suffix_max[np.searchsorted(etas, eta0)])
     return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
@@ -592,7 +571,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
         parts.append(lambda rho: cap(rho) - lane_r2)
 
     def obj(rho):
-        return lane_min([part(rho) for part in parts])
+        return np.minimum.reduce([part(rho) for part in parts])
 
     ones = np.ones(len(lane_eta))
     h = _golden_max(obj, -ones, ones)
@@ -600,8 +579,8 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
     if not coherent:
         tried = np.full(above.shape, -np.inf)
         tried[above] = h[len(qs):]
-        r1 = lane_max([r1, *tried.T])
-    r1 = lane_max([r1, 0.0])
+        r1 = np.maximum(r1, tried.max(axis=1))
+    r1 = np.maximum(r1, 0.0)
     return monotone_frontier(zip(qs.tolist(), r1.tolist()))
 
 
@@ -622,7 +601,7 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
                          + 2 * abs(b) * np.sqrt(np.maximum(0.0, 1 - eta) * P1 * P2))
 
     r2_top = _golden_max(
-        lambda e: lane_min([half_log2(1 + e * P2), sum_cap(e)]),
+        lambda e: np.minimum(half_log2(1 + e * P2), sum_cap(e)),
         np.array([0.0]), np.array([1.0]),
     )
     etas = np.linspace(0.0, 1.0, eta_grid)

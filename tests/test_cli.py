@@ -196,9 +196,17 @@ def _error_line_alone(argv, doc, tmp_path) -> str:
     return error
 
 
+# sqrt(v1) + sqrt(v2) passes 1.34e154, so its square in `_Lanes` is past the
+# float range: Python's float power raised a bare OverflowError on it
+_OVERFLOWING_SQUARE_DPC = {"P1": 0.936501157619734, "P2": 1.2623787689700171e+308,
+                           "a1": -1.8678313800670132, "a2": 3.01101790759392,
+                           "b": -0.8699614685787047}
+
+
 def test_an_overflowing_sweep_prints_its_error_line_alone(tmp_path):
-    error = _error_line_alone(["dpc-compare", "--grid", "3"], _OVERFLOWING_DPC, tmp_path)
-    assert error == "GaussianModelError: covariance entries must be finite"
+    for doc in (_OVERFLOWING_DPC, _OVERFLOWING_SQUARE_DPC):
+        error = _error_line_alone(["dpc-compare", "--grid", "3"], doc, tmp_path)
+        assert error == "GaussianModelError: covariance entries must be finite"
 
 
 def test_overflowing_powers_print_their_error_line_alone(tmp_path):
@@ -517,6 +525,22 @@ def test_dmc_capacity_rejects_a_repeated_receiver(raw, tmp_path, capsys):
         errors.append(json.loads(captured.err)["error"])
         assert not out.exists()
     assert "must split" in errors[0] and errors == errors[:1] * 3
+
+
+@pytest.mark.parametrize("axes, error", [
+    ([["X2", 2], ["X1", 2], ["Y1", 2], ["Z1", 2]],
+     "AlphabetError: channel axes must start with X1, X2"),
+    ([["X1", 2], ["X2", 2], ["W1", 2], ["Z1", 2]],
+     "AlphabetError: output name 'W1' must start with Y or Z"),
+], ids=["inputs-not-first", "output-W1"])
+def test_dmc_capacity_rejects_malformed_axes(axes, error, tmp_path, capsys):
+    dmc = write(tmp_path / "dmc.json", {"axes": axes, "probs": [0.25] * 16})
+    out = tmp_path / "cap.csv"
+    assert run(["dmc-capacity", "--in", dmc, "--regime", "VSI", "--samples", "5",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == error
+    assert not out.exists()
 
 
 def test_region_mixed_with_partition(tmp_path, capsys):

@@ -380,6 +380,26 @@ def test_verify_fme_stack_rejects_an_invalid_row(which, change, match, rng):
         dr.verify_fme_stack(_AXES, stack["inputs"], _OUTPUTS, stack["probs"])
 
 
+@pytest.mark.parametrize("axes, outputs, law_shape, error, match", [
+    ((("Q", 2), ("Q", 2), ("X1", 2), ("X2", 2)), _OUTPUTS, (2, 2, 2, 2), AlphabetError,
+     "duplicate axis names"),
+    ((("Q", 2), ("Y1", 2), ("X1", 2), ("X2", 2)), _OUTPUTS, (2, 2, 2, 2), AlphabetError,
+     "duplicate axis names"),
+    ((("Q", 2), ("X1", 2), ("X2", 2), ("U", 2)), _OUTPUTS, (2, 2, 2, 2), AlphabetError,
+     "must end with X1, X2"),
+    ((("Q", 2), ("U", 2), ("X1", 2), ("X2", 2)), _OUTPUTS, (2, 2, 2, 3), DistributionError,
+     "stack shapes"),
+    ((("Q", 2), ("U", 2), ("X1", 2), ("X2", 2)), (("Y1", 2), ("Z1", 3)), (2, 2, 2, 2),
+     DistributionError, "stack shapes"),
+], ids=["duplicate-input", "input-named-as-output", "not-ending-x1-x2", "law-shape",
+        "output-size"])
+def test_verify_fme_stack_rejects_malformed_axes(axes, outputs, law_shape, error, match, rng):
+    inputs = rng.dirichlet(np.ones(16), size=3).reshape(3, 2, 2, 2, 2)
+    probs = np.full((3,) + law_shape, 1 / np.prod(law_shape[2:]))
+    with pytest.raises(error, match=match):
+        dr.verify_fme_stack(axes, inputs, outputs, probs)
+
+
 def _scale_off_by_1e_9(cells):
     cells *= 1 + 1e-9
 
@@ -794,6 +814,14 @@ def test_mixed_partition_validated(rng):
     for partition in ((("Y1",), ("Y2", "Y2")), (("Y1", "Y1"), ("Y2",)), (("Y1",), (2,))):
         with pytest.raises(dr.RegimeError, match="must split"):
             dr.check_regime(chan, dr.MULTI_PRIMARY, "mixed", samples=5, partition=partition)
+
+
+def test_check_regime_rejects_an_unknown_regime_and_no_samples(rng):
+    chan = random_channel(rng)
+    with pytest.raises(dr.RegimeError, match="^unknown regime 'WI'$"):
+        dr.check_regime(chan, dr.MULTI_SECONDARY, "WI", samples=5)
+    with pytest.raises(dr.RegimeError, match="^samples must be >= 1$"):
+        dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=0)
 
 
 def test_partition_checked_in_every_regime(rng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import scalar_reference as reference
-from mcifc import dpc
 from mcifc.dpc import (
     MD_VARIANTS,
     SWEEP_COLUMNS,
@@ -26,6 +25,7 @@ from mcifc.dpc import (
     weak_outer_bound,
     _PRECODING,
     _Lanes,
+    _pow2,
     _scan_points,
 )
 from mcifc.gaussian import (
@@ -34,8 +34,6 @@ from mcifc.gaussian import (
     SingularCovarianceError,
     gaussian_mi,
     half_log2,
-    lane_max,
-    lane_min,
     wi_input_covariance,
 )
 from scalar_reference import bits
@@ -262,43 +260,6 @@ def test_block_expansion_between_cd_and_outer_at_fig_params():
     assert be <= half_log2(1 + FIG_CFG.P_v) + 1e-9
 
 
-def test_block_reduction_is_lane_max_bit_for_bit(monkeypatch):
-    # block() takes the max over t of the worse time-shared rate with
-    # ndarray.max, which keeps lane_max's bits only while no entry is NaN or
-    # -0.0. The worse rate is the one array block() gets from lane_min.
-    worsts = []
-
-    def recording_lane_min(values):
-        worsts.append(lane_min(values))
-        return worsts[-1]
-
-    monkeypatch.setattr(dpc, "lane_min", recording_lane_min)
-    rng = np.random.default_rng(28)
-    cfgs = [FIG_CFG, replace(FIG_CFG, a2=FIG_CFG.a1),  # equal gains: no crossing
-            DpcConfig(P1=0.0, P2=1.0, a1=0.75, a2=-0.5, b=0.1, rho=0.4),
-            DpcConfig(P1=2.0, P2=0.0, a1=0.3, a2=0.9, b=-0.2, rho=0.5),  # P_v = 0 throughout
-            *(random_cfg(rng) for _ in range(6))]
-    etas = np.linspace(0.0, 1.0, 101)  # eta = 0: a lane with P_v = 0
-    seen = {"off": 0, "no crossing": 0, "crossing": 0}
-    for cfg in cfgs:
-        lanes = _Lanes(cfg, etas)
-        worsts.clear()
-        got = lanes.block()
-        on = lanes.P_v > 0
-        want = np.zeros(len(etas))
-        if on.any():
-            (worst,) = worsts
-            assert not np.isnan(worst).any() and not np.signbit(worst[worst == 0]).any()
-            want[on] = lane_max(worst.T)
-            seen["no crossing"] += int(np.isneginf(worst[:, -1]).sum())
-            seen["crossing"] += int(np.isfinite(worst[:, -1]).sum())
-        else:
-            assert worsts == []
-        seen["off"] += int((~on).sum())
-        assert bits(got) == bits(want), cfg
-    assert min(seen.values()) > 0, seen
-
-
 # -- sweep -------------------------------------------------------------------------
 
 
@@ -419,6 +380,13 @@ def test_scan_points_follow_linspace_per_lane():
     got = _scan_points(stops, 64)
     for k, stop in enumerate(stops):
         assert bits(got[k]) == bits(np.linspace(0.0, stop, 64))
+
+
+def test_pow2_is_the_scalar_square_and_inf_past_the_float_range():
+    # Python's float power raised OverflowError on 1.4e154 and -1e300
+    v = np.array([0.0, -3.0, 1.1, 1e154, 1.4e154, -1e300, np.inf, np.nan])
+    want = [0.0, 9.0, 1.1**2, 1e154**2, np.inf, np.inf, np.inf, np.nan]
+    assert bits(_pow2(v)) == bits(np.array(want))
 
 
 def test_sweep_raises_the_error_a_per_eta_loop_meets_first():

@@ -18,8 +18,6 @@ from mcifc.gaussian import (
     gaussian_mi,
     golden_section,
     half_log2,
-    lane_max,
-    lane_min,
     region,
     region_mp_mixed,
     region_mp_vsi,
@@ -115,6 +113,18 @@ def test_channels_reject_non_finite_gains(bad):
             make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussianMultiPrimary((), 0.3, 1, 1), "need at least one primary gain b_j"),
+    (lambda: GaussianMultiSecondary(0.5, (), 1, 1), "need at least one secondary gain a_k"),
+    (lambda: GaussianMultiPrimary((0.5,), 0.3, -1, 1), "power P1 must be finite and >= 0, got -1"),
+    (lambda: GaussianMultiSecondary(0.5, (0.5,), 1, -0.5),
+     "power P2 must be finite and >= 0, got -0.5"),
+], ids=["mp-no-gain", "ms-no-gain", "mp-negative-power", "ms-negative-power"])
+def test_channels_reject_empty_gains_and_negative_powers(make, message):
+    with pytest.raises(GaussianModelError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 # -- gaussian_mi ---------------------------------------------------------------
 
 
@@ -150,6 +160,11 @@ def test_cov_matrix_validation():
         CovMatrix(("X", "Y"), np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(GaussianModelError):
         CovMatrix(("X", "Y"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(GaussianModelError, match=r"^duplicate variable names \('X', 'X'\)$"):
+        CovMatrix(("X", "X"), np.eye(2))
+    for shape in ((3, 3), (2,), (1, 1, 2, 2)):
+        with pytest.raises(GaussianModelError, match="^matrix shape does not match names$"):
+            CovMatrix(("X", "Y"), np.ones(shape))
     # checked before eigvalsh, which raises LinAlgError or returns NaN on them
     for bad in (np.inf, -np.inf):
         with pytest.raises(GaussianModelError, match="^covariance entries must be finite$"):
@@ -531,13 +546,6 @@ def test_golden_section_degenerate_lanes():
     assert _lanes_match_scalar(fs, lo, hi, 44) == [44, 44, 44]
 
 
-def test_lane_min_and_max_keep_the_first_of_equal_values():
-    nan = float("nan")
-    for a, b in ((0.0, -0.0), (-0.0, 0.0), (nan, 1.0), (1.0, nan), (2.0, 1.0)):
-        assert bits(lane_min([np.array([a]), np.array([b])])) == bits(min(a, b))
-        assert bits(lane_max([np.array([a]), np.array([b])])) == bits(max(a, b))
-
-
 def test_golden_section_one_lane():
     f = lambda x: -(x - 0.1) * (x - 0.1) + 0.5 * x  # noqa: E731
     assert _lanes_match_scalar([f], [-1.0], [1.0], 44) == [44]
@@ -586,8 +594,8 @@ def test_regions_equal_scalar_reference():
             strong = signs * rng.uniform(1.0, 3.0, size=n)
             grid, r2 = (None, None) if (n + coherent) % 2 else (41, explicit)
             inputs.append(((n, coherent), weak, strong, rng.uniform(-1, 1), P1, P2, grid, r2))
-    # receivers that tie exactly, so lane_min's first-of-equal rule decides
-    # between stacked rows: a repeated gain ties at every rho, and gains b
+    # receivers that tie exactly, so the min over the receiver axis meets
+    # equal rows: a repeated gain ties at every rho, and gains b
     # and -b tie wherever rho * root is zero: at eta = 1 (R2 at its cap, one
     # of the explicit samples) and at P1 = 0. The mixed partition pairs
     # indices 0, 2 (strong) and 1, 3 (weak).

@@ -101,6 +101,9 @@ def test_distribution_invariants():
         JointDist((("X", 2),), np.array([np.nan, np.nan]))
     with pytest.raises(AlphabetError):
         JointDist((("X", 2), ("X", 2)), np.full((2, 2), 0.25))
+    with pytest.raises(DistributionError, match=r"^probs shape \(4,\) does not match axes "
+                                                r"shape \(2, 2\)$"):
+        JointDist((("X", 2), ("Y", 2)), np.full(4, 0.25))
 
 
 def test_channel_slice_normalization_checked():
@@ -111,6 +114,9 @@ def test_channel_slice_normalization_checked():
     nan[0, 0, 0, 0] = np.nan
     with pytest.raises(DistributionError):
         DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), nan)
+    with pytest.raises(DistributionError, match=r"^probs shape \(2, 2, 4\) does not match "
+                                                r"\(2, 2, 2, 2\)$"):
+        DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), np.full((2, 2, 4), 0.25))
 
 
 def test_channel_needs_both_receiver_kinds():
@@ -167,6 +173,8 @@ def test_compose_rejects_alphabet_mismatch(rng):
     )
     with pytest.raises(AlphabetError):
         compose_with_channel(sample_input_dist([("X1", 2), ("X2", 2)], rng), chan)
+    with pytest.raises(AlphabetError, match="^input distribution lacks axis 'X1'$"):
+        compose_with_channel(sample_input_dist([("U", 3), ("X2", 2)], rng), chan)
 
 
 # Joint shapes whose marginals cover each branch of numpy's pairwise_sum for

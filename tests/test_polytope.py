@@ -444,6 +444,15 @@ def test_csv_round_trip():
     assert region_equal(f, back, 1e-11)
 
 
+@pytest.mark.parametrize("variables, message", [
+    (("x", "y", "x"), r"^duplicate variables in \('x', 'y', 'x'\)$"),
+    (("x",), r"^inequality uses unknown variables \['y'\]$"),
+], ids=["duplicate", "unknown"])
+def test_ineq_system_rejects_its_variables(variables, message):
+    with pytest.raises(ValueError, match=message):
+        IneqSystem(variables, (LinIneq.of({"x": 1, "y": 1}, 1),))
+
+
 def test_empty_projection_is_valid_system():
     sys = IneqSystem.build(["x", "y"], [({"x": 1}, 1)])
     out = fme_eliminate(sys, "x")
