@@ -141,10 +141,6 @@ class GaussianMultiSecondary:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def n_secondary(self) -> int:
-        return len(self.a)
-
     def to_json_dict(self) -> dict:
         return {"class": "multi_secondary", "b": self.b, "a": list(self.a),
                 "P1": self.P1, "P2": self.P2}

@@ -300,20 +300,31 @@ def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
     over its nonzero cells in their original order and over exactly that
     many of them, since a padding zero changes numpy's pairwise grouping of
     a sum of 8 or more terms.
+
+    When a marginal has a zero cell, the rows are sorted by their number n
+    of nonzero cells and one boolean mask packs every nonzero cell, row
+    after row, so that the r rows of each n lie in one contiguous run of
+    r * n terms, summed as an (r, n) array. The sums are negated afterwards,
+    as _subset_entropy negates them: a point mass's entropy is -0.0.
     """
     flat = _marginals(stack, tuple(sorted(keep_idx)))
     positive = flat > 0.0
-    counts = positive.sum(axis=1)
-    if counts.min() == flat.shape[1]:
+    if positive.all():
         return -(flat * np.log2(flat)).sum(axis=1)
-    # stable-compact each row's nonzero cells to its front, then sum the rows
-    # of each nonzero count over exactly that many columns
-    packed = np.take_along_axis(flat, np.argsort(~positive, axis=1, kind="stable"), axis=1)
+    counts = positive.sum(axis=1)
+    order = np.argsort(counts)
+    nz = flat[order]
+    nz = nz[nz > 0.0]
+    terms = nz * np.log2(nz)
+    sums = np.empty(len(flat))
+    row = cell = 0
+    for n, r in enumerate(np.bincount(counts).tolist()):
+        if r:
+            sums[row:row + r] = terms[cell:cell + r * n].reshape(r, n).sum(axis=1)
+            row += r
+            cell += r * n
     out = np.empty(len(flat))
-    for n in set(counts.tolist()):
-        rows = counts == n
-        nz = packed[rows, :n]
-        out[rows] = -(nz * np.log2(nz)).sum(axis=1)
+    out[order] = -sums
     return out
 
 

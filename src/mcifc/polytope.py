@@ -107,10 +107,6 @@ class LinIneq:
     def satisfied_by(self, point: Mapping[str, Fraction]) -> bool:
         return self.evaluate(point) <= self.bound
 
-    def __str__(self):
-        lhs = " + ".join(f"{c}*{n}" for n, c in self.coeffs) or "0"
-        return f"{lhs} <= {self.bound}"
-
 
 @dataclass(frozen=True)
 class IneqSystem:

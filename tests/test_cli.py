@@ -42,6 +42,15 @@ def test_classify_rejects_bad_schema(tmp_path, capsys):
     assert "schema" in err["error"]
 
 
+@pytest.mark.parametrize("name", ["absent.json", "."], ids=["missing", "directory"])
+def test_unreadable_input_is_validation_error(name, tmp_path, capsys):
+    path = tmp_path / name
+    assert run(["classify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(f"cannot read {path}: ")
+
+
 def test_region_writes_deterministic_csv(wi_chan, tmp_path, capsys):
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"

@@ -822,6 +822,8 @@ def test_check_regime_rejects_an_unknown_regime_and_no_samples(rng):
         dr.check_regime(chan, dr.MULTI_SECONDARY, "WI", samples=5)
     with pytest.raises(dr.RegimeError, match="^samples must be >= 1$"):
         dr.check_regime(chan, dr.MULTI_SECONDARY, "VWI", samples=0)
+    with pytest.raises(dr.RegimeError, match="^unknown class 'multi_relay'$"):
+        dr.check_regime(chan, "multi_relay", "VWI", samples=5)
 
 
 def test_partition_checked_in_every_regime(rng):

@@ -90,6 +90,11 @@ def test_classify_margin_matches_dense_scan(rng):
         assert exact <= dense + slope_cap * 1e-4 + 1e-9  # oracle grid error
 
 
+def test_classify_rejects_an_unsupported_channel_type():
+    with pytest.raises(GaussianModelError, match="^unsupported channel type dict$"):
+        classify_gaussian({"class": "multi_primary", "b": [0.5], "a": 0.3, "P1": 1, "P2": 1})
+
+
 def test_classify_multi_secondary():
     assert classify_gaussian(GaussianMultiSecondary(2.0, (2.0, 2.0), 1, 1)) == "VSI"
     assert classify_gaussian(GaussianMultiSecondary(0.5, (0.3, 0.8), 1, 1)) == "WI"
@@ -270,6 +275,14 @@ def test_region_requires_matching_regime():
         region_mp_wi(GaussianMultiPrimary((2.0,), 2.0, 1, 1))
     with pytest.raises(GaussianModelError):
         region_ms_vsi(GaussianMultiSecondary(0.5, (0.5,), 1, 1))
+    # strong b = 2.0 and weak b = 0.5, but a = 0 breaks the very-strong margin
+    with pytest.raises(GaussianModelError, match="^channel fails the mixed-regime conditions$"):
+        region_mp_mixed(GaussianMultiPrimary((0.5, 2.0), 0.0, 1, 1), ((1,), (0,)))
+    # a WI channel passes the regime check, but the mixed region needs a partition
+    for require_regime in (True, False):
+        with pytest.raises(GaussianModelError, match="^mixed classification requires a partition$"):
+            region_mp_mixed(GaussianMultiPrimary((0.5, 0.9), 0.3, 1, 2), None,
+                            require_regime=require_regime)
 
 
 _MP_VSI = GaussianMultiPrimary((2.0, 2.0), 2.0, 1, 1)

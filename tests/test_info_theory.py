@@ -185,6 +185,31 @@ STACK_SHAPES = [(2, 3, 2, 4), (3, 5, 3), (3, 43), (2, 2048), (9, 27),
                 (5, 2, 2, 3, 3, 3), (3, 1, 9)]
 
 
+def _bits(values) -> list[int]:
+    """The float64 bit patterns of `values`: -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_stack_entropy_bitwise(rows: np.ndarray) -> None:
+    """stack_entropy of the stack of `rows` (K, *shape), held joint-last and
+    joint-first in memory, and of each row alone, has the bits of the per-row
+    entropy, for every subset of the axes."""
+    shape = rows.shape[1:]
+    stack = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+    for n in range(len(shape) + 1):
+        for keep in itertools.combinations(range(len(shape)), n):
+            want = _bits([_subset_entropy(row, keep) for row in rows])
+            why = (f"shape {shape}, K={len(rows)}, keep {keep}: stack_entropy no "
+                   f"longer sums marginals as numpy {np.__version__}'s own sum does; "
+                   f"if numpy changed the order of its reductions (pairwise_sum or "
+                   f"the iteration order of a multi-axis sum), the K-last sums "
+                   f"of info_theory._marginals must follow it")
+            assert _bits(stack_entropy(stack, keep)) == want, why
+            # the same stack held joint-first in memory
+            assert _bits(stack_entropy(np.moveaxis(rows, 0, -1), keep)) == want, why
+            assert _bits([stack_entropy(row[..., None], keep)[0] for row in rows]) == want, why
+
+
 def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
     for shape, k in itertools.product(STACK_SHAPES, [1, 2, 3, 8, 9, 64]):
         cells = int(np.prod(shape))
@@ -197,20 +222,25 @@ def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
         if k > 1:
             rows[k // 2] = 0.0
             rows[k // 2, rng.integers(cells)] = 1.0
-        rows = rows.reshape((k,) + shape)
-        stack = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
-        for n in range(len(shape) + 1):
-            for keep in itertools.combinations(range(len(shape)), n):
-                want = [_subset_entropy(row, keep) for row in rows]
-                why = (f"shape {shape}, K={k}, keep {keep}: stack_entropy no longer "
-                       f"sums marginals as numpy {np.__version__}'s own sum does; if "
-                       f"numpy changed the order of its reductions (pairwise_sum or "
-                       f"the iteration order of a multi-axis sum), the K-last sums "
-                       f"of info_theory._marginals must follow it")
-                assert stack_entropy(stack, keep).tolist() == want, why
-                # the same stack held joint-first in memory
-                assert stack_entropy(np.moveaxis(rows, 0, -1), keep).tolist() == want, why
-                assert [stack_entropy(row[..., None], keep)[0] for row in rows] == want, why
+        _assert_stack_entropy_bitwise(rows.reshape((k,) + shape))
+    # Rows with every nonzero count from 1 (a point mass) to all cells, so
+    # that the counts straddle 8 and 128, where numpy's pairwise sum changes
+    # its grouping; two rows of each count, with their zeros at different
+    # cells; in shuffled order, so the rows grouped by count are scattered
+    # back to their places.
+    for shape in [(3, 45), (2, 3, 43)]:
+        cells = int(np.prod(shape))
+        rows = np.zeros((2 * cells, cells))
+        for i, n in enumerate(np.repeat(np.arange(1, cells + 1), 2)):
+            rows[i, rng.choice(cells, n, replace=False)] = rng.dirichlet(np.ones(n))
+        rows = rng.permutation(rows)
+        # only the two rows without a zero share their pattern of zeros
+        assert len({tuple(row > 0) for row in rows}) == len(rows) - 1
+        _assert_stack_entropy_bitwise(rows.reshape((-1,) + shape))
+    # a stack of point masses alone
+    rows = np.zeros((4, 45))
+    rows[np.arange(4), [0, 7, 7, 44]] = 1.0
+    _assert_stack_entropy_bitwise(rows.reshape(4, 3, 5, 3))
 
 
 def test_sample_dist_normalized_and_deterministic():
