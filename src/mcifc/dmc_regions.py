@@ -522,7 +522,8 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     computed once. The (rows, K) coding bounds are snapped to the 1e-12 grid
     as `rationalize` snaps them and projected all at once by
     `project_bounds`; the columns it finds feasible get their frontiers from
-    `grid_frontiers`, and the others are empty.
+    `grid_frontiers`, and the others are empty. An empty stack, once its
+    axes and shapes are checked, gives no answer.
     """
     axes, outputs = tuple(axes), tuple(outputs)
     names = [n for n, _ in axes + outputs]
@@ -537,6 +538,8 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     if inputs.shape[1:] != tuple(n for _, n in axes) or probs.shape != shape:
         raise DistributionError(
             f"stack shapes {inputs.shape} and {probs.shape} do not match the axes")
+    if not k:
+        return []
     check_probabilities(inputs, inputs.reshape(k, -1).sum(axis=1), "input")
     check_probabilities(probs, probs.reshape(k, shape[1], shape[2], -1).sum(axis=3), "transition")
 
@@ -576,15 +579,20 @@ _FME_OUTPUTS = (("Y1", 2), ("Z1", 2))
 def _draw_fme_chunk(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The next n verify-fme instances of `rng`, stacked: for each, its
     Dirichlet(1) joint over _FME_AXES (the draw of sample_input_dist), then
-    the Dirichlet(1) law of each of its channel's (x1, x2) slices."""
+    the Dirichlet(1) law of each of its channel's (x1, x2) slices.
+
+    The chunk is one fill of standard exponentials, instance k in row k: its
+    joint's cells, then each slice's. At alpha = 1 numpy's dirichlet draws
+    each gamma variate as one such exponential and multiplies it by 1/acc,
+    acc the left-to-right sum of its draw; `np.add.accumulate` sums in that
+    order, so each part is bit for bit the per-instance draw and `rng` ends
+    where drawing the instances one by one leaves it."""
     shape = tuple(k for _, k in _FME_AXES)
     slices, laws = shape[-2:], tuple(k for _, k in _FME_OUTPUTS)
-    inputs = np.empty((n, prod(shape)))
-    probs = np.empty((n,) + slices + (prod(laws),))
-    ones_in, ones_out = np.ones(inputs.shape[1]), np.ones(probs.shape[-1])
-    for k in range(n):
-        inputs[k] = rng.dirichlet(ones_in)
-        probs[k] = rng.dirichlet(ones_out, size=slices)
+    cells = prod(shape)
+    fill = rng.standard_exponential((n, cells + prod(slices) * prod(laws)))
+    inputs, probs = (g * (1.0 / np.add.accumulate(g, axis=-1)[..., -1:]) for g in (
+        fill[:, :cells], fill[:, cells:].reshape((n,) + slices + (prod(laws),))))
     return inputs.reshape((n,) + shape), probs.reshape((n,) + slices + laws)
 
 

@@ -18,12 +18,13 @@ describing downward-closed regions in the (R2, R1) plane. A vertical step is
 encoded by two consecutive points sharing one r2 value. A two-variable system
 reaches its frontier through an exact vertex enumeration in integer
 homogeneous coordinates (Python ints); `grid_frontiers` runs it on each
-column of a (rows, K) array of bounds on the 1e-12 grid. The union of
-regions, convexified by time sharing, is the upper hull of all their points
-(`concave_envelope`). `grid_envelope` gives that hull for the columns of a
-(rows, K) grid array whose rows cap R1, R2 or R1 + R2, as the DMC capacity
-regions' are: it finds every column's vertices at once in int64 numpy,
-exactly as the enumeration would, with no frontier per column.
+column of a (rows, K) array of bounds on the 1e-12 grid that one array test
+does not find empty. The union of regions, convexified by time sharing, is
+the upper hull of all their points (`concave_envelope`). `grid_envelope`
+gives that hull for the columns of a (rows, K) grid array whose rows cap R1,
+R2 or R1 + R2, as the DMC capacity regions' are: it finds every column's
+vertices at once in int64 numpy, exactly as the enumeration would, with no
+frontier per column.
 """
 
 from __future__ import annotations
@@ -567,16 +568,12 @@ def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
     with det > 0, feasible when a*x + b*y <= c*det for every row; integer
     division rounds it to floats as `float(Fraction(x, det))` would. An
     unbounded region raises UnboundedRegionError naming a recession direction
-    divided by its gcd; an infeasible system yields the empty frontier.
-
-    A row with a >= 0, b >= 0 and c < 0, the constant row 0 <= c < 0
-    included, excludes the whole quadrant: the frontier is then empty at
-    once, with no vertex enumerated and no unboundedness test, which is what
-    the enumeration would conclude."""
+    divided by its gcd; an infeasible system yields the empty frontier. A
+    row with a >= 0, b >= 0 and c < 0, the constant row 0 <= c < 0 included,
+    is met by no vertex, so it excludes the quadrant; `grid_frontiers`
+    settles such columns without calling this."""
     # a constant row 0 <= c either holds and is dropped, or no vertex meets it
     system_rows = [(a, b, c) for a, b, c in rows if a or b or c < 0]
-    if any(a >= 0 and b >= 0 and c < 0 for a, b, c in system_rows):
-        return Frontier2D(())
     rows = system_rows + [(-1, 0, 0), (0, -1, 0)]
 
     # the quadrant rows make the region pointed, so nonempty implies a vertex;
@@ -632,11 +629,17 @@ def integer_frontier(rows: Iterable[tuple[int, int, int]]) -> Frontier2D:
 
 def grid_frontiers(coeff_rows: Sequence[tuple[int, int]], bounds: np.ndarray) -> list[Frontier2D]:
     """The frontier of each column of a (rows, K) integer array of bounds on
-    the 1e-12 grid, for small integer rows (a, b) meaning a*r2 + b*r1 <= c:
-    one `integer_frontier` per column, each row scaled to the grid."""
+    the 1e-12 grid, for small integer rows (a, b) meaning a*r2 + b*r1 <= c,
+    as `integer_frontier` gives it for the column's rows scaled to the grid.
+    A column with a negative bound on a row with a >= 0 and b >= 0 excludes
+    the quadrant: one array test finds every such column, and they share one
+    empty frontier; `integer_frontier` runs on each other column."""
     scaled = [(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN) for a, b in coeff_rows]
-    return [integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
-            for column in bounds.T.tolist()]
+    excluded = (bounds[np.array([a >= 0 and b >= 0 for a, b in coeff_rows], dtype=bool)]
+                < 0).any(axis=0)
+    empty = Frontier2D(())
+    return [empty if out else integer_frontier([(a, b, c) for (a, b), c in zip(scaled, column)])
+            for out, column in zip(excluded.tolist(), bounds.T.tolist())]
 
 
 def grid_envelope(coeff_rows: Sequence[tuple[int, int]], bounds: np.ndarray) -> Frontier2D:

@@ -18,6 +18,7 @@ from mcifc.info_theory import (
     sample_input_dist,
 )
 from mcifc.polytope import (
+    RATIONALIZE_GRAIN,
     IneqSystem,
     LinIneq,
     UnboundedRegionError,
@@ -25,6 +26,7 @@ from mcifc.polytope import (
     fme_project,
     frontier_contains,
     grid_frontiers,
+    integer_frontier,
     project_to_frontier,
     region_equal,
 )
@@ -199,7 +201,7 @@ def test_integer_frontier_matches_rational_projection():
     assert min(kinds.values()) >= 50, kinds
 
 
-@pytest.mark.parametrize("rows, want", [
+_GUARD_SYSTEMS = [
     # r2 <= r1 - 0.5 under a sum cap, and r1 >= 0.25, r2 >= 0.5: bounded
     ([({"R2": 1, "R1": -1}, -0.5), ({"R1": 1, "R2": 1}, 3.0)],
      ((0.0, 3.0), (1.25, 1.75))),
@@ -214,18 +216,60 @@ def test_integer_frontier_matches_rational_projection():
     # empty at once: 0 <= -1, and r1 + 2 r2 below zero
     ([({}, -1.0), ({"R1": 1}, 1.0), ({"R2": 1}, 1.0)], ()),
     ([({"R1": 1, "R2": 2}, -1e-12), ({"R1": -1}, -0.5)], ()),
-])
+]
+
+
+@pytest.mark.parametrize("rows, want", _GUARD_SYSTEMS)
 def test_integer_frontier_empty_quadrant_guard(rows, want):
     # negative bounds on rows with a coefficient of each sign leave a
-    # feasible or unbounded region, which the early empty return must not
-    # claim; a row with no negative coefficient and a negative bound (0 <= -1
-    # among them) excludes the quadrant
+    # feasible or unbounded region, which the quadrant test of
+    # grid_frontiers must not claim empty; a row with no negative
+    # coefficient and a negative bound (0 <= -1 among them) excludes the
+    # quadrant
     def rational(rows):
         return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
 
     got = _outcome(_grid_frontier, rows)
     assert got == _outcome(rational, rows)
     assert ("unbounded" in got if want == "unbounded" else got == want)
+
+
+def test_grid_frontiers_settle_the_guard_systems_column_by_column():
+    # each guard system and, as further columns of one (rows, K) array, the
+    # system with each bound negated in turn: mixed-sign rows with negative
+    # bounds stay nonempty or unbounded, while a negative bound on a row
+    # with no negative coefficient empties its column; every bounded column
+    # of one grid_frontiers call is the per-column integer_frontier and
+    # project_to_frontier, and each unbounded column raises as they do
+    def rational(rows):
+        return project_to_frontier(IneqSystem.build(("R1", "R2"), rows), "R1", "R2")
+
+    kinds = set()
+    for rows, _ in _GUARD_SYSTEMS:
+        systems = [rows] + [rows[:i] + [(coeffs, -bound)] + rows[i + 1:]
+                            for i, (coeffs, bound) in enumerate(rows) if bound]
+        grid = [dr._grid_rows(_BoundBatch(), {}, system) for system in systems]
+        coeff_rows, bounds = grid[0][0], np.hstack([column for _, column in grid])
+        assert all(coeffs == coeff_rows for coeffs, _ in grid)
+
+        def by_integer_frontier(column):
+            return integer_frontier([(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN, c)
+                                     for (a, b), c in zip(coeff_rows, column)])
+
+        want = [_outcome(rational, system) for system in systems]
+        assert want == [_outcome(by_integer_frontier, column) for column in bounds.T.tolist()]
+        bounded = [k for k, got in enumerate(want) if not isinstance(got, str)]
+        assert [f.points for f in grid_frontiers(coeff_rows, bounds[:, bounded])] == \
+            [want[k] for k in bounded]
+        for k in set(range(len(systems))) - set(bounded):
+            assert _outcome(_grid_frontier, systems[k]) == want[k]
+        for column, got in zip(bounds.T.tolist(), want):
+            excluded = any(a >= 0 and b >= 0 and c < 0 for (a, b), c in zip(coeff_rows, column))
+            mixed = any(a * b < 0 and c < 0 for (a, b), c in zip(coeff_rows, column))
+            assert got == () or not excluded
+            kinds.add("excluded" if excluded else "unbounded" if isinstance(got, str)
+                      else "nonempty" if got and mixed else None)
+    assert {"excluded", "unbounded", "nonempty"} <= kinds
 
 
 def test_inner_bound_zero_channel_gives_origin(rng):
@@ -400,6 +444,17 @@ def test_verify_fme_stack_rejects_malformed_axes(axes, outputs, law_shape, error
         dr.verify_fme_stack(axes, inputs, outputs, probs)
 
 
+def test_verify_fme_stack_of_no_instance():
+    # one answer per instance, and none for an empty stack, whose axes and
+    # shapes are still checked
+    inputs, probs = np.empty((0,) + (2,) * 6), np.empty((0, 2, 2, 2, 2))
+    assert dr.verify_fme_stack(_AXES, inputs, _OUTPUTS, probs) == []
+    with pytest.raises(DistributionError, match="stack shapes"):
+        dr.verify_fme_stack(_AXES, inputs, _OUTPUTS, np.empty((0, 2, 2, 2, 3)))
+    with pytest.raises(AlphabetError, match="must end with X1, X2"):
+        dr.verify_fme_stack(_AXES[::-1], inputs, _OUTPUTS, probs)
+
+
 def _scale_off_by_1e_9(cells):
     cells *= 1 + 1e-9
 
@@ -554,13 +609,13 @@ def _verify_fme_stream(seed):
         yield aux, DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), probs)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("samples", [1, 64, 130])
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 128, 130])
 def test_verify_fme_draws_the_per_instance_stream(samples, seed):
     # the chunks verify_fme_failures stacks hold, bit for bit, the joints and
     # channel laws of drawing each instance as a JointDist and a DmcChannel,
-    # and leave the generator where that loop leaves it; 130 samples span
-    # three chunks
+    # and leave the generator where that loop leaves it; the sample counts
+    # straddle the chunk edges, and 130 samples span three chunks
     rng = np.random.default_rng(seed)
     joints, laws = [], []
     for _ in range(samples):

@@ -96,6 +96,25 @@ def test_md_at_zero_is_cd_bitwise(rng):
         assert md_dpc_rate(cfg, 0.0) == cd_dpc_rate(cfg)
 
 
+def test_md_defaults_to_the_configured_private_power(rng):
+    moved = 0
+    for _ in range(50):
+        cfg = random_cfg(rng)
+        cfg = replace(cfg, x=float(rng.uniform(0, cfg.P_v)))
+        assert md_dpc_rate(cfg) == md_dpc_rate(cfg, cfg.x)
+        moved += md_dpc_rate(cfg) != md_dpc_rate(cfg, 0.0)
+    assert moved > 25
+
+
+def test_cd_rejects_a_receiver_variance_rounded_below_zero():
+    # Var(Z1) = (a1 sqrt(P1) - sqrt(P_u))^2 + eta P2 + 1 is about 1.0002
+    # here, but its float sum cancels to -255
+    cfg = DpcConfig(P1=1.0, P2=1e18, a1=1000000000.013, a2=0.5, b=0.5, eta=0.0, rho=-1.0)
+    with np.errstate(invalid="ignore"):  # the sqrt of that variance
+        with pytest.raises(DpcConfigError, match="^receiver variances must be positive$"):
+            cd_dpc_rate(cfg)
+
+
 def test_md_equal_gains_penalized_by_private_power():
     cfg = DpcConfig(P1=3.0, P2=1.0, a1=0.6, a2=0.6, b=0.1, eta=0.5, rho=0.0)
     for x in np.linspace(0, cfg.P_v, 7):

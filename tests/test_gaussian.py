@@ -106,6 +106,9 @@ def test_channel_json_round_trip():
     assert channel_from_json_dict(mp.to_json_dict()) == mp
     ms = GaussianMultiSecondary(2.0, (2.0,), 1, 1)
     assert channel_from_json_dict(ms.to_json_dict()) == ms
+    for klass in ("multi_tertiary", None):
+        with pytest.raises(GaussianModelError, match=f"^unknown channel class {klass!r}$"):
+            channel_from_json_dict({"class": klass, "b": 2.0, "a": [2.0], "P1": 1, "P2": 1})
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

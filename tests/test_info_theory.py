@@ -85,6 +85,18 @@ def test_mi_rejects_overlap():
         mutual_information(d, {"X"}, {"Y"}, {"Y"})
 
 
+def test_mi_rejects_unknown_names_and_is_zero_on_an_empty_side():
+    d = uniform(("X", 2), ("Y", 2), ("Z", 2))
+    for args in (({"W"}, {"Y"}), ({"X"}, {"W", "Y"}), ({"X"}, {"Y"}, {"W"})):
+        with pytest.raises(AlphabetError, match=r"^unknown variables \['W'\]$"):
+            mutual_information(d, *args)
+    # names are checked before an empty side returns
+    with pytest.raises(AlphabetError, match="unknown variables"):
+        mutual_information(d, set(), {"W"})
+    for args in ((set(), {"Y"}), ({"X"}, set()), (set(), set(), {"Z"})):
+        assert mutual_information(d, *args) == 0.0
+
+
 def test_cell_cap_enforced():
     with pytest.raises(AlphabetError):
         uniform(("A", 8), ("B", 8), ("C", 8), ("D", 8), ("E", 8))

@@ -770,6 +770,36 @@ def test_grid_frontiers_equal_integer_frontier_per_column():
     assert kinds == {False, True}
 
 
+def test_grid_frontiers_settle_quadrant_excluded_columns_at_once(monkeypatch):
+    # a column with a negative bound on a row with no negative coefficient,
+    # the constant row among them, is empty with no integer_frontier call;
+    # each other column, negative bounds on mixed-sign rows included, is
+    # integer_frontier's
+    rng = np.random.default_rng(47)
+    rows = [(1, 0), (0, 1), (0, 0), (2, 1), (-1, 1), (1, -2), (-1, 0)]
+    bounds = rng.integers(-10**12, 3 * 10**12, size=(len(rows), 200))
+    bounds[2] = np.where(rng.random(200) < 0.1, -1, 0)
+    original = integer_frontier
+    want = [original([(a * RATIONALIZE_GRAIN, b * RATIONALIZE_GRAIN, c)
+                      for (a, b), c in zip(rows, column)])
+            for column in bounds.T.tolist()]
+    excluded = [any(c < 0 for (a, b), c in zip(rows, column) if a >= 0 and b >= 0)
+                for column in bounds.T.tolist()]
+
+    def checked(column):
+        if any(a >= 0 and b >= 0 and c < 0 for a, b, c in column):
+            raise AssertionError(f"integer_frontier on a quadrant-excluded column {column}")
+        return original(column)
+
+    monkeypatch.setattr(polytope, "integer_frontier", checked)
+    got = grid_frontiers(rows, bounds)
+    assert got == want
+    assert all(f.is_empty for f, out in zip(got, excluded) if out)
+    assert 0 < sum(excluded) < len(excluded)
+    assert {f.is_empty for f, out in zip(got, excluded) if not out} == {False, True}
+    assert grid_frontiers(rows, bounds[:, :0]) == []
+
+
 G = RATIONALIZE_GRAIN
 _CAPS = [(0, 1), (1, 0), (1, 1)]
 
