@@ -435,7 +435,8 @@ def run(argv=None) -> int:
         return 1
     try:
         # a one-point region grid would only sample R2 = 0
-        least = {"samples": 1, "grid": 2 if args.command == "region" else 1, "budget": 0}
+        least = {"samples": 1, "grid": 2 if args.command == "region" else 1,
+                 "budget": 0, "seed": 0}
         for flag, low in least.items():
             value = getattr(args, flag, None)
             if value is not None and value < low:

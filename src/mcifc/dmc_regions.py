@@ -179,6 +179,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise RegimeError("samples must be >= 0")
+        if self.seed < 0:
+            raise RegimeError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {"samples": self.samples, "aux_card": None, "seed": self.seed}
@@ -223,13 +225,16 @@ class _Batch:
     """A stack of joints (*shape, K) over the axes `names`, the joint index
     last and innermost in memory (as _compose builds it, at every K), and
     the one evaluator of the MI tables on it. Each subset entropy and each
-    MI term is computed once per batch, for all K joints at a time."""
+    MI term is computed once per batch, for all K joints at a time, and the
+    subset entropies share the batch's trailing pairwise sums, `sums` (see
+    info_theory._marginals)."""
 
     def __init__(self, names: Sequence[str], joints: np.ndarray):
         self.index = {n: i for i, n in enumerate(names)}
         self.joints = joints
         self.entropies: dict = {}
         self.mis: dict = {}
+        self.sums: dict = {}
 
     @classmethod
     def of(cls, joint: JointDist) -> "_Batch":
@@ -237,8 +242,10 @@ class _Batch:
 
     def head(self, n: int) -> None:
         """Keep the first n joints, a strided view of the stack, with their
-        memoized values."""
+        memoized values. Every sum is lane by lane, so the first n lanes of a
+        memoized sum are the sum of the first n joints."""
         self.joints = self.joints[..., :n]
+        self.sums = {key: s[..., :n] for key, s in self.sums.items()}
         self.entropies = {key: h[:n] for key, h in self.entropies.items()}
         self.mis = {key: v[:n] for key, v in self.mis.items()}
 
@@ -249,7 +256,7 @@ class _Batch:
                 idx = [self.index[n] for n in names]
             except KeyError as exc:
                 raise AlphabetError(f"unknown variable {exc}; have {tuple(self.index)}") from None
-            h = self.entropies[names] = stack_entropy(self.joints, idx)
+            h = self.entropies[names] = stack_entropy(self.joints, idx, self.sums)
         return h
 
     def mi(self, left: str, right: tuple, given: str) -> np.ndarray:
@@ -968,6 +975,8 @@ class CxSearchConfig:
     def __post_init__(self):
         if self.budget < 0:
             raise RegimeError("budget must be >= 0")
+        if self.seed < 0:
+            raise RegimeError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {

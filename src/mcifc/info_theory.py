@@ -269,7 +269,7 @@ def _marginal_plan(shape: tuple[int, ...], keep: tuple[int, ...]):
     return merged, outer, run
 
 
-def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+def _marginals(stack: np.ndarray, keep: tuple[int, ...], sums: dict) -> np.ndarray:
     """Marginal on the axes `keep` of each joint of a stack (*shape, K), as
     the rows of a (K, cells) array, each summed bit for bit as numpy's sum of
     that one joint sums it.
@@ -278,19 +278,30 @@ def _marginals(stack: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     numpy's sum takes on a stack (K, *shape): the terms of the trailing
     dropped run by pairwise_sum, then those sums one at a time, in C order,
     over the other dropped axes.
+
+    `sums` memoizes the first step for one stack: the stack reshaped to
+    `merged` with its trailing run summed, keyed by (merged, run). Subsets
+    with the same last kept axis share it and differ only in the reduce
+    over `outer` that follows; no marginal is derived from another's, so
+    each keeps numpy's own fold order. Pass {} for a stack summed once.
     """
     merged, outer, run = _marginal_plan(stack.shape[:-1], keep)
     k = stack.shape[-1]
-    marg = stack.reshape(merged + (k,))
-    if run > 1:
-        marg = _pairwise_sum(marg, run)
+    marg = sums.get((merged, run))
+    if marg is None:
+        marg = stack.reshape(merged + (k,))
+        if run > 1:
+            marg = _pairwise_sum(marg, run)
+        sums[merged, run] = marg
     if outer:
         marg = np.add.reduce(marg, axis=outer)
     return np.ascontiguousarray(marg.reshape(-1, k).T)
 
 
-def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
+def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int], sums: dict) -> np.ndarray:
     """H(variables at keep_idx) of each joint of a stack (*shape, K), in bits.
+    `sums` is the stack's memo of trailing pairwise sums (see _marginals),
+    shared by every subset entropy of one stack; {} for a one-off call.
 
     The stack is summed with the joint index innermost at every K, 1
     included: a C-contiguous stack in place, any other after the reshape
@@ -307,7 +318,7 @@ def stack_entropy(stack: np.ndarray, keep_idx: Iterable[int]) -> np.ndarray:
     r * n terms, summed as an (r, n) array. The sums are negated afterwards,
     as _subset_entropy negates them: a point mass's entropy is -0.0.
     """
-    flat = _marginals(stack, tuple(sorted(keep_idx)))
+    flat = _marginals(stack, tuple(sorted(keep_idx)), sums)
     positive = flat > 0.0
     if positive.all():
         return -(flat * np.log2(flat)).sum(axis=1)

@@ -585,6 +585,11 @@ def test_zero_counts_are_rejected_not_defaulted(wi_chan, tmp_path, capsys):
         (["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI",
           "--budget", "-1"], "--budget"),
         (["counterexample", "--budget", "-1"], "--budget"),
+        # numpy would reject a negative seed without naming the flag
+        (["verify-fme", "--seed", "-1"], "--seed"),
+        (["dmc-capacity", "--in", dmc, "--out", out, "--regime", "VSI",
+          "--seed", "-1"], "--seed"),
+        (["counterexample", "--seed", "-1"], "--seed"),
     ):
         assert run(argv) == 1
         assert flag in json.loads(capsys.readouterr().err)["error"]

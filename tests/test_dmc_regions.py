@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mcifc.info_theory import (
     compose_with_channel,
     mutual_information,
     sample_input_dist,
+    stack_entropy,
 )
 from mcifc.polytope import (
     RATIONALIZE_GRAIN,
@@ -30,7 +32,7 @@ from mcifc.polytope import (
     project_to_frontier,
     region_equal,
 )
-from mcifc import dmc_regions as dr, polytope
+from mcifc import dmc_regions as dr, info_theory, polytope
 
 from conftest import (
     imbert_fme_project,
@@ -1038,6 +1040,75 @@ def test_head_entropies_equal_a_fresh_batch_bitwise(rng):
             assert batch.entropy(subset).tolist() == fresh.entropy(subset).tolist(), (n, subset)
 
 
+# Joint shapes for the memo of trailing pairwise sums: axes of size 1 at the
+# ends and inside, a run of 8 or more terms and one longer than 128.
+MEMO_SHAPES = [(2, 3, 2, 4), (1, 4, 1, 3), (3, 1, 9, 1), (2, 2, 2, 2, 2), (3, 43), (2, 3, 45)]
+
+
+def _memo_stack(rng, shape, k):
+    """A K-last stack (*shape, K) of random joints, every other one with
+    zero cells and its first slice of axis 0 zero, so that marginals have
+    zero cells too, and a point mass among them when K > 1."""
+    cells = int(np.prod(shape))
+    rows = rng.dirichlet(np.ones(cells), size=k)
+    rows[::2] *= rng.random(rows[::2].shape) < 0.5
+    rows = rows.reshape((k,) + shape)
+    rows[1::2, :1] = 0.0
+    if k > 1:
+        rows[k // 2] = 0.0
+        rows[(k // 2,) + tuple(rng.integers(n) for n in shape)] = 1.0
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+
+
+def _memo_bits(stack, keeps, sums=None):
+    """The bits of each subset entropy, through the memo `sums`, or through a
+    memo of its own when `sums` is None."""
+    return {keep: stack_entropy(stack, keep, {} if sums is None else sums).view(np.int64).tolist()
+            for keep in keeps}
+
+
+def test_shared_pairwise_sums_keep_every_entropy_bitwise(rng):
+    # every subset entropy through one batch's memo of trailing pairwise
+    # sums, in two shuffled orders and again after head(n), has the bits of
+    # a fresh stack_entropy of the same (headed) stack with a memo of its own
+    for shape, k in itertools.product(MEMO_SHAPES, [1, 5, 64]):
+        stack = _memo_stack(rng, shape, k)
+        keeps = [keep for r in range(len(shape) + 1)
+                 for keep in itertools.combinations(range(len(shape)), r)]
+        for _ in range(2):
+            keeps = [keeps[i] for i in rng.permutation(len(keeps))]
+            batch = dr._Batch([f"A{i}" for i in range(len(shape))], stack)
+            assert _memo_bits(stack, keeps, batch.sums) == _memo_bits(stack, keeps), (shape, k)
+            n = int(rng.integers(1, k)) if k > 1 else 1
+            batch.head(n)
+            assert _memo_bits(batch.joints, keeps[::-1], batch.sums) \
+                == _memo_bits(batch.joints, keeps), (shape, k, n)
+
+
+def test_each_trailing_pairwise_sum_runs_once_per_batch(rng, monkeypatch):
+    calls = []
+    real = info_theory._pairwise_sum
+    monkeypatch.setattr(info_theory, "_pairwise_sum", lambda a, n: calls.append(n) or real(a, n))
+    # runs of at most 128 terms: a longer one recurses through the module name
+    for shape in [(2, 3, 2, 4), (1, 4, 1, 3), (3, 1, 9, 1), (2, 2, 2, 2, 2), (3, 42)]:
+        names = [f"A{i}" for i in range(len(shape))]
+        keeps = [keep for r in range(len(shape) + 1)
+                 for keep in itertools.combinations(range(len(shape)), r)]
+        keeps = [keeps[i] for i in rng.permutation(len(keeps))]
+        plans = [info_theory._marginal_plan(shape, keep) for keep in keeps]
+        runs = sorted(run for _, run in {(merged, run) for merged, _, run in plans if run > 1})
+        calls.clear()
+        batch = dr._Batch(names, _memo_stack(rng, shape, 9))
+        half = len(keeps) // 2
+        for keep in keeps[:half]:
+            batch.entropy(frozenset(names[i] for i in keep))
+        batch.head(4)
+        for keep in keeps[half:]:
+            batch.entropy(frozenset(names[i] for i in keep))
+        # one call per distinct (merged, run) of the batch, head or no head
+        assert sorted(calls) == runs, shape
+
+
 @pytest.mark.parametrize("k", [1, 8])
 def test_compose_rejects_a_joint_off_by_1e_9(k, rng):
     chan = random_channel(rng, outputs=(("Y1", 3), ("Z1", 3)))
@@ -1470,7 +1541,56 @@ def test_negative_counts_rejected():
         dr.CxSearchConfig(budget=-1)
     with pytest.raises(dr.RegimeError):
         dr.SearchConfig(samples=-1)
+    with pytest.raises(dr.RegimeError, match="^seed must be >= 0$"):
+        dr.CxSearchConfig(seed=-1)
+    with pytest.raises(dr.RegimeError, match="^seed must be >= 0$"):
+        dr.SearchConfig(seed=-1)
     assert dr.SearchConfig(samples=0).samples == 0
+
+
+def test_search_moves_on_when_the_weak_probe_finds_nothing(monkeypatch):
+    # the first channel past the very-strong gate shows no weak violation in
+    # its CX_PD_SAMPLES draws: the search skips its final check and goes on
+    real = dr.weak_violation_margin
+    probed = []
+
+    def probe(chan, dist):
+        probed.append(chan)
+        return ("Y1", 0.0) if chan is probed[0] else real(chan, dist)
+
+    finals = []
+    real_check = dr.check_regime
+
+    def check(chan, *args, **kwargs):
+        if kwargs["samples"] == dr.CX_FINAL_VSI_SAMPLES:
+            finals.append(chan)
+        return real_check(chan, *args, **kwargs)
+
+    monkeypatch.setattr(dr, "weak_violation_margin", probe)
+    monkeypatch.setattr(dr, "check_regime", check)
+    w = dr.vsi_vwi_counterexample_search(dr.CxSearchConfig(budget=8, seed=0))
+    assert sum(chan is probed[0] for chan in probed) == dr.CX_PD_SAMPLES
+    assert w is not None and w.chan is not probed[0]
+    assert len(finals) == 1 and finals[0] is w.chan
+
+
+def test_search_moves_on_when_the_final_check_fails(monkeypatch):
+    # the first channel with a weak violation fails its fresh very-strong
+    # check: the search goes on to the next channel
+    real = dr.check_regime
+    finals = []
+
+    def check(chan, *args, **kwargs):
+        report = real(chan, *args, **kwargs)
+        if kwargs["samples"] != dr.CX_FINAL_VSI_SAMPLES:
+            return report
+        finals.append(chan)
+        # the search reads only `passed` of its final report
+        return SimpleNamespace(passed=False) if len(finals) == 1 else report
+
+    monkeypatch.setattr(dr, "check_regime", check)
+    w = dr.vsi_vwi_counterexample_search(dr.CxSearchConfig(budget=8, seed=0))
+    assert len(finals) == 2 and w is not None and w.chan is finals[1]
 
 
 def test_search_finds_and_verifies_witness():

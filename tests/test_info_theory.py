@@ -216,10 +216,10 @@ def _assert_stack_entropy_bitwise(rows: np.ndarray) -> None:
                    f"if numpy changed the order of its reductions (pairwise_sum or "
                    f"the iteration order of a multi-axis sum), the K-last sums "
                    f"of info_theory._marginals must follow it")
-            assert _bits(stack_entropy(stack, keep)) == want, why
+            assert _bits(stack_entropy(stack, keep, {})) == want, why
             # the same stack held joint-first in memory
-            assert _bits(stack_entropy(np.moveaxis(rows, 0, -1), keep)) == want, why
-            assert _bits([stack_entropy(row[..., None], keep)[0] for row in rows]) == want, why
+            assert _bits(stack_entropy(np.moveaxis(rows, 0, -1), keep, {})) == want, why
+            assert _bits([stack_entropy(row[..., None], keep, {})[0] for row in rows]) == want, why
 
 
 def test_stack_entropy_is_bitwise_the_per_row_entropy(rng):
