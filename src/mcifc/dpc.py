@@ -14,17 +14,16 @@ an error.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .gaussian import (
-    COV_RIDGE, CovMatrix, GaussianModelError, SingularCovarianceError, binding_eta,
-    check_gains_and_powers, gaussian_mi, golden_section, half_log2, sorted_unique,
+    COV_RIDGE, CovMatrix, GaussianModelError, GaussianMultiPrimary, SingularCovarianceError,
+    check_gains_and_powers, gaussian_mi, golden_section, half_log2, region_mp_wi,
 )
-from .polytope import Frontier2D, monotone_frontier
+from .polytope import Frontier2D
 
 MD_VARIANTS = ("sqrt", "linear")
 
@@ -118,7 +117,7 @@ class _Lanes:
         # closed form groups them, so each lane rounds as a 1-lane call does
         self.scale = (cfg.P1 * (self.P_v + (1.0 - cfg.rho**2) * self.P_u + 1.0)
                       * (cfg.a1 - cfg.a2) ** 2)
-        self.spread = (self.P_v + 1.0) * _pow2(np.sqrt(self.v1) + np.sqrt(self.v2))
+        self.spread = (self.P_v + 1.0) * np.square(np.sqrt(self.v1) + np.sqrt(self.v2))
         self.clean = half_log2(self.P_v + 1.0)
 
     def r1(self) -> np.ndarray:
@@ -178,7 +177,7 @@ class _Lanes:
         cfg = self.cfg
         P1, Pu, Pv, c1u = cfg.P1, self.P_u, self.P_v, self.c1u
         m = np.zeros((len(self.eta), 5, 5))
-        m[:, 0, 0] = Pv + _pow2(gamma) * Pu + _pow2(alpha) * P1 + 2 * gamma * alpha * c1u
+        m[:, 0, 0] = Pv + gamma * gamma * Pu + alpha * alpha * P1 + 2 * gamma * alpha * c1u
         m[:, 1, 1] = P1
         m[:, 2, 2] = Pu
         m[:, 1, 2] = m[:, 2, 1] = c1u
@@ -206,7 +205,8 @@ class _Lanes:
 
     def block(self) -> np.ndarray:
         """Block-expansion rate per lane (0 without precoded power), the
-        slot fraction t taken from 201 grid points plus the exact crossing."""
+        slot fraction t taken from its three candidates: 0, 1 and the exact
+        crossing."""
         out = np.zeros(len(self.eta))
         on = self.P_v > 0
         if not on.any():
@@ -225,15 +225,15 @@ class _Lanes:
             raise
         # rate[receiver][slot], each a column over lanes
         rate = rates.reshape(2, 2, -1)[:, :, :, None]
-        # both time-shared rates are affine in t, so the grid plus the exact
-        # crossing decide the max of the worse one
+        # both time-shared rates are affine in t, so the max of the worse one
+        # lies at t = 0, t = 1 or their exact crossing
         d0 = rate[0][0] - rate[0][1]
         d1 = rate[1][0] - rate[1][1]
         ok = np.abs(d0 - d1) > 1e-15
         t_cross = np.divide(rate[1][1] - rate[0][1], d0 - d1, out=np.full(d0.shape, 2.0),
                             where=ok)
         ok &= (0.0 < t_cross) & (t_cross < 1.0)
-        ts = np.linspace(0.0, 1.0, 201)
+        ts = np.array([0.0, 1.0])
         t = np.concatenate([np.broadcast_to(ts, (len(d0), len(ts))), t_cross], axis=1)
         # the worse receiver's rate at each t (min over the receiver axis),
         # -inf at a lane's missing crossing, then its max over t
@@ -248,21 +248,6 @@ _PRECODING = ("V", "X1", "Xu", "Z1", "Z2")
 
 def _one(cfg: DpcConfig) -> _Lanes:
     return _Lanes(cfg, [cfg.eta])
-
-
-def _pow2(v: np.ndarray) -> np.ndarray:
-    """v**2 per lane by the scalar power (libm pow): an array's ** 2
-    multiplies instead, which rounds differently in about 1 of 1200 draws.
-    A square past the float range is inf, as libm gives it, where Python's
-    float power raises OverflowError."""
-    return np.array([_square(x) for x in v.tolist()])
-
-
-def _square(x: float) -> float:
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def _scan_points(stop: np.ndarray, n: int) -> np.ndarray:
@@ -327,24 +312,14 @@ def optimize_md_x(cfg: DpcConfig, scan_points: int = 64) -> tuple[float, float]:
 def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
     """Outer bound for |b| <= 1: union over eta of
         R1 <= 1/2 log2((b^2 P2 + P1 + 2|b| sqrt((1-eta) P1 P2) + 1)/(b^2 eta P2 + 1)),
-        R2 <= 1/2 log2(eta P2 + 1).
-    The R1 cap decreases in eta, so each R2 sample binds at its eta0."""
+        R2 <= 1/2 log2(eta P2 + 1),
+    the weak-interference region of the one-primary channel with gain |b|
+    (region_mp_wi): its layered ratio increases in rho, so the max over rho
+    is the ratio at rho = 1, which the golden section probes exactly."""
     if abs(cfg.b) > 1.0:
         raise DpcConfigError("outer bound is stated for |b| <= 1")
-    P1, P2, b = cfg.P1, cfg.P2, cfg.b
-
-    def r1_cap(eta: float) -> float:
-        num = b**2 * P2 + P1 + 2 * abs(b) * np.sqrt((1 - eta) * P1 * P2) + 1.0
-        return half_log2(num / (b**2 * eta * P2 + 1.0))
-
-    r2_top = half_log2(1.0 + P2)
-    qs = sorted_unique(np.concatenate([
-        np.array([half_log2(1 + e * P2) for e in np.linspace(0, 1, eta_grid)]),
-        np.linspace(0.0, r2_top, eta_grid),
-    ]))
-    return monotone_frontier(
-        (float(r2), max(0.0, r1_cap(binding_eta(float(r2), P2)))) for r2 in qs
-    )
+    chan = GaussianMultiPrimary((abs(cfg.b),), 0.0, cfg.P1, cfg.P2)
+    return region_mp_wi(chan, eta_grid, require_regime=False)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +441,7 @@ def block_expansion_baseline(cfg: DpcConfig) -> float:
     Slot k uses gamma = P_v/(P_v+1) and alpha tuned to a_k; receiver k then
     gets the clean rate while the other receiver decodes what it can. The
     slot fraction maximizes the worse time-shared rate (both slot rates are
-    affine in t, so 201 grid points plus the exact crossing decide the max).
+    affine in t, so the max lies at t = 0, t = 1 or the exact crossing).
     """
     return float(_one(cfg).block()[0])
 

@@ -438,12 +438,10 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
 
 def _receiver_terms(chan: GaussianMultiPrimary, subset):
     """The rho-free terms of the receivers j in `subset`, as (N, 1) columns in
-    subset order: b_j^2, each by the scalar (libm) power, since an array's
-    ** 2 rounds differently in about 1 of 1200 draws; 1 + b_j^2 P2 + P1; and
-    2 b_j."""
-    sq = np.array([[chan.b[j]**2] for j in subset])
-    twice = np.array([[2 * chan.b[j]] for j in subset])
-    return sq, 1 + sq * chan.P2 + chan.P1, twice
+    subset order: b_j^2 (b_j * b_j); 1 + b_j^2 P2 + P1; and 2 b_j."""
+    b = np.array(chan.b)[list(subset), None]
+    sq = b * b
+    return sq, 1 + sq * chan.P2 + chan.P1, 2 * b
 
 
 def _sum_cap(chan: GaussianMultiPrimary, subset, root):

@@ -85,7 +85,7 @@ def _coherent(chan):
 
 def _sum_cap(chan, subset, rho, root):
     return min(
-        half_log2(1 + chan.b[j]**2 * chan.P2 + chan.P1 + 2 * chan.b[j] * rho * root)
+        half_log2(1 + chan.b[j] * chan.b[j] * chan.P2 + chan.P1 + 2 * chan.b[j] * rho * root)
         for j in subset
     )
 
@@ -94,8 +94,8 @@ def _wi_r1(chan, subset, eta, rho):
     P1, P2 = chan.P1, chan.P2
     root = np.sqrt(max(0.0, (1.0 - eta)) * P1 * P2)
     return min(
-        half_log2((1 + chan.b[j]**2 * P2 + P1 + 2 * chan.b[j] * rho * root)
-                  / (1 + chan.b[j]**2 * eta * P2))
+        half_log2((1 + chan.b[j] * chan.b[j] * P2 + P1 + 2 * chan.b[j] * rho * root)
+                  / (1 + chan.b[j] * chan.b[j] * eta * P2))
         for j in subset
     )
 
@@ -195,14 +195,14 @@ def receiver_variances(cfg):
     return tuple(cfg.P2 + ak**2 * cfg.P1 + 2 * ak * c + 1.0 for ak in (cfg.a1, cfg.a2))
 
 
-def md_dpc_rate(cfg, x):
+def md_dpc_rate(cfg, x, square=lambda v: v * v):
     v1, v2 = receiver_variances(cfg)
     P_v, P_u = cfg.P_v, cfg.P_u
     sq = np.sqrt(x + 1.0)
     p_of_x = (P_v - x) / sq
     mismatch = (
         cfg.P1 * (P_v + (1.0 - cfg.rho**2) * P_u + 1.0) * (cfg.a1 - cfg.a2) ** 2
-        * p_of_x / ((P_v + 1.0) * (np.sqrt(v1) + np.sqrt(v2)) ** 2)
+        * p_of_x / ((P_v + 1.0) * square(np.sqrt(v1) + np.sqrt(v2)))
     )
     tail = sq if cfg.md_variant == "sqrt" else x + 1.0
     return max(0.0, half_log2(cfg.P_v + 1.0) - half_log2(mismatch + tail))
@@ -229,11 +229,28 @@ def r1_weak(cfg):
     return max(0.0, half_log2(num / den))
 
 
+def weak_outer_bound(cfg, eta_grid=201):
+    P1, P2, b = cfg.P1, cfg.P2, cfg.b
+
+    def r1_cap(eta):
+        num = b**2 * P2 + P1 + 2 * abs(b) * np.sqrt((1 - eta) * P1 * P2) + 1.0
+        return half_log2(num / (b**2 * eta * P2 + 1.0))
+
+    r2_top = half_log2(1.0 + P2)
+    qs = np.unique(np.concatenate([
+        np.array([half_log2(1 + e * P2) for e in np.linspace(0, 1, eta_grid)]),
+        np.linspace(0.0, r2_top, eta_grid),
+    ]))
+    return monotone_frontier(
+        (float(r2), max(0.0, r1_cap(binding_eta(float(r2), P2)))) for r2 in qs
+    )
+
+
 def precoding_covariance(cfg, gamma, alpha):
     P1, Pu, Pv = cfg.P1, cfg.P_u, cfg.P_v
     c1u = cfg.rho * np.sqrt(cfg.P1 * cfg.P_u)
     m = np.zeros((5, 5))
-    m[0, 0] = Pv + gamma**2 * Pu + alpha**2 * P1 + 2 * gamma * alpha * c1u
+    m[0, 0] = Pv + gamma * gamma * Pu + alpha * alpha * P1 + 2 * gamma * alpha * c1u
     m[1, 1] = P1
     m[2, 2] = Pu
     m[1, 2] = m[2, 1] = c1u
@@ -254,7 +271,7 @@ def slot_rate(cfg, gamma, alpha, receiver):
     return max(0.0, gaussian_mi(cov, {"V"}, {z}) - gaussian_mi(cov, {"V"}, {"Xu", "X1"}))
 
 
-def block_expansion_baseline(cfg, t_points=201):
+def block_expansion_baseline(cfg):
     if cfg.P_v <= 0:
         return 0.0
     g = cfg.P_v / (cfg.P_v + 1.0)
@@ -266,7 +283,7 @@ def block_expansion_baseline(cfg, t_points=201):
     def worst(t):
         return min(t * r[0, 0] + (1 - t) * r[0, 1], t * r[1, 0] + (1 - t) * r[1, 1])
 
-    ts = list(np.linspace(0.0, 1.0, t_points))
+    ts = [0.0, 1.0]
     d0 = r[0, 0] - r[0, 1]
     d1 = r[1, 0] - r[1, 1]
     if abs(d0 - d1) > 1e-15:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as reference
+from mcifc import dpc
 from mcifc.dpc import (
     MD_VARIANTS,
     SWEEP_COLUMNS,
@@ -23,9 +24,9 @@ from mcifc.dpc import (
     receiver_variances,
     sweep_artifacts,
     weak_outer_bound,
+    OracleResult,
     _PRECODING,
     _Lanes,
-    _pow2,
     _scan_points,
 )
 from mcifc.gaussian import (
@@ -255,6 +256,20 @@ def test_outer_bound_requires_weak_gain():
         weak_outer_bound(replace(FIG_CFG, b=1.5))
 
 
+def test_outer_bound_equals_per_point_reference():
+    rng = np.random.default_rng(11)
+    gains = [-1.0, 1.0, 0.0] + [float(g) for g in rng.uniform(-1.0, 1.0, 5)]
+    for k, b in enumerate(gains):
+        P2 = 0.0 if k % 4 == 3 else float(rng.uniform(0.1, 4.0))
+        cfg = DpcConfig(P1=float(rng.uniform(0.0, 4.0)), P2=P2, a1=0.75, a2=-0.5, b=b)
+        for grid in (3, 11, 201, 801):
+            got = weak_outer_bound(cfg, grid).points
+            want = reference.weak_outer_bound(cfg, grid).points
+            assert [r2 for r2, _ in got] == [r2 for r2, _ in want], (cfg, grid)
+            assert np.allclose([r1 for _, r1 in got], [r1 for _, r1 in want],
+                               rtol=0.0, atol=1e-15), (cfg, grid)
+
+
 def test_block_expansion_equal_gains_matches_cd():
     cfg = DpcConfig(P1=3.0, P2=1.0, a1=0.6, a2=0.6, b=0.1, eta=0.5, rho=0.0)
     assert block_expansion_baseline(cfg) == pytest.approx(
@@ -271,6 +286,27 @@ def test_block_expansion_endpoints_are_single_slot_rates():
     # the tuned receiver always reaches the clean rate
     assert r[0, 0] == pytest.approx(half_log2(1 + cfg.P_v), abs=1e-9)
     assert r[1, 1] == pytest.approx(half_log2(1 + cfg.P_v), abs=1e-9)
+
+
+def test_block_expansion_is_the_max_over_t_at_one_of_its_candidates(rng):
+    ts = np.linspace(0.0, 1.0, 2001)
+    for _ in range(30):
+        cfg = random_cfg(rng)
+        g = gamma_opt(cfg)
+        # r[receiver][slot]; receiver k's time-shared rate t r[k][0] + (1-t) r[k][1]
+        r = [[reference.slot_rate(cfg, g, ak * g, receiver) for ak in (cfg.a1, cfg.a2)]
+             for receiver in (0, 1)]
+
+        def worst(t):
+            return np.minimum(t * r[0][0] + (1 - t) * r[0][1], t * r[1][0] + (1 - t) * r[1][1])
+
+        d0, d1 = r[0][0] - r[0][1], r[1][0] - r[1][1]
+        cands = [0.0, 1.0]
+        if abs(d0 - d1) > 1e-15 and 0.0 < (r[1][1] - r[0][1]) / (d0 - d1) < 1.0:
+            cands.append((r[1][1] - r[0][1]) / (d0 - d1))
+        got = block_expansion_baseline(cfg)
+        assert got >= worst(ts).max() - 1e-15, cfg
+        assert bits(got) in [bits(worst(t)) for t in cands], cfg
 
 
 def test_block_expansion_between_cd_and_outer_at_fig_params():
@@ -401,11 +437,23 @@ def test_scan_points_follow_linspace_per_lane():
         assert bits(got[k]) == bits(np.linspace(0.0, stop, 64))
 
 
-def test_pow2_is_the_scalar_square_and_inf_past_the_float_range():
-    # Python's float power raised OverflowError on 1.4e154 and -1e300
-    v = np.array([0.0, -3.0, 1.1, 1e154, 1.4e154, -1e300, np.inf, np.nan])
-    want = [0.0, 9.0, 1.1**2, 1e154**2, np.inf, np.inf, np.inf, np.nan]
-    assert bits(_pow2(v)) == bits(np.array(want))
+def test_squares_multiply_where_the_float_power_rounds_differently():
+    rng = np.random.default_rng(3)
+    x = next(v for v in map(float, rng.uniform(0.5, 2.0, 100_000)) if v**2 != v * v)
+    # eta = 0 and rho = 0: entry [0, 0] is gamma^2 Pu + alpha^2 P1 with Pu = P1 = 1
+    cfg = DpcConfig(P1=1.0, P2=1.0, a1=0.75, a2=-0.5, b=0.1, eta=0.0)
+    for gamma, alpha in ((x, 0.0), (0.0, x)):
+        assert bits(precoding_covariance(cfg, gamma, alpha).matrix[0, 0]) == bits(x * x)
+    # the spread (P_v + 1) (sqrt(v1) + sqrt(v2))^2 of the MD penalty: a
+    # configuration whose rate tells v * v from v**2
+    for _ in range(100_000):
+        cfg = random_cfg(rng)
+        want = reference.md_dpc_rate(cfg, 0.0)
+        if want != reference.md_dpc_rate(cfg, 0.0, square=lambda v: float(v)**2):
+            break
+    else:
+        raise AssertionError("no configuration tells the two squares apart")
+    assert bits(md_dpc_rate(cfg, 0.0)) == bits(want)
 
 
 def test_sweep_raises_the_error_a_per_eta_loop_meets_first():
@@ -418,3 +466,34 @@ def test_sweep_raises_the_error_a_per_eta_loop_meets_first():
     with pytest.raises(SingularCovarianceError) as got:
         comparison_sweep(cfg)
     assert str(got.value) == str(want.value)
+
+
+# -- internal checks --------------------------------------------------------------
+
+
+def test_oracle_without_precoded_power_is_zero():
+    assert numeric_dpc_oracle(replace(FIG_CFG, eta=0.0)) == OracleResult(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_oracle_spot_check_names_a_deviating_grid_point(monkeypatch):
+    res = numeric_dpc_oracle(FIG_CFG)
+    # every I(V; Z_k) reads 1 and I(V; Xu X1) reads 0, so gaussian_mi wants 1.0
+    monkeypatch.setattr(dpc, "gaussian_mi",
+                        lambda cov, left, right: 0.0 if right == {"Xu", "X1"} else 1.0)
+    with pytest.raises(AssertionError) as err:
+        numeric_dpc_oracle(FIG_CFG)
+    assert str(err.value) == (
+        f"batched oracle deviates from gaussian_mi at gamma={res.gamma_star}, "
+        f"alpha={res.alpha_star}: {res.value} vs 1.0")
+
+
+def test_sweep_rejects_md_below_cd(monkeypatch):
+    best_x = _Lanes.best_x
+
+    def lowered(self, scan_points):
+        x_star, md = best_x(self, scan_points)
+        return x_star, md - 1.0
+    monkeypatch.setattr(_Lanes, "best_x", lowered)
+    with pytest.raises(AssertionError) as err:
+        comparison_sweep(FIG_CFG, eta_grid=5)
+    assert str(err.value) == "MD rate fell below CD at eta=0.0: -1.0 < 0.0"
