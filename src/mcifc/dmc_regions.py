@@ -563,7 +563,9 @@ def verify_fme_stack(axes: Sequence[tuple[str, int]], inputs: np.ndarray,
     # what project_to_frontier returns for them
     via = iter(grid_frontiers([(d2 * scale, d1 * scale) for (d1, d2), scale, _ in projected],
                               np.array([best for *_, best in projected])))
-    return [region_equal(region, next(via) if ok else Frontier2D(()), 1e-9)
+    # the infeasible columns share one empty frontier, as in grid_frontiers
+    empty = Frontier2D(())
+    return [region_equal(region, next(via) if ok else empty, 1e-9)
             for region, ok in zip(direct, feasible)]
 
 

@@ -219,9 +219,17 @@ class _Lanes:
             rates = slots.slot_rates(g, alpha)
         except (GaussianModelError, SingularCovarianceError):
             # raise the error a per-eta evaluation meets first: each eta's
-            # slot 1, then its slot 2, one lane at a time
+            # slot 1, then its slot 2, one lane at a time. An out-of-range
+            # covariance is named by its slot, its eta and the inputs
             for k in np.argsort(np.tile(np.arange(on.sum()), 2), kind="stable"):
-                _Lanes(self.cfg, slots.eta[k:k + 1]).slot_rates(g[k:k + 1], alpha[k:k + 1])
+                try:
+                    _Lanes(self.cfg, slots.eta[k:k + 1]).slot_rates(g[k:k + 1], alpha[k:k + 1])
+                except GaussianModelError as exc:
+                    cfg = self.cfg
+                    raise DpcConfigError(
+                        f"slot {1 + k // on.sum()} covariance at eta = {slots.eta[k].item()!r} "
+                        f"is out of range for P1 = {cfg.P1!r}, P2 = {cfg.P2!r}, "
+                        f"a1 = {float(cfg.a1)!r}, a2 = {float(cfg.a2)!r}: {exc}") from exc
             raise
         # rate[receiver][slot], each a column over lanes
         rate = rates.reshape(2, 2, -1)[:, :, :, None]

@@ -391,14 +391,24 @@ def golden_section(f, a, b, iters: int):
 
 
 def binding_eta(r2: float, P2: float) -> float:
-    """Power split eta0 in [0, 1] at which 1/2 log2(1 + eta P2) equals r2."""
-    return min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
+    """Power split eta0 in [0, 1] at which 1/2 log2(1 + eta P2) equals r2:
+    the 1-lane case of `_binding_etas`."""
+    return _binding_etas(np.array([r2], dtype=float), P2)[0].item()
 
 
 def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
-    # one scalar call per sample: an array 4.0**qs rounds differently from
-    # the scalar power in about 5% of draws
-    return np.array([binding_eta(r2, P2) for r2 in qs], dtype=float)
+    """`binding_eta` at each R2 sample: (4^q - 1) / P2 clamped to [0, 1], and
+    0 where P2 <= 0. The power is one scalar 4.0**q per sample, since an
+    array 4.0**qs rounds differently in about 5% of draws; the quotient and
+    the clamp are array arithmetic. A quotient past the float range is inf,
+    with no warning, as the float division gives it; the clamp reads as
+    max(0.0, .) and then min(1.0, .) do: -0.0 and NaN become 0.0."""
+    if not P2 > 0:
+        return np.zeros(len(qs))
+    with np.errstate(over="ignore"):
+        eta = (np.array([4.0**q for q in qs.tolist()]) - 1.0) / P2
+    eta = np.where(eta > 0.0, eta, 0.0)
+    return np.where(eta < 1.0, eta, 1.0)
 
 
 def _golden_max(f, lo, hi):
@@ -480,7 +490,7 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     qs = _r2_samples(chan, etas, r2_values, r2_top[0])
     rho0 = np.sqrt(1.0 - _binding_etas(qs, P2))
     best = _golden_max(sum_cap, -rho0, rho0)
-    return monotone_frontier(zip(qs.tolist(), (best - qs).tolist()))
+    return monotone_frontier(qs, best - qs)
 
 
 def _wi_r1(chan: GaussianMultiPrimary, subset, eta):
@@ -527,7 +537,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
         # a sample above the last grid eta finds the -inf pad
         suffix_max = np.append(suffix_max, -np.inf)
         r1 = np.maximum(r1, suffix_max[np.searchsorted(etas, eta0)])
-    return monotone_frontier(zip(qs.tolist(), r1.tolist()))
+    return monotone_frontier(qs, r1)
 
 
 def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
@@ -575,7 +585,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
         tried[above] = h[len(qs):]
         r1 = np.maximum(r1, tried.max(axis=1))
     r1 = np.maximum(r1, 0.0)
-    return monotone_frontier(zip(qs.tolist(), r1.tolist()))
+    return monotone_frontier(qs, r1)
 
 
 def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=None,
@@ -600,7 +610,7 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
     )
     etas = np.linspace(0.0, 1.0, eta_grid)
     qs = _r2_samples(chan, etas, r2_values, r2_top[0])
-    return monotone_frontier(zip(qs.tolist(), (sum_cap(_binding_etas(qs, P2)) - qs).tolist()))
+    return monotone_frontier(qs, sum_cap(_binding_etas(qs, P2)) - qs)
 
 
 def region(chan, regime: str, partition=None, grid: int = 201, r2_values=None,

@@ -282,6 +282,92 @@ def fme_project(sys: IneqSystem, keep: Sequence[str]) -> IneqSystem:
 _SNAP = 1e-12
 
 
+# constants of `_cleaned`, as arrays, which numpy compares faster than floats:
+# the lowest coordinate accepted, zero, infinity, the tolerances of a reversal
+# of r2 and of a rise of r1 in the columns (r2, -r1), and their signs
+_FLOOR, _ZERO, _INF = np.array(-1e-9), np.array(0.0), np.array(math.inf)
+_SLACK = np.array([_SNAP, 1e-9])
+_FLIP = np.array([1.0, -1.0])
+
+
+def _carry_forward(v: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """`v` with each entry whose `own` is False replaced by the nearest one
+    before it, along axis 0, whose `own` is True; own[0] is True. A running
+    extreme taken so, from the entries that reached it, has the zero sign
+    that Python's `max` and `min` give it, whatever sign numpy's maximum and
+    minimum give a tie of zeros."""
+    if np.count_nonzero(own) == own.size:
+        return v
+    rows = np.arange(len(v)).reshape((-1,) + (1,) * (v.ndim - 1))
+    return np.take_along_axis(v, np.maximum.accumulate(rows * own), axis=0)
+
+
+def _cleaned(pts: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The points of a frontier through the nonempty (n, 2) array `pts`, as
+    this loop over them would keep them: reject the first point with a
+    coordinate below -1e-9 or non-finite, clamp at zero, then take each
+    point after the first against the last kept one (px, py): raise if
+    x < px - 1e-12, snap x up to px, raise if y > py + 1e-9, snap y down to
+    py, drop it if it equals (px, py), and of three or more points on one
+    vertical line drop the middle ones; (0, r1) goes in front of a first
+    point with r2 > 0. Each zero keeps the sign that loop's `max(x, px)` and
+    `min(y, py)` give it.
+
+    The pass works on the columns (r2, -r1), where both snaps take a running
+    maximum and the last kept point is, in value, the running maximum of the
+    points before it: one accumulate finds the first failing point and the
+    repeats, and `_carry_forward` snaps the others.
+    """
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise FrontierError(f"points must be (r2, r1) pairs, got shape {pts.shape}")
+    # one test passes the usual points, every coordinate in [0, inf) (-0.0
+    # included); NaN fails every comparison
+    usual = (pts >= _ZERO) & (pts < _INF)
+    if np.count_nonzero(usual) < usual.size:
+        inside = (pts >= _FLOOR) & (pts < _INF)
+        if np.count_nonzero(inside) < inside.size:
+            x, y = pts[inside.all(axis=1).argmin()].tolist()
+            raise FrontierError(f"negative or non-finite coordinate in point ({x!r}, {y!r})")
+        # a coordinate in [-1e-9, 0) becomes 0.0, and -0.0 stays, as
+        # max(v, 0.0) gives them
+        pts = np.where(usual, pts, _ZERO)
+    # negation keeps every bit
+    flip = pts * _FLIP
+    run = np.maximum.accumulate(flip)
+    # a point below the running maximum of the ones before it by more than
+    # the slack is below the running maximum through it by as much
+    bad = flip < run - _SLACK
+    if np.count_nonzero(bad):
+        i = int(bad.any(axis=1).argmax())
+        if bad[i, 0]:
+            raise FrontierError("r2 values must be nondecreasing")
+        py = _cleaned(pts[:i])[-1][1]
+        raise FrontierError(f"r1 must be nonincreasing (got {py!r} then {pts[i, 1].item()!r})")
+    # a kept point that reaches the running maximum keeps its own coordinate
+    # (a tie included, as max and min return their first argument on one);
+    # any other takes that of the last kept point that reached it
+    reach = run == flip
+    # only a point with the r2 of the one before can repeat the last kept
+    # point, which drops it, or stand in a vertical run
+    tied = run[1:, 0] == run[:-1, 0]
+    keep = None
+    if np.count_nonzero(tied):
+        keep = np.concatenate(([True], ~(tied & (run[1:, 1] == run[:-1, 1]))))
+        reach &= keep[:, None]
+    out = _carry_forward(flip, reach) * _FLIP
+    if keep is not None:
+        out = out[keep]
+        # of each vertical run, only the first and the last point stay
+        tied = out[1:, 0] == out[:-1, 0]
+        middle = np.zeros(len(out), dtype=bool)
+        middle[1:-1] = tied[1:] & tied[:-1]
+        out = out[~middle]
+    points = list(map(tuple, out.tolist()))
+    if points[0][0] > 0.0:
+        points.insert(0, (0.0, points[0][1]))
+    return tuple(points)
+
+
 @dataclass(frozen=True)
 class Frontier2D:
     """Downward-closed region in the (R2, R1) plane as a monotone polyline.
@@ -289,37 +375,19 @@ class Frontier2D:
     Points are (r2, r1) with r2 ascending and r1 nonincreasing; two points
     may share an r2 value to encode a vertical step. An empty tuple is the
     empty region; a nonempty frontier always starts at r2 = 0.
+
+    The points may be given as a sequence of pairs or an (n, 2) array; they
+    are checked and cleaned in one array pass (`_cleaned`) and kept as a
+    tuple of float pairs.
     """
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = [(float(x), float(y)) for x, y in self.points]
-        for x, y in pts:
-            if not (-1e-9 <= x < math.inf and -1e-9 <= y < math.inf):
-                raise FrontierError(f"negative or non-finite coordinate in point ({x!r}, {y!r})")
-        pts = [(max(x, 0.0), max(y, 0.0)) for x, y in pts]
-        cleaned: list[tuple[float, float]] = []
-        for x, y in pts:
-            if cleaned:
-                px, py = cleaned[-1]
-                if x < px - _SNAP:
-                    raise FrontierError("r2 values must be nondecreasing")
-                x = max(x, px)
-                if y > py + 1e-9:
-                    raise FrontierError(
-                        f"r1 must be nonincreasing (got {py!r} then {y!r})"
-                    )
-                y = min(y, py)
-                if x == px and y == py:
-                    continue
-                # collapse >2 consecutive points on one vertical line
-                if len(cleaned) >= 2 and cleaned[-2][0] == px == x:
-                    cleaned.pop()
-            cleaned.append((x, y))
-        if cleaned and cleaned[0][0] > 0.0:
-            cleaned.insert(0, (0.0, cleaned[0][1]))
-        object.__setattr__(self, "points", tuple(cleaned))
+        if not len(self.points):
+            object.__setattr__(self, "points", ())
+            return
+        object.__setattr__(self, "points", _cleaned(np.asarray(self.points, dtype=float)))
 
     @cached_property
     def _xs(self) -> tuple[float, ...]:
@@ -526,16 +594,15 @@ def concave_envelope(frontiers: Iterable[Frontier2D]) -> Frontier2D:
     return _time_sharing_hull(pts[:, 0], pts[:, 1])
 
 
-def monotone_frontier(pairs) -> Frontier2D:
-    """Frontier of sampled (r2, r1) pairs: sorted by r2, each r1 capped by the
-    running minimum of the ones before it and clamped at zero."""
-    out = []
-    best = math.inf
-    for x, y in sorted(pairs):
-        y = min(y, best)
-        best = y
-        out.append((x, max(y, 0.0)))
-    return Frontier2D(tuple(out))
+def monotone_frontier(r2: np.ndarray, r1: np.ndarray) -> Frontier2D:
+    """Frontier of the samples r1[i] at r2[i], for r2 ascending with no
+    repeats (as `gaussian` samples it): each r1 capped by the running minimum
+    of the ones before it and clamped at zero, in numpy. A sample not above
+    the running minimum keeps its own value, as min(y, best) keeps it, and
+    a NaN stays for `Frontier2D` to reject."""
+    run = np.minimum.accumulate(r1)
+    r1 = _carry_forward(r1, ~(run < r1))
+    return Frontier2D(np.stack((r2, np.where(r1 < 0.0, 0.0, r1)), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,69 @@ sweep, a point past a frontier's domain, a zero-width piece). The methods of
 `Frontier2D` are module functions here, taking the frontier first; the bodies
 are otherwise unchanged. The tests require the sweep to give `==` points and
 equal booleans.
+
+`cleaned_points` and `monotone_frontier` are the point-at-a-time loops that
+`Frontier2D` and `polytope.monotone_frontier` ran before their array pass;
+the tests require the same points bit for bit, zero signs included, and the
+same exception and message.
 """
 
 import bisect
+import math
 
-from mcifc.polytope import _SNAP, Frontier2D
+from mcifc.polytope import _SNAP, Frontier2D, FrontierError
+
+
+def cleaned_points(points) -> tuple[tuple[float, float], ...]:
+    """The points `Frontier2D(points)` keeps: each point checked, clamped at
+    zero and snapped to the last kept one, exact duplicates and the middle
+    points of a vertical run dropped, and (0, r1) put in front."""
+    pts = [(float(x), float(y)) for x, y in points]
+    for x, y in pts:
+        if not (-1e-9 <= x < math.inf and -1e-9 <= y < math.inf):
+            raise FrontierError(f"negative or non-finite coordinate in point ({x!r}, {y!r})")
+    pts = [(max(x, 0.0), max(y, 0.0)) for x, y in pts]
+    cleaned: list[tuple[float, float]] = []
+    for x, y in pts:
+        if cleaned:
+            px, py = cleaned[-1]
+            if x < px - _SNAP:
+                raise FrontierError("r2 values must be nondecreasing")
+            x = max(x, px)
+            if y > py + 1e-9:
+                raise FrontierError(
+                    f"r1 must be nonincreasing (got {py!r} then {y!r})"
+                )
+            y = min(y, py)
+            if x == px and y == py:
+                continue
+            # collapse >2 consecutive points on one vertical line
+            if len(cleaned) >= 2 and cleaned[-2][0] == px == x:
+                cleaned.pop()
+        cleaned.append((x, y))
+    if cleaned and cleaned[0][0] > 0.0:
+        cleaned.insert(0, (0.0, cleaned[0][1]))
+    return tuple(cleaned)
+
+
+def frontier(points) -> Frontier2D:
+    """A `Frontier2D` holding `cleaned_points(points)`, built without running
+    `Frontier2D`'s own pass."""
+    f = object.__new__(Frontier2D)
+    object.__setattr__(f, "points", cleaned_points(points))
+    return f
+
+
+def monotone_frontier(pairs) -> Frontier2D:
+    """Frontier of sampled (r2, r1) pairs: sorted by r2, each r1 capped by the
+    running minimum of the ones before it and clamped at zero."""
+    out = []
+    best = math.inf
+    for x, y in sorted(pairs):
+        y = min(y, best)
+        best = y
+        out.append((x, max(y, 0.0)))
+    return frontier(out)
 
 
 def value(self: Frontier2D, q: float) -> float | None:

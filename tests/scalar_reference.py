@@ -14,11 +14,11 @@ import numpy as np
 from mcifc.gaussian import (
     CovMatrix,
     _validate_partition,
-    binding_eta,
     gaussian_mi,
     half_log2,
 )
-from mcifc.polytope import monotone_frontier
+
+from frontier_reference import monotone_frontier
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,6 +58,11 @@ def golden_max(f, lo: float, hi: float, iters: int = 44):
 
 
 # -- Gaussian regions, one R2 sample at a time ----------------------------------
+
+
+def binding_eta(r2: float, P2: float) -> float:
+    """Power split eta0 in [0, 1] at which 1/2 log2(1 + eta P2) equals r2."""
+    return min(1.0, max(0.0, (4.0**r2 - 1.0) / P2)) if P2 > 0 else 0.0
 
 
 def _grid(values, default_points):

@@ -176,14 +176,31 @@ def test_dpc_powers_whose_product_overflows_are_named(tmp_path, capsys):
         "DpcConfigError: powers P1 = 1e+308 and P2 = 1e+308 are too large: P1*P2 is non-finite")
 
 
-def test_a_non_finite_covariance_is_a_model_error(tmp_path, capsys):
+def _slot_error(doc, reason: str) -> str:
+    """The error of `dpc-compare --grid 3` on `doc` whose first block slot,
+    at eta = 0.5, has an out-of-range covariance."""
+    return (f"DpcConfigError: slot 1 covariance at eta = 0.5 is out of range for "
+            f"P1 = {float(doc['P1'])!r}, P2 = {float(doc['P2'])!r}, a1 = {doc['a1']!r}, "
+            f"a2 = {doc['a2']!r}: {reason}")
+
+
+@pytest.mark.parametrize("doc, reason", [
+    # it read "GaussianModelError: covariance entries must be finite"
+    (_OVERFLOWING_DPC, "covariance entries must be finite"),
+    # every input passes the gain and power rule, but a1^2 P1 swamps the
+    # slot covariance: it read "GaussianModelError: covariance must be
+    # positive semidefinite"
+    ({"P1": 4, "P2": 4, "a1": 1.6618291946883367e+133, "a2": 1e-10, "b": 4},
+     "covariance must be positive semidefinite"),
+], ids=["non-finite", "indefinite"])
+def test_an_out_of_range_slot_covariance_names_its_inputs(doc, reason, tmp_path, capsys):
     out = tmp_path / "out.csv"
     with np.errstate(all="ignore"):
-        code = run(["dpc-compare", "--in", write(tmp_path / "doc.json", _OVERFLOWING_DPC),
+        code = run(["dpc-compare", "--in", write(tmp_path / "doc.json", doc),
                     "--out", str(out), "--grid", "3"])
     assert code == 1 and not out.exists()
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == "GaussianModelError: covariance entries must be finite"
+    assert error == _slot_error(doc, reason)
 
 
 def _error_line_alone(argv, doc, tmp_path) -> str:
@@ -215,7 +232,7 @@ _OVERFLOWING_SQUARE_DPC = {"P1": 0.936501157619734, "P2": 1.2623787689700171e+30
 def test_an_overflowing_sweep_prints_its_error_line_alone(tmp_path):
     for doc in (_OVERFLOWING_DPC, _OVERFLOWING_SQUARE_DPC):
         error = _error_line_alone(["dpc-compare", "--grid", "3"], doc, tmp_path)
-        assert error == "GaussianModelError: covariance entries must be finite"
+        assert error == _slot_error(doc, "covariance entries must be finite")
 
 
 def test_overflowing_powers_print_their_error_line_alone(tmp_path):

@@ -25,6 +25,7 @@ from mcifc.gaussian import (
     region_ms_vsi,
     sorted_unique,
     wi_input_covariance,
+    _binding_etas,
     _vsi_margin,
 )
 from mcifc.polytope import frontier_intersect
@@ -587,6 +588,29 @@ def test_sorted_unique_matches_np_unique_bit_for_bit():
     for x in cases:
         got, want = sorted_unique(x.copy()), np.unique(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), x
+
+
+def test_binding_etas_equal_the_scalar_rule_bit_for_bit():
+    rng = np.random.default_rng(19)
+    powers = [0.0, -1.0, np.nan, 5e-324, 1e-300, 1e-12, 1.0, 3.7, 1e300]
+    powers += list(rng.uniform(0.0, 10.0, 20)) + list(10.0 ** rng.uniform(-8, 8, 20))
+    for P2 in powers:
+        top = half_log2(1 + P2) if P2 > 0 else 1.0
+        qs = np.concatenate([
+            [0.0, -0.0, -0.5, top, top + 0.5, 0.5, 20.0],
+            rng.uniform(0.0, top, 50),
+            top * (1 - rng.uniform(0.0, 1e-12, 20)),
+        ])
+        # inside the lanes' errstate, as `region` evaluates them; a tiny P2
+        # sends the quotient past the float range
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = _binding_etas(qs, P2)
+        want = [reference.binding_eta(q, P2) for q in qs.tolist()]
+        assert bits(got) == bits(want), P2
+        assert bits([binding_eta(q, P2) for q in qs.tolist()]) == bits(want), P2
+    # outside any errstate the overflowing quotient warns no more than the
+    # float division does
+    assert binding_eta(0.5, 5e-324) == reference.binding_eta(0.5, 5e-324) == 1.0
 
 
 def _gain_signs(rng, n, coherent):

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +199,85 @@ def test_frontier_rejects_non_finite_coordinates(bad):
     for point in ((0.0, bad), (bad, 1.0)):
         with pytest.raises(FrontierError, match="non-finite"):
             Frontier2D(((0.0, 2.0), point))
+
+
+# steps that tie, that reverse r2 or raise r1 within the snap tolerances
+# (1e-12 and 1e-9), and that pass those tolerances
+_R2_STEPS = (0.0, 0.0, 0.0, 0.25, 0.5, 1.0, -4e-13, -1e-12, 1e-13, -3e-12)
+_R1_STEPS = (0.0, 0.0, 0.0, 0.25, 0.5, 1.0, -4e-10, -1e-9, 1e-10, -3e-9)
+_STARTS = (0.0, 0.0, -0.0, -1e-10, 0.5, 1.0)
+_SPECIAL = (0.0, -0.0, -1e-10, -1e-9, -2e-9, math.inf, -math.inf, math.nan)
+
+
+def random_point_lists(rng, count):
+    """`count` lists of 0-8 (r2, r1) points, drawn with the `random.Random`
+    `rng`: mostly monotone walks from the steps above, with exact repeats of
+    the last point and single coordinates swapped for a zero of either sign,
+    a small negative, inf or NaN."""
+    for _ in range(count):
+        x, y = rng.choice(_STARTS), 2.0 + rng.choice(_STARTS)
+        pts = []
+        for _ in range(rng.randrange(9)):
+            kind = rng.randrange(8)
+            if kind == 0 and pts:
+                pts.append(pts[-1])
+                continue
+            x, y = x + rng.choice(_R2_STEPS), y - rng.choice(_R1_STEPS)
+            p = [x, y]
+            if kind == 1:
+                p[rng.randrange(2)] = rng.choice(_SPECIAL)
+            elif kind == 2:
+                # a walk down to r1 = 0, where the sign of zero shows
+                p[1] = rng.choice((0.0, -0.0, 1e-10, -1e-10))
+            pts.append(tuple(p))
+        yield tuple(pts)
+
+
+def _cleaning_outcome(build):
+    """The points `build()` gives, as int64 bit views (so -0.0 differs from
+    0.0), or the type and message of its error."""
+    try:
+        points = build()
+    except (FrontierError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.array(points, dtype=float).reshape(-1, 2).view(np.int64).tolist()
+
+
+def test_frontier_pass_equals_the_point_loop():
+    rng = random.Random(34)
+    seen = set()
+    for pts in random_point_lists(rng, 20_000):
+        got = _cleaning_outcome(lambda: Frontier2D(pts).points)
+        assert got == _cleaning_outcome(lambda: ref.cleaned_points(pts)), pts
+        seen.add(got[1][:12] if isinstance(got, tuple) else "ok")
+    # every outcome occurs: both monotonicity errors and the range error
+    assert seen == {"ok", "r2 values mu", "r1 must be n", "negative or "}
+
+
+def test_monotone_frontier_equals_the_sample_loop():
+    rng = random.Random(35)
+    for pts in random_point_lists(rng, 10_000):
+        r1 = np.array([y for _, y in pts], dtype=float)
+        # ascending, distinct r2, as the Gaussian regions sample it
+        r2 = rng.choice((0.0, 0.25)) + np.arange(len(r1)) * rng.uniform(0.1, 1.0)
+        pairs = list(zip(r2.tolist(), r1.tolist()))
+        got = _cleaning_outcome(lambda: polytope.monotone_frontier(r2, r1).points)
+        want = _cleaning_outcome(lambda: ref.monotone_frontier(pairs).points)
+        assert got == want, (r2.tolist(), r1.tolist())
+
+
+def test_frontier_drops_duplicates_and_vertical_middles():
+    f = Frontier2D(((0.5, 2.0), (0.5, 2.0), (0.5, 1.5), (0.5, 1.0), (0.5, 0.5),
+                    (1.0, 0.5), (1.0, 0.5)))
+    assert f.points == ((0.0, 2.0), (0.5, 2.0), (0.5, 0.5), (1.0, 0.5))
+    # a repeat with the other zero sign is dropped; the kept -0.0 is what a
+    # later point within 1e-9 above it snaps to, and what the error names
+    f = Frontier2D(((0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (2.0, 5e-10)))
+    assert f.points[-1] == (2.0, 0.0) and math.copysign(1.0, f.points[-1][1]) < 0
+    with pytest.raises(FrontierError, match=r"^r1 must be nonincreasing \(got -0.0 then 1.0\)$"):
+        Frontier2D(((0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (2.0, 1.0)))
+    with pytest.raises(FrontierError, match=r"^points must be \(r2, r1\) pairs"):
+        Frontier2D(((0.0, 1.0, 2.0),))
 
 
 def test_grid_bounds_equal_grid_bound_elementwise():
