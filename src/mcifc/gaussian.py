@@ -44,35 +44,26 @@ def half_log2(x: float) -> float:
     return 0.5 * np.log2(x)
 
 
-def check_gain(name: str, g: float, error: type[ValueError]) -> None:
-    """Raise `error` when the gain `name` = g is not finite, or when its
-    square overflows a float: g**2 of a Python float then raises a bare
-    OverflowError, once |g| > 1.34e154."""
-    if not np.isfinite(g):
-        raise error(f"gains must be finite, got {g}")
-    if g * g == np.inf:
-        raise error(f"gain {name} = {g!r} is too large: its square is non-finite")
-
-
-def check_power(name: str, p: float, error: type[ValueError]) -> None:
-    """Raise `error` when the power `name` = p is negative or not finite."""
-    if not np.isfinite(p) or p < 0:
-        raise error(f"power {name} must be finite and >= 0, got {p}")
-
-
 def check_gains_and_powers(record, gains: dict[str, tuple[float, str]],
                            error: type[ValueError]) -> None:
-    """The gain and power rule of the Gaussian channel records and of the DPC
-    configuration: raise `error` on an invalid gain (see check_gain), then on
-    an invalid power of `record` (see check_power), then on powers and gains
-    whose products overflow: P1*P2, or a receiver's full-correlation power
-    1 + g^2 P + P' + 2|g| sqrt(P1 P2), where `gains` maps each gain's name to
-    (g, the name of the power P it scales) and P' is the other power. Each
-    message names its fields. Store the powers of `record` as floats."""
+    """The one gain and power rule of the Gaussian channel records and of the
+    DPC configuration. Raise `error`, naming the field, on the first of:
+    a gain that is not finite, or whose square overflows a float (g**2 of a
+    Python float would raise a bare OverflowError once |g| > 1.34e154); a
+    power P1 or P2 of `record` that is negative or not finite; powers whose
+    product P1*P2 overflows; a gain whose receiver's full-correlation power
+    1 + g^2 P + P' + 2|g| sqrt(P1 P2) overflows, where `gains` maps each
+    gain's name to (g, the name of the power P it scales) and P' is the
+    other power. Store the powers of `record` as floats."""
     for name, (g, _) in gains.items():
-        check_gain(name, g, error)
+        if not np.isfinite(g):
+            raise error(f"gains must be finite, got {g}")
+        if g * g == np.inf:
+            raise error(f"gain {name} = {g!r} is too large: its square is non-finite")
     for name in ("P1", "P2"):
-        check_power(name, getattr(record, name), error)
+        p = getattr(record, name)
+        if not np.isfinite(p) or p < 0:
+            raise error(f"power {name} must be finite and >= 0, got {p}")
     powers = {"P1": float(record.P1), "P2": float(record.P2)}
     P1, P2 = powers["P1"], powers["P2"]
     if not math.isfinite(P1 * P2):
@@ -320,42 +311,43 @@ def _no_partition(partition) -> None:
         raise GaussianModelError("a partition applies to multi_primary channels only")
 
 
+def _splits(chan: GaussianMultiPrimary, strong, weak) -> bool:
+    """The one regime rule of the multi-primary channel, for the split of its
+    receivers into `strong` and `weak` indices: |b_j| >= 1 at each strong j,
+    |b_j| <= 1 at each weak j and, when any receiver is strong, the
+    for-every-rho very-strong condition over the strong gains (see
+    _vsi_margin)."""
+    b = chan.b
+    return (all(abs(b[j]) >= 1.0 for j in strong) and all(abs(b[j]) <= 1.0 for j in weak)
+            and (not strong or _vsi_margin([b[j] for j in strong], chan.a, chan.P1, chan.P2)
+                 <= REGIME_TOL))
+
+
 def classify_gaussian(chan, partition=None) -> str:
     """Regime of a Gaussian channel: "VSI", "WI", "mixed" or "none".
 
-    The for-every-rho very-strong condition is decided in closed form (see
-    _vsi_margin). Mixed classification is attempted only for a caller-supplied
-    partition (strong_indices, weak_indices) of a multi-primary channel, which
-    must split its receivers also where the regime ignores it.
+    A multi-primary channel is VSI when it splits with every receiver strong,
+    WI when it splits with every receiver weak, and mixed when it splits as a
+    caller-supplied partition (strong_indices, weak_indices), tried in that
+    order under the one rule `_splits`. The partition must split the
+    receivers also where the regime ignores it. A multi-secondary channel is
+    VSI when |b| > 1 and every secondary gain a_k passes the very-strong
+    condition, and WI when |b| <= 1; it takes no partition.
     """
     if isinstance(chan, GaussianMultiPrimary):
         if partition is not None:
-            strong, weak = _validate_partition(chan.n_primary, partition)
-        if all(abs(bj) >= 1.0 for bj in chan.b) and \
-                _vsi_margin(chan.b, chan.a, chan.P1, chan.P2) <= REGIME_TOL:
-            return "VSI"
-        if all(abs(bj) <= 1.0 for bj in chan.b):
-            return "WI"
-        if partition is not None:
-            ok = all(abs(chan.b[j]) >= 1.0 for j in strong) and \
-                all(abs(chan.b[j]) <= 1.0 for j in weak)
-            if ok and strong:
-                bs = [chan.b[j] for j in strong]
-                ok = _vsi_margin(bs, chan.a, chan.P1, chan.P2) <= REGIME_TOL
-            if ok:
-                return "mixed"
+            partition = _validate_partition(chan.n_primary, partition)
+        every = range(chan.n_primary)
+        for label, split in (("VSI", (every, ())), ("WI", ((), every)), ("mixed", partition)):
+            if split is not None and _splits(chan, *split):
+                return label
         return "none"
     if isinstance(chan, GaussianMultiSecondary):
         _no_partition(partition)
-        if abs(chan.b) > 1.0:
-            if all(
-                _vsi_margin([chan.b], ak, chan.P1, chan.P2) <= REGIME_TOL
-                for ak in chan.a
-            ):
-                return "VSI"
-        if abs(chan.b) <= 1.0:
-            return "WI"
-        return "none"
+        if abs(chan.b) > 1.0 and all(
+                _vsi_margin([chan.b], ak, chan.P1, chan.P2) <= REGIME_TOL for ak in chan.a):
+            return "VSI"
+        return "WI" if abs(chan.b) <= 1.0 else "none"
     raise GaussianModelError(f"unsupported channel type {type(chan).__name__}")
 
 
@@ -435,7 +427,12 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndarray:
+def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float):
+    """The R2 samples qs of a region and the power split eta0 at which each
+    binds (`_binding_etas`), as two arrays. The samples are `r2_values`, or
+    else 1/2 log2(1 + eta P2) at each eta of `eta_like` together with as many
+    evenly spaced points of [0, r2_cap]; those in [0, r2_cap + 1e-12] are
+    kept, clipped at r2_cap, sorted and taken once each."""
     if r2_values is not None:
         qs = np.asarray(r2_values, dtype=float)
     else:
@@ -443,7 +440,8 @@ def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float) -> np.ndar
             half_log2(1 + eta_like * chan.P2),
             np.linspace(0.0, r2_cap, len(eta_like)),
         ])
-    return sorted_unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
+    qs = sorted_unique(qs[(qs >= 0) & (qs <= r2_cap + 1e-12)].clip(max=r2_cap))
+    return qs, _binding_etas(qs, chan.P2)
 
 
 def _receiver_terms(chan: GaussianMultiPrimary, subset):
@@ -487,8 +485,8 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
         np.array([-1.0]), np.array([1.0]),
     )
     etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
-    qs = _r2_samples(chan, etas, r2_values, r2_top[0])
-    rho0 = np.sqrt(1.0 - _binding_etas(qs, P2))
+    qs, eta0 = _r2_samples(chan, etas, r2_values, r2_top[0])
+    rho0 = np.sqrt(1.0 - eta0)
     best = _golden_max(sum_cap, -rho0, rho0)
     return monotone_frontier(qs, best - qs)
 
@@ -524,8 +522,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
     P2 = chan.P2
     etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
-    qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
-    eta0 = _binding_etas(qs, P2)
+    qs, eta0 = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
     # mixed-sign gains: the max-min over rho need not decrease in eta, so the
     # grid values join the lanes for a running-maximum envelope
     lanes = eta0 if coherent else np.concatenate([eta0, etas])
@@ -552,15 +549,14 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
     above eta0 are tried as well. One golden section runs over every
     (eta, R2) pair.
     """
-    if require_regime and classify_gaussian(chan, partition) not in ("mixed", "WI", "VSI"):
+    if require_regime and classify_gaussian(chan, partition) == "none":
         raise GaussianModelError("channel fails the mixed-regime conditions")
     strong, weak = _validate_partition(chan.n_primary, partition)
     P1, P2 = chan.P1, chan.P2
     etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
     coarse = etas[:: max(1, len(etas) // 16)]
-    qs = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
-    eta0 = _binding_etas(qs, P2)
+    qs, eta0 = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
     lane_eta, lane_r2 = eta0, qs
     if not coherent:
         above = coarse[None, :] > eta0[:, None]  # (sample, coarse eta) pairs to try
@@ -609,8 +605,8 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
         np.array([0.0]), np.array([1.0]),
     )
     etas = np.linspace(0.0, 1.0, eta_grid)
-    qs = _r2_samples(chan, etas, r2_values, r2_top[0])
-    return monotone_frontier(qs, sum_cap(_binding_etas(qs, P2)) - qs)
+    qs, eta0 = _r2_samples(chan, etas, r2_values, r2_top[0])
+    return monotone_frontier(qs, sum_cap(eta0) - qs)
 
 
 def region(chan, regime: str, partition=None, grid: int = 201, r2_values=None,

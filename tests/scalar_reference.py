@@ -1,10 +1,13 @@
 """Scalar references for the lane-wise evaluators of `mcifc.gaussian` and
-`mcifc.dpc`.
+`mcifc.dpc`, and for the regime classification of `mcifc.gaussian`.
 
 Here each bracket, R2 sample and power split is evaluated on its own, in
 plain scalar code: the one-bracket golden-section loop, the per-sample
 region evaluators and the per-eta DPC sweep. The tests require the lane-wise
-results to equal these bit for bit, zero signs included.
+results to equal these bit for bit, zero signs included. The classification
+reference writes out each regime's conditions on its own, as
+`classify_gaussian` did before VSI and WI became the all-strong and all-weak
+splits of the mixed rule.
 """
 
 from dataclasses import replace
@@ -12,8 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from mcifc.gaussian import (
+    REGIME_TOL,
     CovMatrix,
+    GaussianModelError,
+    GaussianMultiPrimary,
+    GaussianMultiSecondary,
+    _no_partition,
     _validate_partition,
+    _vsi_margin,
     gaussian_mi,
     half_log2,
 )
@@ -55,6 +64,41 @@ def golden_max(f, lo: float, hi: float, iters: int = 44):
     vals = [f(x) for x in xs]
     k = int(np.argmax(vals))
     return xs[k], vals[k]
+
+
+# -- Gaussian regimes, each written out on its own ------------------------------
+
+
+def classify_gaussian(chan, partition=None) -> str:
+    if isinstance(chan, GaussianMultiPrimary):
+        if partition is not None:
+            strong, weak = _validate_partition(chan.n_primary, partition)
+        if all(abs(bj) >= 1.0 for bj in chan.b) and \
+                _vsi_margin(chan.b, chan.a, chan.P1, chan.P2) <= REGIME_TOL:
+            return "VSI"
+        if all(abs(bj) <= 1.0 for bj in chan.b):
+            return "WI"
+        if partition is not None:
+            ok = all(abs(chan.b[j]) >= 1.0 for j in strong) and \
+                all(abs(chan.b[j]) <= 1.0 for j in weak)
+            if ok and strong:
+                bs = [chan.b[j] for j in strong]
+                ok = _vsi_margin(bs, chan.a, chan.P1, chan.P2) <= REGIME_TOL
+            if ok:
+                return "mixed"
+        return "none"
+    if isinstance(chan, GaussianMultiSecondary):
+        _no_partition(partition)
+        if abs(chan.b) > 1.0:
+            if all(
+                _vsi_margin([chan.b], ak, chan.P1, chan.P2) <= REGIME_TOL
+                for ak in chan.a
+            ):
+                return "VSI"
+        if abs(chan.b) <= 1.0:
+            return "WI"
+        return "none"
+    raise GaussianModelError(f"unsupported channel type {type(chan).__name__}")
 
 
 # -- Gaussian regions, one R2 sample at a time ----------------------------------

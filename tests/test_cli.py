@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcifc.cli import run
+from mcifc.cli import CliValidationError, _parse_partition, run
 
 CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -531,6 +531,19 @@ def test_partition_flag_parsing(wi_chan, tmp_path, capsys):
     assert not out.exists()
     assert run(["classify", "--in", wi_chan, "--partition", "2|1"]) == 0
     assert json.loads(capsys.readouterr().out)["regime"] == "WI"
+
+
+@pytest.mark.parametrize("raw", ["1,x|2", "1|2|3"])
+def test_a_malformed_partition_is_named(raw, wi_chan, capsys):
+    message = f"--partition must look like '1,2|3' (strong|weak), got {raw!r}"
+    with pytest.raises(CliValidationError) as caught:
+        _parse_partition(raw, ("Y1", "Y2"))
+    assert str(caught.value) == message
+    # the CLI prints a validation error's message alone
+    assert run(["classify", "--in", wi_chan, "--partition", raw]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == message
 
 
 @pytest.mark.parametrize("raw", ["1,2|3,3", "1,1,2|3"])

@@ -1677,3 +1677,23 @@ def test_mp_vwi_single_primary_matches_direct_evaluator(rng):
         pieces.append(Frontier2D(((0.0, r1), (r2, r1))))
     want = concave_envelope([union_all(pieces)])
     assert region_equal(fr, want, 1e-9)
+
+
+_X1X2 = JointDist((("X1", 2), ("X2", 2)), np.full((2, 2), 0.25))
+_Y1Z1 = DmcChannel(2, 2, (("Y1", 2), ("Z1", 2)), np.full((2, 2, 2, 2), 0.25))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dr.AuxAssignment(_X1X2), AlphabetError,
+     "auxiliary joint lacks axes ['Q1', 'Q', 'U', 'V']"),
+    (lambda: dr.RegimeReport("multi_primary", "VSI", True, 1,
+                             dr.RegimeWitness(_X1X2, "Y1", "strong", 0.1), _Y1Z1, ((), ())),
+     dr.RegimeError, "witness must be present iff the check failed"),
+    (lambda: dr.RegimeReport("multi_primary", "VSI", False, 1, None, _Y1Z1, ((), ())),
+     dr.RegimeError, "witness must be present iff the check failed"),
+    # a joint without U reaches _Batch.entropy with an unknown variable
+    (lambda: dr.mixed_achievable_region(_X1X2, _Y1Z1, ("Y1",), ()), AlphabetError,
+     "unknown variable 'U'; have ('X1', 'X2', 'Y1', 'Z1')"),
+], ids=["aux-axes", "pass-with-witness", "failure-without-witness", "batch-variable"])
+def test_record_checks_name_what_is_wrong(call, error, message):
+    assert _message(error, call) == message

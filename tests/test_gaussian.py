@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,6 +101,81 @@ def test_classify_multi_secondary():
     assert classify_gaussian(GaussianMultiSecondary(2.0, (2.0, 2.0), 1, 1)) == "VSI"
     assert classify_gaussian(GaussianMultiSecondary(0.5, (0.3, 0.8), 1, 1)) == "WI"
     assert classify_gaussian(GaussianMultiSecondary(2.0, (-2.0, 2.0), 1, 1)) == "none"
+
+
+def _draw_gain(rng, spread: float) -> float:
+    """Exactly +-1 or 0 a fifth of the time each, else uniform on +-spread."""
+    u = rng.random()
+    if u < 0.2:
+        return float(rng.choice((-1.0, 1.0)))
+    if u < 0.4:
+        return 0.0
+    return float(rng.uniform(-spread, spread))
+
+
+def _draw_power(rng) -> float:
+    return 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))
+
+
+def _draw_partition(rng, b):
+    """None, the split by |b_j| (a gain of magnitude 1 on either side), all
+    strong, all weak, a random split, or an invalid one; each side in a
+    shuffled order."""
+    n = len(b)
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return None
+    if kind == 1:
+        side = [abs(bj) > 1 or (abs(bj) == 1 and rng.random() < 0.5) for bj in b]
+    else:
+        side = [kind == 2 or (kind != 3 and rng.random() < 0.5) for _ in b]
+    strong = [j for j in range(n) if side[j]]
+    weak = [j for j in range(n) if not side[j]]
+    if kind == 5:
+        bad = int(rng.integers(4))
+        if bad == 0:  # a receiver on both sides
+            j = int(rng.integers(n))
+            strong, weak = sorted(set(strong) | {j}), sorted(set(weak) | {j})
+        elif bad == 1 and strong:  # a receiver on neither side
+            strong = strong[1:]
+        elif bad == 1:
+            weak = weak[1:]
+        else:  # an index out of range
+            weak = weak + [n if bad == 2 else -1]
+    return (tuple(int(j) for j in rng.permutation(strong)),
+            tuple(int(j) for j in rng.permutation(weak)))
+
+
+def _classification(classify, chan, partition):
+    try:
+        return classify(chan, partition)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_classify_splits_as_each_regime_written_out(rng):
+    # VSI and WI are the all-strong and all-weak splits of the mixed rule;
+    # the reference writes each regime's conditions out on its own. The draws
+    # hold gains of exactly 1 and 0, zero powers, empty sides, invalid
+    # partitions, and multi-secondary channels with and without a partition.
+    outcomes = Counter()
+    for _ in range(20000):
+        if rng.random() < 0.75:
+            b = tuple(_draw_gain(rng, 3.0) for _ in range(int(rng.integers(1, 5))))
+            chan = GaussianMultiPrimary(b, _draw_gain(rng, 4.0), _draw_power(rng), _draw_power(rng))
+            partition = _draw_partition(rng, b)
+        else:
+            a = tuple(_draw_gain(rng, 4.0) for _ in range(int(rng.integers(1, 4))))
+            chan = GaussianMultiSecondary(_draw_gain(rng, 3.0), a, _draw_power(rng), _draw_power(rng))
+            partition = None if rng.random() < 0.8 else _draw_partition(rng, (chan.b,))
+        got = _classification(classify_gaussian, chan, partition)
+        assert got == _classification(reference.classify_gaussian, chan, partition), \
+            (chan, partition)
+        outcomes[got if isinstance(got, str) else re.sub(r"\(.*\)", "P", got[1])] += 1
+    assert set(outcomes) == {
+        "VSI", "WI", "mixed", "none", "a partition applies to multi_primary channels only",
+        *(f"partition P must split receiver indices 0..{n - 1}" for n in range(1, 5)),
+    }, outcomes
 
 
 def test_channel_json_round_trip():

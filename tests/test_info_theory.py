@@ -345,3 +345,17 @@ def test_clamp_mi_rounds_noise_to_zero_and_raises_below_tolerance():
     for value in (np.array([0.5, -2e-10]), np.float64(-1e-9), np.array([np.nan, -1.0])):
         with pytest.raises(OverflowError, match="mutual information came out"):
             clamp_mi(value, OverflowError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: JointDist((("X1", 0), ("X2", 2)), np.zeros((0, 2))),
+     "axis 'X1' has nonpositive size 0"),
+    (lambda: uniform(("X1", 2), ("X2", 2)).axis_index("U"),
+     "unknown variable 'U'; have ('X1', 'X2')"),
+    (lambda: DmcChannel(0, 2, (("Y1", 2), ("Z1", 2)), np.zeros((0, 2, 2, 2))),
+     "input alphabets must be nonempty"),
+], ids=["empty-axis", "absent-axis-name", "empty-input-alphabet"])
+def test_alphabet_checks_name_what_is_wrong(call, message):
+    with pytest.raises(AlphabetError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1042,3 +1042,18 @@ def test_frontier_lookups_match_searchsorted():
                     assert f._affine_on(u, v) == _reference_affine_on(f, u, v), (f.points, u, v)
     assert steps >= 20
     assert pairs >= 8000
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Frontier2D(()).r2_max, FrontierError, "empty frontier has no r2_max"),
+    (lambda: Frontier2D.from_csv_text("R1,R2\n0,1\n"), FrontierError,
+     "expected header 'R2,R1'"),
+    (lambda: project_to_frontier(
+        IneqSystem(("R1", "R3"), (LinIneq((("R1", Fraction(1)),), Fraction(1)),)), "R1", "R2"),
+     ValueError, "system must be over exactly ('R1', 'R2'); has ('R1', 'R3')"),
+], ids=["empty-r2-max", "csv-header", "projection-variables"])
+def test_frontier_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
