@@ -282,7 +282,7 @@ def _cmd_region(args) -> int:
         raise CliValidationError(
             f"channel classifies as {regime!r}, not {args.regime!r}"
         )
-    frontier = gaussian.region(chan, regime, partition, args.grid)
+    frontier = gaussian.region(chan, regime, partition, args.grid, require_regime=False)
     _write_artifact(args.out, frontier.to_csv_text())
     _emit({"regime": regime, "points": len(frontier.points), "out": args.out})
     return 0

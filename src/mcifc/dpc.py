@@ -323,7 +323,7 @@ def weak_outer_bound(cfg: DpcConfig, eta_grid: int = 201) -> Frontier2D:
         R2 <= 1/2 log2(eta P2 + 1),
     the weak-interference region of the one-primary channel with gain |b|
     (region_mp_wi): its layered ratio increases in rho, so the max over rho
-    is the ratio at rho = 1, which the golden section probes exactly."""
+    is the ratio at rho = 1, the end point region_mp_wi takes for one gain."""
     if abs(cfg.b) > 1.0:
         raise DpcConfigError("outer bound is stated for |b| <= 1")
     chan = GaussianMultiPrimary((abs(cfg.b),), 0.0, cfg.P1, cfg.P2)

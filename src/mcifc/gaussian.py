@@ -406,7 +406,8 @@ def _binding_etas(qs: np.ndarray, P2: float) -> np.ndarray:
 def _golden_max(f, lo, hi):
     """Maxima of concave functions on [lo, hi], one per lane, after 44 golden
     steps; also probes the endpoints, so monotone objectives resolve to the
-    exact boundary value."""
+    exact boundary value. The maxima over rho of coherent channels skip it
+    (see _rho_max)."""
     a, b = golden_section(f, lo, hi, 44)
     return np.stack([f(x) for x in (lo, hi, 0.5 * (a + b))]).max(axis=0)
 
@@ -414,6 +415,17 @@ def _golden_max(f, lo, hi):
 def _coherent(chan: GaussianMultiPrimary) -> bool:
     signs = {np.sign(bj) for bj in chan.b if bj != 0}
     return len(signs) <= 1
+
+
+def _rho_max(chan: GaussianMultiPrimary, f, lo, hi):
+    """Maxima over rho in [lo, hi], one per lane, of a min of the receiver
+    terms 1/2 log2(affine in b_j rho) of `chan`. Under coherent gains every
+    term moves the same way in rho, and each of its float operations rounds
+    monotonely, so the maximum is f(lo) or f(hi) to the bit, the value
+    _golden_max returns; otherwise it is _golden_max."""
+    if _coherent(chan):
+        return np.maximum(f(lo), f(hi))
+    return _golden_max(f, lo, hi)
 
 
 def sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -472,8 +484,9 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
                        R1+R2 <= min_j 1/2 log2(1+b_j^2 P2+P1+2 b_j rho sqrt(P1 P2)).
 
     Evaluated per R2 sample: the admissible rho interval is closed-form and
-    the concave min_j sum-rate is maximized by golden section inside it, over
-    all samples at once.
+    the concave min_j sum-rate is maximized inside it, over all samples at
+    once: at an end point of the interval under coherent gains, by golden
+    section otherwise (_rho_max).
     """
     if require_regime and classify_gaussian(chan) != "VSI":
         raise GaussianModelError("channel is not in the very-strong regime")
@@ -487,7 +500,7 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
     qs, eta0 = _r2_samples(chan, etas, r2_values, r2_top[0])
     rho0 = np.sqrt(1.0 - eta0)
-    best = _golden_max(sum_cap, -rho0, rho0)
+    best = _rho_max(chan, sum_cap, -rho0, rho0)
     return monotone_frontier(qs, best - qs)
 
 
@@ -515,7 +528,9 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
 
     For each R2 sample the binding power split eta0 is closed-form; a running
     maximum over the eta grid covers any non-monotone max-min behaviour under
-    mixed-sign gains. One golden section runs over every eta0 and grid eta.
+    mixed-sign gains. The max over rho is taken at rho = -1 or 1 under
+    coherent gains; otherwise one golden section runs over every eta0 and
+    grid eta (_rho_max).
     """
     if require_regime and classify_gaussian(chan) != "WI":
         raise GaussianModelError("channel is not in the weak regime")
@@ -527,7 +542,7 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
     # grid values join the lanes for a running-maximum envelope
     lanes = eta0 if coherent else np.concatenate([eta0, etas])
     ones = np.ones(len(lanes))
-    g = _golden_max(_wi_r1(chan, range(chan.n_primary), lanes), -ones, ones)
+    g = _rho_max(chan, _wi_r1(chan, range(chan.n_primary), lanes), -ones, ones)
     r1 = g[:len(qs)]
     if not coherent:
         suffix_max = np.maximum.accumulate(g[len(qs):][::-1])[::-1]
@@ -546,8 +561,9 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
         R1 + R2 <= min over strong j of 1/2 log2(1+b_j^2 P2+P1+2 b_j rho sqrt((1-eta) P1 P2)).
 
     Each R2 sample binds at eta0; under mixed-sign gains the coarse-grid etas
-    above eta0 are tried as well. One golden section runs over every
-    (eta, R2) pair.
+    above eta0 are tried as well. The max over rho is taken at rho = -1 or 1
+    under coherent gains; otherwise one golden section runs over every
+    (eta, R2) pair (_rho_max).
     """
     if require_regime and classify_gaussian(chan, partition) == "none":
         raise GaussianModelError("channel fails the mixed-regime conditions")
@@ -574,7 +590,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
         return np.minimum.reduce([part(rho) for part in parts])
 
     ones = np.ones(len(lane_eta))
-    h = _golden_max(obj, -ones, ones)
+    h = _rho_max(chan, obj, -ones, ones)
     r1 = h[:len(qs)]
     if not coherent:
         tried = np.full(above.shape, -np.inf)

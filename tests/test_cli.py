@@ -593,6 +593,38 @@ def test_region_mixed_with_partition(tmp_path, capsys):
     assert out.read_text().startswith("R2,R1\n")
 
 
+@pytest.mark.parametrize("doc, partition, regime", [
+    ({"b": [1.5, 2.0], "a": 2.5, "P1": 1.0, "P2": 1.0}, None, "VSI"),
+    ({"b": [0.5, 0.9], "a": 0.3, "P1": 1.0, "P2": 2.0}, None, "WI"),
+    ({"b": [0.5, 2.0], "a": 2.0, "P1": 1.0, "P2": 1.0}, "2|1", "mixed"),
+    ({"b": [0.5, 2.0], "a": 0.0, "P1": 1.0, "P2": 1.0}, None, "none"),
+])
+def test_region_classifies_the_channel_once(doc, partition, regime, tmp_path, capsys,
+                                            monkeypatch):
+    from mcifc import gaussian
+
+    labels = []
+    classify = gaussian.classify_gaussian
+
+    def counting(*args, **kwargs):
+        labels.append(classify(*args, **kwargs))
+        return labels[-1]
+
+    monkeypatch.setattr(gaussian, "classify_gaussian", counting)
+    path = write(tmp_path / "chan.json", {"class": "multi_primary", **doc})
+    out = tmp_path / "r.csv"
+    argv = ["region", "--in", path, "--out", str(out), "--grid", "11"]
+    code = run(argv + (["--partition", partition] if partition else []))
+    assert labels == [regime]
+    captured = capsys.readouterr()
+    if regime == "none":
+        assert code == 1 and not out.exists()
+        assert json.loads(captured.err) == {
+            "error": "GaussianModelError: channel is outside every covered regime"}
+    else:
+        assert code == 0 and json.loads(captured.out)["regime"] == regime
+
+
 def test_verify_fme_rejects_zero_samples(capsys):
     assert run(["verify-fme", "--samples", "0"]) == 1
     assert "samples" in json.loads(capsys.readouterr().err)["error"]

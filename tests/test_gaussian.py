@@ -749,6 +749,106 @@ def test_regions_with_no_r2_sample_in_range():
     assert region_mp_mixed(chan, ((), (0, 1)), r2_values=[-1.0]).points == ()
 
 
+def _frontier_or_error(chan, regime, partition, grid, r2):
+    """The `region` frontier as bytes, or the type and message it raised."""
+    try:
+        fr = region(chan, regime, partition, grid, r2_values=r2, require_regime=False)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return bits(fr.points)
+
+
+def _coherent_draw(rng, kind):
+    """One seeded coherent multi-primary channel of `kind` ("VSI", "WI" or
+    "mixed") and its partition, or None when the powers overflow. Gains are
+    0 or exactly +-1 at times, P1 is 0 at times, and one draw in five puts
+    the powers near the overflow limit of check_gains_and_powers."""
+    n = int(rng.integers(1, 5))
+    sign = rng.choice([-1.0, 1.0])
+    strong = rng.random(n) < {"VSI": 1.0, "WI": 0.0, "mixed": 0.5}[kind]
+    b = np.where(strong, rng.uniform(1.0, 3.0, n), rng.uniform(0.0, 1.0, n))
+    b = np.where(rng.random(n) < 0.15, np.where(strong, 1.0, 0.0), b)
+    b = np.where(rng.random(n) < 0.1, 1.0, b)
+    a = float(b.max()) * rng.uniform(0.5, 1.5) if kind == "VSI" else rng.uniform(-3.0, 3.0)
+    P1, P2 = 10.0 ** rng.uniform(-3, 3, 2)
+    if rng.random() < 0.2:
+        # P1 * P2 near the float range, or P2 alone near it with P1 = 0
+        P1, P2 = 10.0 ** rng.uniform(153.0, 154.0, 2) / (1 + b.max() ** 2)
+        if rng.random() < 0.5:
+            P1, P2 = 0.0, 10.0 ** rng.uniform(306.0, 308.0) / (1 + b.max() ** 2)
+    if rng.random() < 0.15:
+        P1 = 0.0
+    partition = (tuple(np.flatnonzero(strong)), tuple(np.flatnonzero(~strong)))
+    try:
+        return GaussianMultiPrimary(tuple(sign * b), a, P1, P2), partition
+    except GaussianModelError:
+        return None
+
+
+def test_coherent_maxima_over_rho_equal_golden_section_bit_for_bit(monkeypatch):
+    # under coherent gains _rho_max takes the end points; forced onto
+    # _golden_max, the same call must give the same frontier, zero signs and
+    # errors included
+    from mcifc import gaussian
+
+    def golden(chan, f, lo, hi):
+        return gaussian._golden_max(f, lo, hi)
+
+    rng = np.random.default_rng(36)
+    seen = Counter()
+    for draw in range(240):
+        kind = ("VSI", "WI", "mixed")[draw % 3]
+        drawn = _coherent_draw(rng, kind)
+        if drawn is None:
+            continue
+        chan, partition = drawn
+        cap = float(half_log2(1 + chan.P2))
+        # the explicit samples reach the cap (eta0 = 1, root = 0) and pass it
+        r2 = None if draw % 2 else np.append(np.linspace(0.0, cap, 6), [cap, 2 * cap + 1])
+        grid = int(rng.integers(2, 24))
+        got = _frontier_or_error(chan, kind, partition, grid, r2)
+        with monkeypatch.context() as m:
+            m.setattr(gaussian, "_rho_max", golden)
+            want = _frontier_or_error(chan, kind, partition, grid, r2)
+        assert got == want, (kind, chan, partition, grid, r2)
+        seen[kind, isinstance(got, bytes)] += 1
+        seen["zero gain"] += 0.0 in chan.b
+        seen["unit gain"] += 1.0 in np.abs(chan.b)
+        seen["P1 = 0"] += chan.P1 == 0.0
+        seen["near overflow"] += chan.P1 * chan.P2 > 1e300 or chan.P2 > 1e300
+    for key in [(k, True) for k in ("VSI", "WI", "mixed")] + [
+            "zero gain", "unit gain", "P1 = 0", "near overflow"]:
+        assert seen[key] >= 5, (key, seen)
+
+
+@pytest.mark.parametrize("chan, regime, partition, calls", [
+    (GaussianMultiPrimary((0.5, 0.9), 0.3, 1.0, 2.0), "WI", None, 0),
+    (GaussianMultiPrimary((-0.5, -0.9, 0.0), 0.3, 1.0, 2.0), "WI", None, 0),
+    (GaussianMultiPrimary((0.5, 2.0), 2.0, 1.0, 1.0), "mixed", ((1,), (0,)), 0),
+    (GaussianMultiPrimary((1.5, 2.0), 2.5, 1.0, 1.0), "VSI", None, 1),
+    (GaussianMultiSecondary(2.0, (2.0,), 1.0, 1.0), "VSI", None, 1),
+    (GaussianMultiPrimary((0.5, -0.9), 0.3, 1.0, 2.0), "WI", None, 1),
+    (GaussianMultiPrimary((-0.5, 2.0), 2.0, 1.0, 1.0), "mixed", ((1,), (0,)), 1),
+    (GaussianMultiPrimary((1.5, -2.0), 0.0, 1.0, 1.0), "VSI", None, 2),
+], ids=["WI", "WI-negative", "mixed", "VSI", "ms-VSI", "WI-signs", "mixed-signs",
+        "VSI-signs"])
+def test_golden_section_runs_only_where_no_end_point_decides(chan, regime, partition, calls,
+                                                             monkeypatch):
+    # coherent maxima over rho take the end points; the r2_top of each VSI
+    # region and every mixed-sign maximum still run golden section
+    from mcifc import gaussian
+
+    called = []
+
+    def counted(*args):
+        called.append(args)
+        return golden_section(*args)
+
+    monkeypatch.setattr(gaussian, "golden_section", counted)
+    region(chan, regime, partition, 21, require_regime=False)
+    assert len(called) == calls
+
+
 def test_cov_matrix_stack_checks_every_matrix():
     good = np.array([[2.0, 1.0], [1.0, 2.0]])
     stack = np.stack([good, good * 3.0])

@@ -15,8 +15,9 @@ The report gives, per module, the statements run out of those that compile
 to code, and per function (by qualified name; `<module>` for top-level code)
 the first line of each statement never run. A statement counts as run when
 any of its own lines runs: a compound statement owns its header lines, a
-simple one all of its lines. The exit status is pytest's, or 0 for
-`--catalogue`.
+simple one all of its lines. The body of an `if TYPE_CHECKING:` is not
+counted, since no run executes it; its `else` branch is. The exit status is
+pytest's, or 0 for `--catalogue`.
 """
 
 from __future__ import annotations
@@ -55,9 +56,17 @@ def own_lines(stmt: ast.stmt) -> range:
     return range(stmt.lineno, (min(starts) if starts else stmt.end_lineno + 1))
 
 
+def type_checking_only(stmt: ast.stmt) -> bool:
+    """Whether `stmt` is `if TYPE_CHECKING:` or `if typing.TYPE_CHECKING:`."""
+    test = stmt.test if isinstance(stmt, ast.If) else None
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
 def statements(tree: ast.Module):
     """(qualified name of the enclosing scope, statement) for each statement
-    of the module; a docstring is not listed."""
+    of the module; a docstring is not listed, nor the body of an
+    `if TYPE_CHECKING:`."""
     def walk(body, scope):
         for i, stmt in enumerate(body):
             if (i == 0 and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
@@ -67,7 +76,8 @@ def statements(tree: ast.Module):
             inner = scope
             if isinstance(stmt, SCOPES):
                 inner = stmt.name if scope == "<module>" else f"{scope}.{stmt.name}"
-            for field in ("body", "orelse", "finalbody"):
+            fields = ("orelse",) if type_checking_only(stmt) else ("body", "orelse", "finalbody")
+            for field in fields:
                 block = getattr(stmt, field, None)
                 if isinstance(block, list):
                     yield from walk(block, inner)
