@@ -311,14 +311,22 @@ def _no_partition(partition) -> None:
         raise GaussianModelError("a partition applies to multi_primary channels only")
 
 
+def _below_one(chan: GaussianMultiPrimary, strong) -> int | None:
+    """The first receiver j of `strong` with |b_j| < 1, or None. No such
+    receiver may be taken as strong: its sum cap with no cooperation
+    (eta = 1 or rho = 0), 1/2 log2(1 + b_j^2 P2 + P1), can fall below
+    1/2 log2(1 + P2), the top of R2 in every region."""
+    return next((j for j in strong if abs(chan.b[j]) < 1.0), None)
+
+
 def _splits(chan: GaussianMultiPrimary, strong, weak) -> bool:
     """The one regime rule of the multi-primary channel, for the split of its
-    receivers into `strong` and `weak` indices: |b_j| >= 1 at each strong j,
-    |b_j| <= 1 at each weak j and, when any receiver is strong, the
-    for-every-rho very-strong condition over the strong gains (see
+    receivers into `strong` and `weak` indices: |b_j| >= 1 at each strong j
+    (_below_one), |b_j| <= 1 at each weak j and, when any receiver is strong,
+    the for-every-rho very-strong condition over the strong gains (see
     _vsi_margin)."""
     b = chan.b
-    return (all(abs(b[j]) >= 1.0 for j in strong) and all(abs(b[j]) <= 1.0 for j in weak)
+    return (_below_one(chan, strong) is None and all(abs(b[j]) <= 1.0 for j in weak)
             and (not strong or _vsi_margin([b[j] for j in strong], chan.a, chan.P1, chan.P2)
                  <= REGIME_TOL))
 
@@ -439,12 +447,15 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _r2_samples(chan, eta_like: np.ndarray, r2_values, r2_cap: float):
+def _r2_samples(chan, eta_like: np.ndarray, r2_values):
     """The R2 samples qs of a region and the power split eta0 at which each
-    binds (`_binding_etas`), as two arrays. The samples are `r2_values`, or
-    else 1/2 log2(1 + eta P2) at each eta of `eta_like` together with as many
-    evenly spaced points of [0, r2_cap]; those in [0, r2_cap + 1e-12] are
-    kept, clipped at r2_cap, sorted and taken once each."""
+    binds (`_binding_etas`), as two arrays. Every region tops R2 at
+    r2_cap = 1/2 log2(1 + P2), at eta = 1 or rho = 0. The samples are
+    `r2_values`, or else 1/2 log2(1 + eta P2) at each eta of `eta_like`
+    together with as many evenly spaced points of [0, r2_cap]; those in
+    [0, r2_cap + 1e-12] are kept, clipped at r2_cap, sorted and taken once
+    each."""
+    r2_cap = half_log2(1 + chan.P2)
     if r2_values is not None:
         qs = np.asarray(r2_values, dtype=float)
     else:
@@ -467,9 +478,14 @@ def _receiver_terms(chan: GaussianMultiPrimary, subset):
 def _sum_cap(chan: GaussianMultiPrimary, subset, root):
     """The objective rho -> min over j in subset of
     1/2 log2(1 + b_j^2 P2 + P1 + 2 b_j rho root), for `root` a scalar or one
-    value per lane. Its rho-free terms are computed once; each call evaluates
-    the receivers as one (N, L) array and takes its minimum over the receiver
-    axis."""
+    value per lane: the sum cap of the receivers taken as strong, each of
+    which needs |b_j| >= 1 (_below_one). Its rho-free terms are computed
+    once; each call evaluates the receivers as one (N, L) array and takes its
+    minimum over the receiver axis."""
+    j = _below_one(chan, subset)
+    if j is not None:
+        raise GaussianModelError(
+            f"receiver b[{j}] = {chan.b[j]!r} is taken as strong, but |b[{j}]| < 1")
     _, base, twice = _receiver_terms(chan, subset)
 
     def cap(rho):
@@ -483,6 +499,8 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     union over rho of  R2 <= 1/2 log2(1 + (1-rho^2) P2),
                        R1+R2 <= min_j 1/2 log2(1+b_j^2 P2+P1+2 b_j rho sqrt(P1 P2)).
 
+    R2 tops out at 1/2 log2(1 + P2), at rho = 0, where every sum cap
+    1/2 log2(1 + b_j^2 P2 + P1) is at least as large since |b_j| >= 1.
     Evaluated per R2 sample: the admissible rho interval is closed-form and
     the concave min_j sum-rate is maximized inside it, over all samples at
     once: at an end point of the interval under coherent gains, by golden
@@ -490,15 +508,9 @@ def region_mp_vsi(chan: GaussianMultiPrimary, rho_grid: int = 201, r2_values=Non
     """
     if require_regime and classify_gaussian(chan) != "VSI":
         raise GaussianModelError("channel is not in the very-strong regime")
-    P2 = chan.P2
-    root = np.sqrt(chan.P1 * P2)
-    sum_cap = _sum_cap(chan, range(chan.n_primary), root)
-    r2_top = _golden_max(
-        lambda r: np.minimum(half_log2(1 + (1 - r * r) * P2), sum_cap(r)),
-        np.array([-1.0]), np.array([1.0]),
-    )
+    sum_cap = _sum_cap(chan, range(chan.n_primary), np.sqrt(chan.P1 * chan.P2))
     etas = 1.0 - np.linspace(-1.0, 1.0, rho_grid)**2
-    qs, eta0 = _r2_samples(chan, etas, r2_values, r2_top[0])
+    qs, eta0 = _r2_samples(chan, etas, r2_values)
     rho0 = np.sqrt(1.0 - eta0)
     best = _rho_max(chan, sum_cap, -rho0, rho0)
     return monotone_frontier(qs, best - qs)
@@ -534,10 +546,9 @@ def region_mp_wi(chan: GaussianMultiPrimary, eta_grid: int = 201, r2_values=None
     """
     if require_regime and classify_gaussian(chan) != "WI":
         raise GaussianModelError("channel is not in the weak regime")
-    P2 = chan.P2
     etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
-    qs, eta0 = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
+    qs, eta0 = _r2_samples(chan, etas, r2_values)
     # mixed-sign gains: the max-min over rho need not decrease in eta, so the
     # grid values join the lanes for a running-maximum envelope
     lanes = eta0 if coherent else np.concatenate([eta0, etas])
@@ -572,7 +583,7 @@ def region_mp_mixed(chan: GaussianMultiPrimary, partition, eta_grid: int = 201,
     etas = np.linspace(0.0, 1.0, eta_grid)
     coherent = _coherent(chan)
     coarse = etas[:: max(1, len(etas) // 16)]
-    qs, eta0 = _r2_samples(chan, etas, r2_values, half_log2(1 + P2))
+    qs, eta0 = _r2_samples(chan, etas, r2_values)
     lane_eta, lane_r2 = eta0, qs
     if not coherent:
         above = coarse[None, :] > eta0[:, None]  # (sample, coarse eta) pairs to try
@@ -606,23 +617,16 @@ def region_ms_vsi(chan: GaussianMultiSecondary, eta_grid: int = 201, r2_values=N
     union over eta of  R2 <= 1/2 log2(1 + eta P2),
                        R1+R2 <= 1/2 log2(1+b^2 P2+P1+2|b| sqrt((1-eta) P1 P2)).
 
-    The sum cap decreases in eta, so each R2 sample binds at eta0 exactly.
+    R2 tops out at 1/2 log2(1 + P2), at eta = 1, where the sum cap
+    1/2 log2(1 + b^2 P2 + P1) is at least as large since |b| >= 1. The
+    secondary gains a_k enter only the regime check: the region is the mixed
+    region of the one-primary channel with gain |b|, its receiver taken as
+    strong, so a gain |b| < 1 is rejected also without the check.
     """
     if require_regime and classify_gaussian(chan) != "VSI":
         raise GaussianModelError("channel is not in the very-strong regime")
-    P1, P2, b = chan.P1, chan.P2, chan.b
-
-    def sum_cap(eta):
-        return half_log2(1 + b**2 * P2 + P1
-                         + 2 * abs(b) * np.sqrt(np.maximum(0.0, 1 - eta) * P1 * P2))
-
-    r2_top = _golden_max(
-        lambda e: np.minimum(half_log2(1 + e * P2), sum_cap(e)),
-        np.array([0.0]), np.array([1.0]),
-    )
-    etas = np.linspace(0.0, 1.0, eta_grid)
-    qs, eta0 = _r2_samples(chan, etas, r2_values, r2_top[0])
-    return monotone_frontier(qs, sum_cap(eta0) - qs)
+    return region_mp_mixed(GaussianMultiPrimary((abs(chan.b),), 0.0, chan.P1, chan.P2),
+                           ((0,), ()), eta_grid, r2_values, require_regime=False)
 
 
 def region(chan, regime: str, partition=None, grid: int = 201, r2_values=None,

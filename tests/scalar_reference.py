@@ -153,12 +153,8 @@ def region_mp_vsi(chan, rho_grid=201, r2_values=None):
     P2 = chan.P2
     root = np.sqrt(chan.P1 * P2)
     every = range(chan.n_primary)
-    _, r2_top = golden_max(
-        lambda r: min(half_log2(1 + (1 - r * r) * P2), _sum_cap(chan, every, r, root)),
-        -1.0, 1.0,
-    )
     rhos = np.linspace(-1.0, 1.0, int(rho_grid))
-    qs = _r2_samples(chan, 1.0 - rhos**2, r2_values, r2_top)
+    qs = _r2_samples(chan, 1.0 - rhos**2, r2_values, half_log2(1 + P2))
     pts = []
     for r2 in qs:
         rho0 = np.sqrt(1.0 - binding_eta(r2, P2))
@@ -226,11 +222,10 @@ def region_ms_vsi(chan, eta_grid=201, r2_values=None):
     P1, P2, b = chan.P1, chan.P2, chan.b
 
     def sum_cap(eta):
-        return half_log2(1 + b**2 * P2 + P1
+        return half_log2(1 + b * b * P2 + P1
                          + 2 * abs(b) * np.sqrt(max(0.0, 1 - eta) * P1 * P2))
 
-    _, r2_top = golden_max(lambda e: min(half_log2(1 + e * P2), sum_cap(e)), 0.0, 1.0)
-    qs = _r2_samples(chan, _grid(eta_grid, 201), r2_values, r2_top)
+    qs = _r2_samples(chan, _grid(eta_grid, 201), r2_values, half_log2(1 + P2))
     return monotone_frontier(
         (float(r2), sum_cap(binding_eta(r2, P2)) - r2) for r2 in qs
     )

@@ -406,14 +406,25 @@ def test_counterexample_replays_benchmark_catalogue(tmp_path, capsys):
             assert verify_counterexample(witness), case["id"]
 
 
-def test_gaussian_dpc_replays_benchmark_catalogue(tmp_path, capsys):
+def test_gaussian_dpc_replays_benchmark_catalogue(tmp_path, capsys, monkeypatch):
     # every region and dpc-compare case of the benchmark catalogue, against
-    # the exit code and the exact files recorded with it
+    # the exit code and the exact files recorded with it; the Gaussian regions
+    # run golden section only for their mixed-sign maxima over rho
+    from mcifc import gaussian
+
     doc = json.loads(gzip.decompress((CATALOGUE / "gaussian-dpc.json.gz").read_bytes()))
-    cases = [case for group in doc["kinds"].values() for case in group]
-    assert sum(c["argv"][0] == "region" for c in cases) == 60
-    assert sum(c["argv"][0] == "dpc-compare" for c in cases) == 16
-    for case in cases:
+    cases = [(kind, case) for kind, group in doc["kinds"].items() for case in group]
+    assert sum(c["argv"][0] == "region" for _, c in cases) == 60
+    assert sum(c["argv"][0] == "dpc-compare" for _, c in cases) == 16
+    golden_calls = dict.fromkeys(doc["kinds"], 0)
+    golden = gaussian.golden_section
+
+    def counted(*args):
+        golden_calls[kind] += 1
+        return golden(*args)
+
+    monkeypatch.setattr(gaussian, "golden_section", counted)
+    for kind, case in cases:
         src, out = tmp_path / f"{case['id']}.json", tmp_path / f"{case['id']}.csv"
         src.write_text(json.dumps(case["input"]))
         argv = [{"{in}": str(src), "{out}": str(out)}.get(a, a) for a in case["argv"]]
@@ -425,6 +436,9 @@ def test_gaussian_dpc_replays_benchmark_catalogue(tmp_path, capsys):
             assert out.read_text() == ref["csv"], case["id"]
             assert Path(f"{out}.json").read_text() == ref["sidecar"], case["id"]
     capsys.readouterr()
+    for kind in ("region-mp-vsi", "region-ms-vsi", "region-mp-wi", "region-mp-mixed"):
+        assert golden_calls[kind] == 0, golden_calls
+    assert golden_calls["region-mp-wi-signs"] > 0 and golden_calls["region-mp-mixed-signs"] > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -463,6 +463,91 @@ def test_ms_vsi_p1_zero_slice():
     )
 
 
+def _strong_draw(rng):
+    """One seeded multi-primary channel with every |b_j| >= 1 and one
+    multi-secondary channel with |b| >= 1, or None where the powers overflow.
+    N is 1-4, each gain takes its own sign, gains are exactly +-1 at times,
+    P1 is 0 at times, and one draw in five puts the powers near the overflow limit of
+    check_gains_and_powers."""
+    n = int(rng.integers(1, 5))
+    b = rng.choice([-1.0, 1.0], n) * np.where(rng.random(n) < 0.2, 1.0, rng.uniform(1.0, 3.0, n))
+    P1, P2 = 10.0 ** rng.uniform(-3, 3, 2)
+    if rng.random() < 0.2:
+        P1, P2 = 10.0 ** rng.uniform(153.0, 154.0, 2) / (1 + b.max() ** 2)
+        if rng.random() < 0.5:
+            P1, P2 = 0.0, 10.0 ** rng.uniform(306.0, 308.0) / (1 + b.max() ** 2)
+    if rng.random() < 0.15:
+        P1 = 0.0
+    try:
+        return (GaussianMultiPrimary(tuple(b), 1.0, P1, P2),
+                GaussianMultiSecondary(float(b[0]), (1.0,), P1, P2))
+    except GaussianModelError:
+        return None
+
+
+def _r2_top_objective(chan):
+    """The interval and the objective whose maximum each very-strong region
+    took as its R2 top before the closed form 1/2 log2(1 + P2): the
+    decoded-layer cap against the sum cap, over rho (multi-primary) or eta
+    (multi-secondary), one value per point of an array."""
+    P1, P2 = chan.P1, chan.P2
+    if isinstance(chan, GaussianMultiSecondary):
+        b = abs(chan.b)
+        return (0.0, 1.0), lambda e: np.minimum(half_log2(1 + e * P2), half_log2(
+            1 + b * b * P2 + P1 + 2 * b * np.sqrt(np.maximum(0.0, 1 - e) * P1 * P2)))
+    b = np.array(chan.b)[:, None]
+    root = np.sqrt(P1 * P2)
+    return (-1.0, 1.0), lambda r: np.minimum(
+        half_log2(1 + (1 - r * r) * P2),
+        half_log2(1 + b * b * P2 + P1 + 2 * b * r * root).min(axis=0))
+
+
+def test_vsi_r2_top_is_the_closed_form():
+    # with every strong gain |b_j| >= 1, no rho or eta lifts R2 above
+    # 1/2 log2(1 + P2), and the golden-section top it replaced never fell
+    # more than 1e-15 short of it, relative to max(1, top): near the overflow
+    # limit the top nears 512, where golden section fell one float step short
+    rng = np.random.default_rng(37)
+    seen = Counter()
+    with np.errstate(over="ignore"):
+        for _ in range(150):
+            drawn = _strong_draw(rng)
+            if drawn is None:
+                continue
+            for chan in drawn:
+                top = float(half_log2(1 + chan.P2))
+                (lo, hi), f = _r2_top_objective(chan)
+                assert f(np.linspace(lo, hi, 20001)).max() <= top, chan
+                golden = float(reference.golden_max(lambda x: f(np.array([x]))[0], lo, hi)[1])
+                assert top - 1e-15 * max(1.0, top) <= golden <= top, chan
+            seen["mixed signs"] += len({np.sign(g) for g in drawn[0].b}) > 1
+            seen["unit gain"] += 1.0 in np.abs(drawn[0].b)
+            seen["P1 = 0"] += drawn[0].P1 == 0.0
+            seen["near overflow"] += drawn[0].P2 > 1e150
+    for key in ("mixed signs", "unit gain", "P1 = 0", "near overflow"):
+        assert seen[key] >= 5, (key, seen)
+
+
+@pytest.mark.parametrize("call, message", [
+    # classify_gaussian says WI, not none, so the regime check passes
+    (lambda: region_mp_mixed(GaussianMultiPrimary((0.3, 0.5), 0.0, 1.0, 4.0), ((0,), (1,)), 21),
+     "receiver b[0] = 0.3 is taken as strong, but |b[0]| < 1"),
+    (lambda: region_mp_mixed(GaussianMultiPrimary((0.3,), 0.0, 1.0, 4.0), ((0,), ()), 21,
+                             require_regime=False),
+     "receiver b[0] = 0.3 is taken as strong, but |b[0]| < 1"),
+    (lambda: region_mp_vsi(GaussianMultiPrimary((2.0, -0.5), 2.0, 1.0, 4.0), 21,
+                           require_regime=False),
+     "receiver b[1] = -0.5 is taken as strong, but |b[1]| < 1"),
+    (lambda: region_ms_vsi(GaussianMultiSecondary(0.3, (0.1,), 1.0, 4.0), 21,
+                           require_regime=False),
+     "receiver b[0] = 0.3 is taken as strong, but |b[0]| < 1"),
+], ids=["mixed", "mixed-unchecked", "VSI-unchecked", "ms-VSI-unchecked"])
+def test_a_receiver_below_one_is_never_taken_as_strong(call, message):
+    # its sum cap with no cooperation is below the R2 top 1/2 log2(1 + P2)
+    with pytest.raises(GaussianModelError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # -- coherence -----------------------------------------------------------------
 
 
@@ -825,17 +910,17 @@ def test_coherent_maxima_over_rho_equal_golden_section_bit_for_bit(monkeypatch):
     (GaussianMultiPrimary((0.5, 0.9), 0.3, 1.0, 2.0), "WI", None, 0),
     (GaussianMultiPrimary((-0.5, -0.9, 0.0), 0.3, 1.0, 2.0), "WI", None, 0),
     (GaussianMultiPrimary((0.5, 2.0), 2.0, 1.0, 1.0), "mixed", ((1,), (0,)), 0),
-    (GaussianMultiPrimary((1.5, 2.0), 2.5, 1.0, 1.0), "VSI", None, 1),
-    (GaussianMultiSecondary(2.0, (2.0,), 1.0, 1.0), "VSI", None, 1),
+    (GaussianMultiPrimary((1.5, 2.0), 2.5, 1.0, 1.0), "VSI", None, 0),
+    (GaussianMultiSecondary(2.0, (2.0,), 1.0, 1.0), "VSI", None, 0),
     (GaussianMultiPrimary((0.5, -0.9), 0.3, 1.0, 2.0), "WI", None, 1),
     (GaussianMultiPrimary((-0.5, 2.0), 2.0, 1.0, 1.0), "mixed", ((1,), (0,)), 1),
-    (GaussianMultiPrimary((1.5, -2.0), 0.0, 1.0, 1.0), "VSI", None, 2),
+    (GaussianMultiPrimary((1.5, -2.0), 0.0, 1.0, 1.0), "VSI", None, 1),
 ], ids=["WI", "WI-negative", "mixed", "VSI", "ms-VSI", "WI-signs", "mixed-signs",
         "VSI-signs"])
 def test_golden_section_runs_only_where_no_end_point_decides(chan, regime, partition, calls,
                                                              monkeypatch):
-    # coherent maxima over rho take the end points; the r2_top of each VSI
-    # region and every mixed-sign maximum still run golden section
+    # coherent maxima over rho take the end points and each VSI region tops
+    # R2 in closed form; only the mixed-sign maxima still run golden section
     from mcifc import gaussian
 
     called = []
